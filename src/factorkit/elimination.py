@@ -116,10 +116,14 @@ def _check_diagonal(arr: np.ndarray, threshold: float) -> None:
         raise ZeroPivotError("row", i + 1, arr[i, i].item(), threshold)
 
 
-def _solve_upper(u: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int]:
-    """Back substitution, last row upward. Returns (solution, flops)."""
+def _solve_upper(u: np.ndarray, c: np.ndarray, max_abs: float) -> tuple[np.ndarray, int]:
+    """Back substitution, last row upward. Returns (solution, flops).
+
+    ``max_abs`` is max|u_ij|, which scales the diagonal's pivot threshold;
+    callers pass the factor's cached value so no solve rescans u.
+    """
     n, k = u.shape[0], c.shape[1]
-    _check_diagonal(u, _pivot_threshold(n, float(np.max(np.abs(u)))))
+    _check_diagonal(u, _pivot_threshold(n, max_abs))
     x = np.zeros((n, k), dtype=np.result_type(u, c))
     flops = 0
     for i in range(n - 1, -1, -1):
@@ -128,11 +132,16 @@ def _solve_upper(u: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int]:
     return x, flops
 
 
-def _solve_lower(l: np.ndarray, c: np.ndarray, unit_diagonal: bool = False) -> tuple[np.ndarray, int]:
-    """Forward substitution, first row downward. Returns (solution, flops)."""
+def _solve_lower(l: np.ndarray, c: np.ndarray, max_abs: float | None) -> tuple[np.ndarray, int]:
+    """Forward substitution, first row downward. Returns (solution, flops).
+
+    ``max_abs`` is max|l_ij| as for ``_solve_upper``; ``None`` marks a unit
+    diagonal, which is neither checked nor divided by.
+    """
     n, k = l.shape[0], c.shape[1]
+    unit_diagonal = max_abs is None
     if not unit_diagonal:
-        _check_diagonal(l, _pivot_threshold(n, float(np.max(np.abs(l)))))
+        _check_diagonal(l, _pivot_threshold(n, max_abs))
     y = np.zeros((n, k), dtype=np.result_type(l, c))
     flops = 0
     for i in range(n):
@@ -158,7 +167,7 @@ def back_substitute(u: DenseMatrix, c: Vector) -> Vector:
     _require_triangular(u, lower=False)
     if c.rows != u.rows:
         raise ShapeError(f"right-hand side has {c.rows} rows, matrix has {u.rows}")
-    x, _ = _solve_upper(u.data, c.data)
+    x, _ = _solve_upper(u.data, c.data, u.max_abs())
     return DenseMatrix(x)
 
 
@@ -167,5 +176,5 @@ def forward_substitute(l: DenseMatrix, c: Vector) -> Vector:
     _require_triangular(l, lower=True)
     if c.rows != l.rows:
         raise ShapeError(f"right-hand side has {c.rows} rows, matrix has {l.rows}")
-    y, _ = _solve_lower(l.data, c.data)
+    y, _ = _solve_lower(l.data, c.data, l.max_abs())
     return DenseMatrix(y)

@@ -25,11 +25,10 @@ from .errors import NonSquareError, NotSymmetricError, ShapeError
 from .matrices import (
     DEFAULT_SYMMETRY_TOL,
     EPS,
+    HASH_SCHEME,
     DenseMatrix,
-    matmul,
     principal_sqrt,
     residual_norm,
-    transpose,
 )
 
 __all__ = [
@@ -55,12 +54,17 @@ DEFAULT_RECONSTRUCTION_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Provenance:
-    """Where a factorization came from: source hash, pivot sequence, cost."""
+    """Where a factorization came from: source hash, pivot sequence, cost.
+
+    ``hash_scheme`` names how ``matrix_hash`` was computed; factor files
+    written before schemes were recorded carry the legacy ``"text"`` one.
+    """
 
     matrix_hash: str
     pivots: tuple
     flops: int
     symmetry_tol: float | None = None
+    hash_scheme: str = HASH_SCHEME
 
 
 @dataclass(frozen=True)
@@ -114,8 +118,11 @@ class Factorization:
     def rebuild(self) -> DenseMatrix:
         """Multiply the factors back together."""
         if self.kind == KIND_LU:
-            return matmul(self.l, self.u)
-        return matmul(transpose(self.g), self.g)
+            return DenseMatrix(self.l.data @ self.u.data)
+        # G^T is copied on purpose: on a single buffer numpy computes g.T @ g
+        # with syrk, whose summation order changes the last bits of the
+        # product and so of the reconstruction error that ``factor`` prints.
+        return DenseMatrix(np.array(self.g.data.T) @ self.g.data)
 
 
 def lu_from_record(record: EliminationRecord) -> Factorization:
@@ -197,11 +204,11 @@ def solve(f: Factorization, b: DenseMatrix) -> SolveReport:
     if b.rows != f.n:
         raise ShapeError(f"right-hand side has {b.rows} rows, factorization is for n = {f.n}")
     if f.kind == KIND_LU:
-        y, fl_forward = _solve_lower(f.l.data, b.data, unit_diagonal=True)
-        x, fl_back = _solve_upper(f.u.data, y)
+        y, fl_forward = _solve_lower(f.l.data, b.data, None)  # unit diagonal
+        x, fl_back = _solve_upper(f.u.data, y, f.u.max_abs())
     else:
-        y, fl_forward = _solve_lower(f.g.data.T, b.data)
-        x, fl_back = _solve_upper(f.g.data, y)
+        y, fl_forward = _solve_lower(f.g.data.T, b.data, f.g.max_abs())
+        x, fl_back = _solve_upper(f.g.data, y, f.g.max_abs())
     solutions = DenseMatrix(x)
     rebuilt = f.rebuild()
     residuals = tuple(

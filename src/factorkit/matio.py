@@ -16,14 +16,20 @@ Factor files persist a factorization the same way:
     <one section per stored factor: a line naming it (l, u, or g),
      then n rows in matrix body syntax>
     provenance
-    matrix-hash <16 hex digits>
+    matrix-hash <16 hex digits> <scheme>
     pivots <n entries>
     flops <integer>
     symmetry-tol <float or none>
+
+The hash scheme is ``bytes`` (``matrices.matrix_hash``). Files written
+before the scheme was recorded carry no scheme token; their hash is the
+legacy ``text`` scheme, blake2b of the matrix's canonical text, which is
+computed only when such a file is checked against a matrix.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 from pathlib import Path
@@ -32,7 +38,7 @@ import numpy as np
 
 from .errors import FactorMismatchError, ParseError
 from .factorizations import KIND_GAUSS_CHOLESKY, KIND_LU, Factorization, Provenance
-from .matrices import DenseMatrix, canonical_text, format_entry, matrix_hash
+from .matrices import HASH_SCHEME, DenseMatrix, canonical_text, format_entry, matrix_hash
 
 __all__ = [
     "load_factorization",
@@ -47,6 +53,9 @@ __all__ = [
 ]
 
 _TOKEN = re.compile(r"\S+")
+
+# The scheme of a matrix-hash line without a scheme token.
+_LEGACY_HASH_SCHEME = "text"
 
 
 class _Lines:
@@ -181,7 +190,10 @@ def render_factorization(f: Factorization) -> str:
             lines.append(" ".join(format_entry(v) for v in factor.data[i]))
     prov = f.provenance
     lines.append("provenance")
-    lines.append(f"matrix-hash {prov.matrix_hash}")
+    if prov.hash_scheme == _LEGACY_HASH_SCHEME:
+        lines.append(f"matrix-hash {prov.matrix_hash}")
+    else:
+        lines.append(f"matrix-hash {prov.matrix_hash} {prov.hash_scheme}")
     lines.append("pivots " + " ".join(format_entry(p) for p in prov.pivots))
     lines.append(f"flops {prov.flops}")
     tol = "none" if prov.symmetry_tol is None else repr(float(prov.symmetry_tol))
@@ -220,9 +232,14 @@ def parse_factorization(text: str) -> Factorization:
     _expect_keyword(cur, "provenance")
 
     line, toks = _expect_keyword(cur, "matrix-hash")
-    if len(toks) != 2:
-        raise ParseError(line, "one hash value", toks[0][1])
+    if len(toks) not in (2, 3):
+        raise ParseError(line, "a hash value and its scheme", toks[0][1])
     source_hash = toks[1][0]
+    scheme = _LEGACY_HASH_SCHEME
+    if len(toks) == 3:
+        scheme, col = toks[2]
+        if scheme != HASH_SCHEME:
+            raise ParseError(line, f"hash scheme {HASH_SCHEME!r}, got {scheme!r}", col)
 
     line, toks = _expect_keyword(cur, "pivots")
     if len(toks) != n + 1:
@@ -246,7 +263,9 @@ def parse_factorization(text: str) -> Factorization:
     if trailing is not None:
         raise ParseError(trailing[0], "end of file after provenance")
 
-    provenance = Provenance(matrix_hash=source_hash, pivots=pivots, flops=flops, symmetry_tol=tol)
+    provenance = Provenance(
+        matrix_hash=source_hash, pivots=pivots, flops=flops, symmetry_tol=tol, hash_scheme=scheme
+    )
     try:
         return Factorization(kind=kind, n=n, provenance=provenance, **factors)
     except ValueError as exc:
@@ -262,7 +281,13 @@ def save_factorization(path, f: Factorization) -> None:
 
 
 def stale_factor_check(f: Factorization, a: DenseMatrix) -> None:
-    """Raise ``FactorMismatchError`` when ``f`` was not computed from ``a``."""
-    current = matrix_hash(a)
+    """Raise ``FactorMismatchError`` when ``f`` was not computed from ``a``.
+
+    ``a`` is hashed under the scheme the factorization recorded.
+    """
+    if f.provenance.hash_scheme == _LEGACY_HASH_SCHEME:
+        current = hashlib.blake2b(canonical_text(a).encode("ascii"), digest_size=8).hexdigest()
+    else:
+        current = matrix_hash(a)
     if f.provenance.matrix_hash != current:
         raise FactorMismatchError(f.provenance.matrix_hash, current)

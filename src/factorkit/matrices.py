@@ -23,6 +23,7 @@ from .errors import ShapeError
 __all__ = [
     "DEFAULT_SYMMETRY_TOL",
     "EPS",
+    "HASH_SCHEME",
     "DenseMatrix",
     "Scalar",
     "Vector",
@@ -44,6 +45,9 @@ EPS = float(np.finfo(np.float64).eps)
 # Relative symmetry tolerance: max|a_ij - a_ji| <= tol * max(1, max|a_ij|).
 DEFAULT_SYMMETRY_TOL = 1e-12
 
+#: Name of the scheme ``matrix_hash`` uses, recorded in factor files.
+HASH_SCHEME = "bytes"
+
 
 def _coerce_entries(entries) -> np.ndarray:
     arr = np.array(entries, copy=True)
@@ -63,9 +67,11 @@ class DenseMatrix:
 
     Construction rejects non-finite entries (NaN/Inf) outright so that a
     bad value is reported at its source rather than deep inside a solve.
+    Because the entries never change, the content hash and the largest
+    magnitude are computed at most once and cached.
     """
 
-    __slots__ = ("_data",)
+    __slots__ = ("_data", "_hash", "_max_abs")
 
     def __init__(self, entries):
         if isinstance(entries, DenseMatrix):
@@ -80,6 +86,8 @@ class DenseMatrix:
             raise ValueError(f"non-finite entry at ({i + 1},{j + 1}): {arr[i, j]}")
         arr.setflags(write=False)
         self._data = arr
+        self._hash = None
+        self._max_abs = None
 
     @property
     def data(self) -> np.ndarray:
@@ -117,14 +125,16 @@ class DenseMatrix:
         return value
 
     def __array__(self, dtype=None, copy=None):
-        return np.asarray(self._data, dtype=dtype)
+        return np.array(self._data, dtype=dtype, copy=copy)
 
     def column(self, j: int) -> "DenseMatrix":
         """Column ``j`` (0-based) as an n-by-1 matrix."""
         return DenseMatrix(self._data[:, j : j + 1])
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self._data)))
+        if self._max_abs is None:
+            self._max_abs = float(np.max(np.abs(self._data)))
+        return self._max_abs
 
     def symmetry_deviation(self) -> tuple[float, tuple[int, int]]:
         """Largest |a_ij - a_ji| and its 1-based location."""
@@ -227,7 +237,7 @@ def canonical_text(m: DenseMatrix) -> str:
 
     One header line ``matrix <rows> <cols> <field>`` followed by one
     whitespace-separated line per row. This is also the on-disk matrix
-    format, so hashing this text content-addresses the file.
+    format.
     """
     lines = [f"matrix {m.rows} {m.cols} {m.field}"]
     for i in range(m.rows):
@@ -236,5 +246,18 @@ def canonical_text(m: DenseMatrix) -> str:
 
 
 def matrix_hash(m: DenseMatrix) -> str:
-    """64-bit content hash of the canonical rendering, as 16 hex digits."""
-    return hashlib.blake2b(canonical_text(m).encode("ascii"), digest_size=8).hexdigest()
+    """64-bit content hash of a matrix, as 16 hex digits.
+
+    blake2b over the header line of ``canonical_text`` and then the
+    entries' row-major little-endian bytes (``<f8`` or ``<c16``). Since
+    ``repr`` round-trips every finite double exactly, two matrices hash
+    alike exactly when their canonical texts are equal (``-0.0`` and
+    ``0.0`` differ in both). Computed once per matrix, then cached.
+    """
+    if m._hash is None:
+        h = hashlib.blake2b(f"matrix {m.rows} {m.cols} {m.field}\n".encode("ascii"), digest_size=8)
+        # Row-major whatever the memory layout: a transposed source stays
+        # F-ordered after construction, so its raw buffer is column-major.
+        h.update(np.ascontiguousarray(m.data, dtype=m.data.dtype.newbyteorder("<")))
+        m._hash = h.hexdigest()
+    return m._hash

@@ -137,7 +137,7 @@ def session_solve(s: SolveSession, b: Vector) -> SolveReport:
             s.factorization = lu_from_record(record)
         # The first system is answered directly from the triangular system
         # U x = b' produced by the elimination itself.
-        x_arr, back_flops = _solve_upper(record.u.data, record.transformed_rhs.data)
+        x_arr, back_flops = _solve_upper(record.u.data, record.transformed_rhs.data, record.u.max_abs())
         solutions = DenseMatrix(x_arr)
         flops = s.factorization.provenance.flops + back_flops
         s.first_flops = flops
@@ -216,7 +216,7 @@ def run_bench(n: int, rhs_count: int, seed: int) -> BenchResult:
     elim_total = 0
     for b in sides:
         record = gauss_eliminate(a, b)
-        _, back_flops = _solve_upper(record.u.data, record.transformed_rhs.data)
+        _, back_flops = _solve_upper(record.u.data, record.transformed_rhs.data, record.u.max_abs())
         elim_per_rhs = record.flops + back_flops
         elim_total += elim_per_rhs
 

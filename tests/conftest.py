@@ -27,6 +27,20 @@ GOLD_PIVOTS = (1.0, 4.0, 4.0, 1.0)
 GOLD_X1 = [3, 1, -2, 1]
 GOLD_X2 = [3.75, 1.75, -0.5, 1]
 GOLD_Y2 = [3, 2, 0, 1]
+# GOLD_A's factor file as written before factor files recorded their hash
+# scheme: the untagged hash is blake2b of GOLD_A's canonical text.
+LEGACY_GOLD_FACTOR_FILE = """factor gauss-cholesky 4 real
+g
+1.0 -1.0 0.0 1.0
+0.0 2.0 1.0 -1.0
+0.0 0.0 2.0 1.0
+0.0 0.0 0.0 1.0
+provenance
+matrix-hash bf0aa662f48bfcf5
+pivots 1.0 4.0 4.0 1.0
+flops 44
+symmetry-tol 1e-12
+"""
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ import pytest
 from factorkit import DenseMatrix, render_matrix, save_matrix, vector
 from factorkit.cli import cli_main
 
-from conftest import GOLD_A, GOLD_B1, GOLD_B2
+from conftest import GOLD_A, GOLD_B1, GOLD_B2, LEGACY_GOLD_FACTOR_FILE
 
 
 @pytest.fixture
@@ -137,6 +137,21 @@ class TestFactorThenSolve:
         )
         assert code == 0
         assert "3.75 1.75 -0.5 1" in out.splitlines()
+
+    def test_legacy_factor_file_still_verifies(self, capsys, files, tmp_path):
+        legacy = tmp_path / "legacy.fact"
+        legacy.write_text(LEGACY_GOLD_FACTOR_FILE)
+        code, out, _ = run(capsys, "solve", "--factor", legacy, "--rhs", files["b2"], "--matrix", files["a"])
+        assert code == 0
+        assert "3.75 1.75 -0.5 1" in out.splitlines()
+
+        edited = tmp_path / "edited.mat"
+        bumped = [row[:] for row in GOLD_A]
+        bumped[0][0] = 2
+        save_matrix(edited, DenseMatrix(bumped))
+        code, _, err = run(capsys, "solve", "--factor", legacy, "--rhs", files["b2"], "--matrix", edited)
+        assert code == 1
+        assert "bf0aa662f48bfcf5" in err
 
     def test_factor_zero_pivot_exit(self, capsys, files, tmp_path):
         code, _, err = run(

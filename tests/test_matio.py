@@ -12,6 +12,7 @@ from factorkit import (
     load_factorization,
     load_matrix,
     lu_from_record,
+    matrix_hash,
     parse_factorization,
     parse_matrix,
     render_factorization,
@@ -21,7 +22,7 @@ from factorkit import (
 )
 from factorkit.matio import stale_factor_check
 
-from conftest import GOLD_A
+from conftest import GOLD_A, LEGACY_GOLD_FACTOR_FILE
 
 
 def random_matrix(rng, complex_entries=False):
@@ -181,6 +182,25 @@ class TestFactorFiles:
         stale_factor_check(f, golden_a)  # same matrix: fine
         with pytest.raises(FactorMismatchError):
             stale_factor_check(f, identity(4))
+
+    def test_new_files_record_the_hash_scheme(self, golden_a):
+        text = render_factorization(gauss_cholesky(golden_a))
+        assert f"\nmatrix-hash {matrix_hash(golden_a)} bytes\n" in text
+
+    def test_legacy_untagged_hash_is_checked_under_its_scheme(self, golden_a):
+        f = parse_factorization(LEGACY_GOLD_FACTOR_FILE)
+        assert f.provenance.hash_scheme == "text"
+        assert render_factorization(f) == LEGACY_GOLD_FACTOR_FILE
+        stale_factor_check(f, golden_a)
+        bumped = [row[:] for row in GOLD_A]
+        bumped[0][0] = 2
+        with pytest.raises(FactorMismatchError):
+            stale_factor_check(f, DenseMatrix(bumped))
+
+    def test_unknown_hash_scheme_rejected(self, golden_a):
+        text = render_factorization(gauss_cholesky(golden_a)).replace(" bytes\n", " sha1\n")
+        with pytest.raises(ParseError, match="hash scheme 'bytes', got 'sha1'"):
+            parse_factorization(text)
 
 
 class TestFuzz:

@@ -57,6 +57,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             m.data[0, 0] = 9.0
 
+    def test_array_copy_is_writable_and_independent(self):
+        m = DenseMatrix([[1, 2], [3, 4]])
+        c = np.array(m, copy=True)
+        c[0, 0] = 9.0
+        assert m[0, 0] == 1.0
+        assert not np.shares_memory(c, m.data)
+
     def test_does_not_alias_source_array(self):
         src = np.array([[1.0, 2.0], [3.0, 4.0]])
         m = DenseMatrix(src)
@@ -240,3 +247,37 @@ class TestRenderingAndHash:
         real = DenseMatrix([[1.0]])
         cplx = DenseMatrix(np.array([[1.0 + 0j]]))
         assert matrix_hash(real) != matrix_hash(cplx)
+
+    def test_hash_of_documented_example(self, golden_a):
+        # README's example factor file records this hash.
+        assert matrix_hash(golden_a) == "2845401addaf482d"
+
+    def test_hash_is_cached(self, golden_a):
+        assert matrix_hash(golden_a) is matrix_hash(golden_a)
+
+    def test_hash_equal_exactly_when_canonical_text_equal(self):
+        grid = np.array([[1.0, -2.5], [0.1, 3.0]])
+        transposed = DenseMatrix(grid.T)
+        assert transposed.data.flags.f_contiguous
+        rng = np.random.default_rng(5)
+        cases = [
+            DenseMatrix([[0.0]]),
+            DenseMatrix([[-0.0]]),
+            DenseMatrix([[complex(0.0, -0.0)]]),
+            DenseMatrix(grid.reshape(1, 4)),
+            DenseMatrix(grid.reshape(4, 1)),
+            DenseMatrix(grid),
+            DenseMatrix(grid.astype(">f8")),
+            DenseMatrix(grid.astype(np.complex128)),
+            DenseMatrix((grid + 1j).astype(">c16")),
+            DenseMatrix(grid + 1j),
+            transposed,
+            DenseMatrix(np.ascontiguousarray(grid.T)),
+            DenseMatrix(np.asfortranarray(grid.T + 1j)),
+            DenseMatrix(grid.T + 1j),
+            DenseMatrix(rng.standard_normal((3, 5))[:, ::2]),
+            DenseMatrix(rng.standard_normal((3, 5))[:, ::2]),
+        ]
+        for a in cases:
+            for b in cases:
+                assert (matrix_hash(a) == matrix_hash(b)) == (canonical_text(a) == canonical_text(b)), (a, b)

@@ -21,7 +21,10 @@ from factorkit import (
     vector,
 )
 
-from conftest import GOLD_X1, GOLD_X2
+import factorkit.matio
+import factorkit.matrices
+
+from conftest import GOLD_A, GOLD_X1, GOLD_X2
 from oracles import random_symmetric
 
 
@@ -120,6 +123,19 @@ class TestSessionSolve:
         session_solve(s, golden_b2)
         assert set(s.solve_log) == {matrix_hash(golden_b1), matrix_hash(golden_b2)}
         assert all(r <= s.residual_tol for r in s.solve_log.values())
+
+    @pytest.mark.parametrize("method", ["auto", "lu"])
+    def test_solves_never_render_text(self, monkeypatch, method, golden_b1, golden_b2):
+        def refuse(*args):
+            raise AssertionError("text rendering reached the solve path")
+
+        for module in (factorkit.matrices, factorkit.matio):
+            monkeypatch.setattr(module, "canonical_text", refuse)
+            monkeypatch.setattr(module, "format_entry", refuse)
+        s = open_session(DenseMatrix(GOLD_A), method)
+        for b in (golden_b1, golden_b2, golden_b1):
+            session_solve(s, b)
+        assert len(s.reuse_flops) == 2
 
     def test_warns_when_residual_exceeds_tolerance(self, golden_a):
         s = open_session(golden_a, "auto", residual_tol=-1.0)
