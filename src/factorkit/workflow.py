@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elimination import _solve_upper, gauss_eliminate
+from .elimination import _solve_upper, elimination_flops, gauss_eliminate, substitution_flops
 from .errors import NonSquareError, NoSolvesError, ShapeError
 from .factorizations import (
     DEFAULT_RECONSTRUCTION_TOL,
@@ -158,16 +158,9 @@ def session_solve(s: SolveSession, b: Vector) -> SolveReport:
     return SolveReport(solutions=solutions, residuals=(residual,), flops=flops, method=s.method)
 
 
-def _elimination_flops(n: int) -> int:
-    # One division per multiplier plus a multiply and subtract per updated
-    # entry, summed over trailing blocks of size s = n-1 .. 1.
-    return n * (n - 1) // 2 + (n - 1) * n * (2 * n - 1) // 3
-
-
 def _reuse_flops(n: int, method: str) -> int:
-    if method == KIND_LU:
-        return n * (n - 1) + n * n  # unit-diagonal forward, then back
-    return 2 * n * n
+    # Forward then back substitution; LU's forward factor has a unit diagonal.
+    return substitution_flops(n, 1, unit_diagonal=method == KIND_LU) + substitution_flops(n, 1)
 
 
 def cost_report(s: SolveSession) -> CostReport:
@@ -178,7 +171,7 @@ def cost_report(s: SolveSession) -> CostReport:
     reuse = s.reuse_flops[0] if s.reuse_flops else _reuse_flops(n, s.method)
     # Cost of answering one right-hand side from scratch: eliminate with the
     # side riding along, then back substitution.
-    fresh = _elimination_flops(n) + n * (n - 1) + n * n
+    fresh = elimination_flops(n, 1) + substitution_flops(n, 1)
     return CostReport(
         first_flops=s.first_flops,
         reuse_flops_per_rhs=reuse,

@@ -9,12 +9,16 @@ from factorkit import (
     ZeroPivotError,
     back_substitute,
     forward_substitute,
+    gauss_cholesky,
     gauss_eliminate,
     identity,
     matrix_hash,
+    principal_sqrt,
     residual_norm,
     vector,
 )
+from factorkit.elimination import _PANEL_WIDTH as NB
+from factorkit.elimination import elimination_flops, substitution_flops
 
 from conftest import (
     GOLD_BPRIME,
@@ -27,7 +31,7 @@ from conftest import (
     GOLD_X2,
     GOLD_Y2,
 )
-from oracles import cofactor_det, elimination_snapshots, random_symmetric
+from oracles import cofactor_det, elimination_snapshots, plain_eliminate, random_symmetric
 
 
 class TestGaussEliminate:
@@ -172,6 +176,112 @@ class TestEliminationProperties:
                 continue
             det = cofactor_det(a)
             assert abs(np.prod(record.pivots) - det) <= 1e-10 * abs(det)
+
+
+def _dominant(rng, n, *, complex_entries=False, signs=None):
+    """Symmetric, diagonally dominant (so every pivot is safe); ``signs``
+    chooses the sign of each diagonal entry, giving indefinite matrices."""
+    a = random_symmetric(rng, n, complex_entries=complex_entries)
+    return a + np.diag(n * (np.ones(n) if signs is None else signs))
+
+
+class TestBlockedElimination:
+    """The eliminator works in panels of NB columns; these cases sit on
+    both sides of the panel edges."""
+
+    EDGE_SIZES = (NB - 1, NB, NB + 1, 2 * NB + 1, 3 * NB + 5, 200)
+
+    @pytest.mark.parametrize("kind", ["real", "complex-symmetric", "real-a-complex-b", "multi-column"])
+    def test_one_panel_is_bitwise_the_plain_loop(self, kind):
+        rng = np.random.default_rng(20)
+        for n in range(1, NB + 1):
+            if kind == "complex-symmetric":
+                a = random_symmetric(rng, n, complex_entries=True) + n * np.eye(n)
+            else:
+                a = rng.standard_normal((n, n)) + n * np.eye(n)
+            b = rng.standard_normal((n, 3 if kind == "multi-column" else 1))
+            if kind == "real-a-complex-b":
+                b = b + 1j * rng.standard_normal(b.shape)
+            record = gauss_eliminate(DenseMatrix(a), DenseMatrix(b))
+            u, multipliers, rhs, pivots = plain_eliminate(a, b)
+            assert_array_equal(record.u.data, u)
+            assert_array_equal(record.multipliers.data, multipliers)
+            assert_array_equal(record.transformed_rhs.data, rhs)
+            assert record.pivots == pivots
+            assert record.flops == elimination_flops(n, b.shape[1])
+
+    @pytest.mark.parametrize("n", EDGE_SIZES)
+    def test_lu_identity_and_transformed_side_across_panels(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n)) + np.sqrt(n) * np.eye(n)
+        b = vector(rng.standard_normal(n))
+        record = gauss_eliminate(DenseMatrix(a), b)
+        l = np.eye(n) + record.multipliers.data
+        assert np.linalg.norm(l @ record.u.data - a) <= 1e-11 * np.linalg.norm(a)
+        assert not np.any(np.tril(record.u.data, -1))
+        assert not np.any(np.triu(record.multipliers.data))
+        x = back_substitute(record.u, record.transformed_rhs)
+        assert residual_norm(DenseMatrix(a), x, b) <= 1e-10
+        assert record.flops == elimination_flops(n, 1)
+
+    def test_memory_layout_does_not_change_results(self):
+        rng = np.random.default_rng(23)
+        n = 3 * NB + 5
+        a = rng.standard_normal((n, n)) + np.sqrt(n) * np.eye(n)
+        b = rng.standard_normal((n, 2))
+        row_major = gauss_eliminate(DenseMatrix(a), DenseMatrix(b))
+        col_major = gauss_eliminate(DenseMatrix(np.asfortranarray(a)), DenseMatrix(np.asfortranarray(b)))
+        assert_array_equal(col_major.u.data, row_major.u.data)
+        assert_array_equal(col_major.multipliers.data, row_major.multipliers.data)
+        assert_array_equal(col_major.transformed_rhs.data, row_major.transformed_rhs.data)
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_dtypes_kept_and_pivots_are_python_scalars(self, complex_entries):
+        rng = np.random.default_rng(21)
+        n = 2 * NB + 1
+        a = _dominant(rng, n, complex_entries=complex_entries)
+        record = gauss_eliminate(DenseMatrix(a))
+        assert record.u.data.dtype == a.dtype
+        assert record.multipliers.data.dtype == a.dtype
+        scalar = complex if complex_entries else float
+        assert all(type(p) is scalar for p in record.pivots)
+        assert_array_equal(np.array(record.pivots), np.diagonal(record.u.data))
+
+    @pytest.mark.parametrize("c", [1, NB, NB + 1, 2 * NB + 1, 3 * NB + 5])
+    def test_zero_pivot_names_its_column_across_panel_edges(self, c):
+        n = 3 * NB + 5
+        a = _dominant(np.random.default_rng(c), n)
+        a[c - 1, :] = 0.0
+        a[:, c - 1] = 0.0
+        with pytest.raises(ZeroPivotError) as exc:
+            gauss_eliminate(DenseMatrix(a), vector(np.ones(n)))
+        assert exc.value.column == c
+
+    @pytest.mark.parametrize("case", ["real-spd", "real-indefinite", "complex"])
+    def test_proof_identity_and_cholesky_across_panels(self, case):
+        # Criterion 9's L D^-1 = (D U)^T and G^T G = A, at a size whose
+        # trailing blocks are updated by matrix products.
+        rng = np.random.default_rng(22)
+        n = 3 * NB + 5
+        signs = rng.choice([-1.0, 1.0], n) if case == "real-indefinite" else None
+        a = _dominant(rng, n, complex_entries=case == "complex", signs=signs)
+        record = gauss_eliminate(DenseMatrix(a))
+        roots = np.array([principal_sqrt(p) for p in record.pivots])
+        lhs = (np.eye(n) + record.multipliers.data) * roots[None, :]
+        rhs = (record.u.data / roots[:, None]).T
+        assert np.linalg.norm(lhs - rhs) <= 1e-11 * np.linalg.norm(rhs)
+        g = gauss_cholesky(DenseMatrix(a)).g.data
+        assert np.linalg.norm(g.T @ g - a) <= 1e-9 * np.linalg.norm(a)
+
+
+class TestFlopLedger:
+    def test_closed_forms_equal_the_per_step_counts(self):
+        for n in range(1, 40):
+            for k in range(4):
+                per_column = sum(s + 2 * s * s + 2 * s * k for s in range(n))
+                assert elimination_flops(n, k) == per_column
+                assert substitution_flops(n, k) == sum(k * (2 * i + 1) for i in range(n))
+                assert substitution_flops(n, k, unit_diagonal=True) == sum(k * 2 * i for i in range(n))
 
 
 class TestBackSubstitute:
