@@ -21,14 +21,14 @@ from .factorizations import (
     DEFAULT_RECONSTRUCTION_TOL,
     KIND_GAUSS_CHOLESKY,
     KIND_LU,
-    gauss_cholesky,
+    gauss_cholesky_from_record,
     lu_from_record,
     solve,
     verify,
 )
 from .matio import load_factorization, load_matrix, save_factorization, stale_factor_check
 from .matrices import DEFAULT_SYMMETRY_TOL, residual_norm
-from .workflow import cost_report, open_session, run_bench, session_solve
+from .workflow import METHOD_AUTO, cost_report, open_session, resolve_method, run_bench, session_solve
 
 __all__ = ["cli_main", "main"]
 
@@ -65,13 +65,9 @@ def _tolerances() -> tuple[float, float]:
 def _cmd_factor(args) -> int:
     symmetry_tol, _ = _tolerances()
     a = load_matrix(args.input)
-    method = args.method
-    if method == "auto":
-        method = KIND_GAUSS_CHOLESKY if a.is_square and a.is_symmetric(symmetry_tol) else KIND_LU
-    if method == KIND_GAUSS_CHOLESKY:
-        f = gauss_cholesky(a, symmetry_tol)
-    else:
-        f = lu_from_record(gauss_eliminate(a))
+    method = resolve_method(a, args.method, symmetry_tol)
+    record = gauss_eliminate(a)
+    f = lu_from_record(record) if method == KIND_LU else gauss_cholesky_from_record(record, symmetry_tol)
     print(f"kind {f.kind}")
     print(f"n {f.n}")
     print("pivots " + " ".join(_display(p, args.digits) for p in f.provenance.pivots))
@@ -166,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     factor = sub.add_parser("factor", parents=[], help="factor a matrix and persist the factors")
     factor.add_argument("--input", required=True, help="matrix file to factor")
-    factor.add_argument("--method", choices=[KIND_LU, KIND_GAUSS_CHOLESKY, "auto"], default="auto")
+    factor.add_argument("--method", choices=[KIND_LU, KIND_GAUSS_CHOLESKY, METHOD_AUTO], default=METHOD_AUTO)
     factor.add_argument("--output", required=True, help="factor file to write")
     factor.add_argument("--digits", type=int, default=None, help="significant digits for printed values")
     factor.set_defaults(func=_cmd_factor)
@@ -175,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--factor", default=None, help="use a persisted factor file")
     slv.add_argument("--matrix", default=None, help="matrix file (session mode, or residuals with --factor)")
     slv.add_argument("--rhs", required=True, help="right-hand side matrix file (columns are solved independently)")
-    slv.add_argument("--method", choices=[KIND_LU, KIND_GAUSS_CHOLESKY, "auto"], default="auto")
+    slv.add_argument("--method", choices=[KIND_LU, KIND_GAUSS_CHOLESKY, METHOD_AUTO], default=METHOD_AUTO)
     slv.add_argument("--force", action="store_true", help="skip the stale-factor hash check")
     slv.add_argument("--digits", type=int, default=None)
     slv.set_defaults(func=_cmd_solve)

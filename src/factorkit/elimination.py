@@ -3,9 +3,11 @@
 The eliminator reduces A to an upper-triangular matrix U, storing the
 multiplier m_il = a_il / a_ll used to clear each sub-diagonal entry. Row
 exchanges are never performed: a pivot at or below the singularity
-threshold raises ``ZeroPivotError`` instead of being worked around, because
-every consumer of the multiplier table depends on the elimination order
-being exactly 1..n.
+threshold n * eps * max|A| raises ``ZeroPivotError`` instead of being worked
+around, because every consumer of the multiplier table depends on the
+elimination order being exactly 1..n. This is the one place a pivot is
+judged: the threshold rides on the record into the factors, and the
+substitution kernels test nothing.
 
 The elimination is blocked (right-looking). Each panel of ``_PANEL_WIDTH``
 columns is reduced column by column, with the pivot test at every column,
@@ -47,6 +49,7 @@ class EliminationRecord:
     m_il; adding the identity to it gives the unit lower-triangular L with
     L @ u == source matrix. ``transformed_rhs`` holds the right-hand sides
     after the same row operations, when any were supplied.
+    ``pivot_threshold`` is the bound every pivot exceeded in magnitude.
     """
 
     u: DenseMatrix
@@ -55,6 +58,7 @@ class EliminationRecord:
     transformed_rhs: DenseMatrix | None
     flops: int
     source_hash: str
+    pivot_threshold: float
 
     @property
     def n(self) -> int:
@@ -82,6 +86,11 @@ def elimination_flops(n: int, sides: int) -> int:
     column takes a multiply and a subtract per multiplier.
     """
     return n * (n - 1) // 2 + (n - 1) * n * (2 * n - 1) // 3 + sides * n * (n - 1)
+
+
+def scaling_flops(n: int) -> int:
+    """Flops to scale U into G: n square roots plus a division per strictly-upper entry."""
+    return n + n * (n - 1) // 2
 
 
 def substitution_flops(n: int, sides: int, unit_diagonal: bool = False) -> int:
@@ -145,41 +154,25 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None) -> Elimination
         transformed_rhs=DenseMatrix(rhs) if rhs is not None else None,
         flops=elimination_flops(n, rhs.shape[1] if rhs is not None else 0),
         source_hash=matrix_hash(a),
+        pivot_threshold=threshold,
     )
 
 
-def _check_diagonal(arr: np.ndarray, threshold: float) -> None:
-    diag = np.abs(np.diagonal(arr))
-    bad = np.nonzero(diag <= threshold)[0]
-    if bad.size:
-        i = int(bad[0])
-        raise ZeroPivotError("row", i + 1, arr[i, i].item(), threshold)
-
-
-def _solve_upper(u: np.ndarray, c: np.ndarray, max_abs: float) -> tuple[np.ndarray, int]:
-    """Back substitution, last row upward. Returns (solution, flops).
-
-    ``max_abs`` is max|u_ij|, which scales the diagonal's pivot threshold;
-    callers pass the factor's cached value so no solve rescans u.
-    """
+def _solve_upper(u: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int]:
+    """Back substitution, last row upward. Returns (solution, flops)."""
     n, k = u.shape[0], c.shape[1]
-    _check_diagonal(u, _pivot_threshold(n, max_abs))
     x = np.zeros((n, k), dtype=np.result_type(u, c))
     for i in range(n - 1, -1, -1):
         x[i, :] = (c[i, :] - u[i, i + 1 :] @ x[i + 1 :, :]) / u[i, i]
     return x, substitution_flops(n, k)
 
 
-def _solve_lower(l: np.ndarray, c: np.ndarray, max_abs: float | None) -> tuple[np.ndarray, int]:
+def _solve_lower(l: np.ndarray, c: np.ndarray, unit_diagonal: bool) -> tuple[np.ndarray, int]:
     """Forward substitution, first row downward. Returns (solution, flops).
 
-    ``max_abs`` is max|l_ij| as for ``_solve_upper``; ``None`` marks a unit
-    diagonal, which is neither checked nor divided by.
+    A unit diagonal is neither read nor divided by.
     """
     n, k = l.shape[0], c.shape[1]
-    unit_diagonal = max_abs is None
-    if not unit_diagonal:
-        _check_diagonal(l, _pivot_threshold(n, max_abs))
     y = np.zeros((n, k), dtype=np.result_type(l, c))
     for i in range(n):
         y[i, :] = c[i, :] - l[i, :i] @ y[:i, :]
@@ -188,28 +181,37 @@ def _solve_lower(l: np.ndarray, c: np.ndarray, max_abs: float | None) -> tuple[n
     return y, substitution_flops(n, k, unit_diagonal)
 
 
-def _require_triangular(m: DenseMatrix, lower: bool) -> None:
+def _require_triangular(m: DenseMatrix, lower: bool, unit_diagonal: bool = False, name: str = "matrix") -> None:
     if not m.is_square:
         raise NonSquareError(m.rows, m.cols)
     off = np.triu(m.data, 1) if lower else np.tril(m.data, -1)
     if np.count_nonzero(off):
         side = "lower" if lower else "upper"
-        raise ShapeError(f"expected an exactly {side}-triangular matrix")
+        raise ShapeError(f"expected an exactly {side}-triangular {name}")
+    if unit_diagonal and not np.all(np.diagonal(m.data) == 1.0):
+        raise ShapeError(f"expected {name} to have a unit diagonal")
+
+
+def _substitute(t: DenseMatrix, c: Vector, lower: bool) -> Vector:
+    # t is the caller's source matrix: judge its diagonal as pivots are judged.
+    _require_triangular(t, lower)
+    if c.rows != t.rows:
+        raise ShapeError(f"right-hand side has {c.rows} rows, matrix has {t.rows}")
+    threshold = _pivot_threshold(t.rows, t.max_abs())
+    diag = np.diagonal(t.data)
+    bad = np.flatnonzero(np.abs(diag) <= threshold)
+    if bad.size:
+        i = int(bad[0])
+        raise ZeroPivotError("row", i + 1, diag[i].item(), threshold)
+    x, _ = _solve_lower(t.data, c.data, unit_diagonal=False) if lower else _solve_upper(t.data, c.data)
+    return DenseMatrix(x)
 
 
 def back_substitute(u: DenseMatrix, c: Vector) -> Vector:
     """Solve ``u @ x = c`` for upper-triangular u (each column independently)."""
-    _require_triangular(u, lower=False)
-    if c.rows != u.rows:
-        raise ShapeError(f"right-hand side has {c.rows} rows, matrix has {u.rows}")
-    x, _ = _solve_upper(u.data, c.data, u.max_abs())
-    return DenseMatrix(x)
+    return _substitute(u, c, lower=False)
 
 
 def forward_substitute(l: DenseMatrix, c: Vector) -> Vector:
     """Solve ``l @ y = c`` for lower-triangular l (each column independently)."""
-    _require_triangular(l, lower=True)
-    if c.rows != l.rows:
-        raise ShapeError(f"right-hand side has {c.rows} rows, matrix has {l.rows}")
-    y, _ = _solve_lower(l.data, c.data, l.max_abs())
-    return DenseMatrix(y)
+    return _substitute(l, c, lower=True)

@@ -42,7 +42,7 @@ class ZeroPivotError(ArithmeticError):
     """
 
     def __init__(self, axis: str, index: int, value: complex, threshold: float):
-        self.axis = axis  # "column" during elimination, "row" during substitution
+        self.axis = axis  # "column" from elimination; "row" from back/forward_substitute
         self.index = index
         self.value = value
         self.threshold = threshold

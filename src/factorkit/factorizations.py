@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elimination import EliminationRecord, _solve_lower, _solve_upper, gauss_eliminate
-from .errors import NonSquareError, NotSymmetricError, ShapeError
+from .elimination import EliminationRecord, _pivot_threshold, _require_triangular, gauss_eliminate, scaling_flops
+from .elimination import _solve_lower, _solve_upper
+from .errors import NotSymmetricError, ShapeError
 from .matrices import (
     DEFAULT_SYMMETRY_TOL,
-    EPS,
     HASH_SCHEME,
     DenseMatrix,
     principal_sqrt,
@@ -58,6 +58,8 @@ class Provenance:
 
     ``hash_scheme`` names how ``matrix_hash`` was computed; factor files
     written before schemes were recorded carry the legacy ``"text"`` one.
+    ``pivot_threshold`` is the elimination's bound on |pivot|; ``None`` if
+    not recorded, as in older factor files.
     """
 
     matrix_hash: str
@@ -65,6 +67,7 @@ class Provenance:
     flops: int
     symmetry_tol: float | None = None
     hash_scheme: str = HASH_SCHEME
+    pivot_threshold: float | None = None
 
 
 @dataclass(frozen=True)
@@ -75,20 +78,6 @@ class SolveReport:
     residuals: tuple[float, ...]
     flops: int
     method: str
-
-
-def _check_factor(m: DenseMatrix, n: int, lower: bool, unit: bool, name: str) -> None:
-    if m.shape != (n, n):
-        raise ShapeError(f"factor {name} must be {n}x{n}, got {m.rows}x{m.cols}")
-    off = np.triu(m.data, 1) if lower else np.tril(m.data, -1)
-    if np.count_nonzero(off):
-        raise ValueError(f"factor {name} must be exactly {'lower' if lower else 'upper'} triangular")
-    diag = np.diagonal(m.data)
-    if unit:
-        if not np.all(diag == 1.0):
-            raise ValueError(f"factor {name} must have a unit diagonal")
-    elif np.min(np.abs(diag)) <= n * EPS * m.max_abs():
-        raise ValueError(f"factor {name} has a negligible diagonal entry")
 
 
 @dataclass(frozen=True)
@@ -103,17 +92,29 @@ class Factorization:
     g: DenseMatrix | None = None
 
     def __post_init__(self):
-        if self.kind == KIND_LU:
-            if self.l is None or self.u is None or self.g is not None:
-                raise ValueError("an lu factorization carries exactly l and u")
-            _check_factor(self.l, self.n, lower=True, unit=True, name="l")
-            _check_factor(self.u, self.n, lower=False, unit=False, name="u")
-        elif self.kind == KIND_GAUSS_CHOLESKY:
-            if self.g is None or self.l is not None or self.u is not None:
-                raise ValueError("a gauss-cholesky factorization carries exactly g")
-            _check_factor(self.g, self.n, lower=False, unit=False, name="g")
-        else:
+        names = {KIND_LU: ("l", "u"), KIND_GAUSS_CHOLESKY: ("g",)}.get(self.kind)
+        if names is None:
             raise ValueError(f"unknown factorization kind {self.kind!r}")
+        if tuple(name for name in "lug" if getattr(self, name) is not None) != names:
+            raise ValueError(f"{self.kind} factorizations carry exactly {' and '.join(names)}")
+        for name in names:
+            m = getattr(self, name)
+            if m.shape != (self.n, self.n):
+                raise ShapeError(f"factor {name} must be {self.n}x{self.n}, got {m.rows}x{m.cols}")
+            _require_triangular(m, lower=name == "l", unit_diagonal=name == "l", name=f"factor {name}")
+        # The solves divide by the last factor's diagonal: u_ii, the pivots, or
+        # g_ii, whose squares are the pivots. Without a recorded threshold the
+        # factor meets the rule it was saved under, n * eps * max|factor|.
+        name = names[-1]
+        divisor = getattr(self, name)
+        diagonal = np.abs(np.diagonal(divisor.data))
+        threshold = self.provenance.pivot_threshold
+        if threshold is None:
+            threshold = _pivot_threshold(self.n, divisor.max_abs())
+        elif name == "g":
+            diagonal = diagonal * diagonal
+        if np.min(diagonal) <= threshold:
+            raise ValueError(f"factor {name} has a negligible diagonal entry")
 
     def rebuild(self) -> DenseMatrix:
         """Multiply the factors back together."""
@@ -125,6 +126,12 @@ class Factorization:
         return DenseMatrix(np.array(self.g.data.T) @ self.g.data)
 
 
+def _provenance(record: EliminationRecord, flops: int, symmetry_tol: float | None = None) -> Provenance:
+    return Provenance(
+        record.source_hash, record.pivots, flops, symmetry_tol, pivot_threshold=record.pivot_threshold
+    )
+
+
 def lu_from_record(record: EliminationRecord) -> Factorization:
     """Package an elimination record as A = L U."""
     n = record.n
@@ -134,11 +141,7 @@ def lu_from_record(record: EliminationRecord) -> Factorization:
         n=n,
         l=DenseMatrix(l),
         u=record.u,
-        provenance=Provenance(
-            matrix_hash=record.source_hash,
-            pivots=record.pivots,
-            flops=record.flops,
-        ),
+        provenance=_provenance(record, record.flops),
     )
 
 
@@ -157,18 +160,11 @@ def gauss_cholesky_from_record(
     g = record.u.data / roots[:, None]
     idx = np.arange(n)
     g[idx, idx] = roots
-    # n square roots plus one division per strictly-upper entry.
-    build_flops = n + n * (n - 1) // 2
     return Factorization(
         kind=KIND_GAUSS_CHOLESKY,
         n=n,
         g=DenseMatrix(g),
-        provenance=Provenance(
-            matrix_hash=record.source_hash,
-            pivots=record.pivots,
-            flops=record.flops + build_flops,
-            symmetry_tol=symmetry_tol,
-        ),
+        provenance=_provenance(record, record.flops + scaling_flops(n), symmetry_tol),
     )
 
 
@@ -188,8 +184,6 @@ def gauss_cholesky(a: DenseMatrix, symmetry_tol: float = DEFAULT_SYMMETRY_TOL) -
     elimination stalls; a nonzero determinant alone does not guarantee
     success, every leading pivot must be nonzero.
     """
-    if not a.is_square:
-        raise NonSquareError(a.rows, a.cols)
     require_symmetric(a, symmetry_tol)
     return gauss_cholesky_from_record(gauss_eliminate(a), symmetry_tol)
 
@@ -203,12 +197,9 @@ def solve(f: Factorization, b: DenseMatrix) -> SolveReport:
     """
     if b.rows != f.n:
         raise ShapeError(f"right-hand side has {b.rows} rows, factorization is for n = {f.n}")
-    if f.kind == KIND_LU:
-        y, fl_forward = _solve_lower(f.l.data, b.data, None)  # unit diagonal
-        x, fl_back = _solve_upper(f.u.data, y, f.u.max_abs())
-    else:
-        y, fl_forward = _solve_lower(f.g.data.T, b.data, f.g.max_abs())
-        x, fl_back = _solve_upper(f.g.data, y, f.g.max_abs())
+    lu = f.kind == KIND_LU
+    y, fl_forward = _solve_lower(f.l.data if lu else f.g.data.T, b.data, unit_diagonal=lu)
+    x, fl_back = _solve_upper(f.u.data if lu else f.g.data, y)
     solutions = DenseMatrix(x)
     rebuilt = f.rebuild()
     residuals = tuple(

@@ -20,11 +20,16 @@ Factor files persist a factorization the same way:
     pivots <n entries>
     flops <integer>
     symmetry-tol <float or none>
+    pivot-threshold <non-negative float>      (optional)
 
 The hash scheme is ``bytes`` (``matrices.matrix_hash``). Files written
 before the scheme was recorded carry no scheme token; their hash is the
 legacy ``text`` scheme, blake2b of the matrix's canonical text, which is
 computed only when such a file is checked against a matrix.
+
+``pivot-threshold`` is the elimination's bound n * eps * max|A|; loading
+checks the factor's diagonal against it, or, for files written before it was
+recorded, against n * eps * max|factor| as then.
 """
 
 from __future__ import annotations
@@ -108,19 +113,13 @@ def _parse_complex(tok: str, line: int, col: int) -> complex:
     return complex(re_part, im_part)
 
 
-def _parse_entry(tok: str, field: str, line: int, col: int):
-    if field == "complex":
-        return _parse_complex(tok, line, col)
-    return _parse_real(tok, line, col)
-
-
-def _parse_dim(tok: str, line: int, col: int, what: str) -> int:
+def _parse_int(tok: str, line: int, col: int, what: str, minimum: int = 1) -> int:
     try:
         value = int(tok) if tok.isascii() and tok.isdigit() else -1
-    except ValueError:
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
         value = -1
-    if value < 1:
-        raise ParseError(line, f"a positive integer {what}, got {tok!r}", col)
+    if value < minimum:
+        raise ParseError(line, f"a {what}, got {tok!r}", col)
     return value
 
 
@@ -132,6 +131,7 @@ def _parse_field(tok: str, line: int, col: int) -> str:
 
 def _read_rows(cur: _Lines, rows: int, cols: int, field: str, what: str) -> np.ndarray:
     collected = []
+    parse = _parse_complex if field == "complex" else _parse_real
     for r in range(rows):
         item = cur.next_content()
         if item is None:
@@ -140,7 +140,7 @@ def _read_rows(cur: _Lines, rows: int, cols: int, field: str, what: str) -> np.n
         toks = _tokens(raw)
         if len(toks) != cols:
             raise ParseError(line, f"{cols} entries, found {len(toks)}", toks[0][1])
-        collected.append([_parse_entry(tok, field, line, col) for tok, col in toks])
+        collected.append([parse(tok, line, col) for tok, col in toks])
     dtype = np.complex128 if field == "complex" else np.float64
     return np.array(collected, dtype=dtype)
 
@@ -157,8 +157,8 @@ def parse_matrix(text: str) -> DenseMatrix:
         raise ParseError(line, f"keyword 'matrix', got {toks[0][0]!r}", toks[0][1])
     if len(toks) != 4:
         raise ParseError(line, f"'matrix <rows> <cols> <field>', got {len(toks)} tokens", toks[0][1])
-    rows = _parse_dim(toks[1][0], line, toks[1][1], "row count")
-    cols = _parse_dim(toks[2][0], line, toks[2][1], "column count")
+    rows = _parse_int(toks[1][0], line, toks[1][1], "positive integer row count")
+    cols = _parse_int(toks[2][0], line, toks[2][1], "positive integer column count")
     field = _parse_field(toks[3][0], line, toks[3][1])
     body = _read_rows(cur, rows, cols, field, "data")
     trailing = cur.next_content()
@@ -198,6 +198,8 @@ def render_factorization(f: Factorization) -> str:
     lines.append(f"flops {prov.flops}")
     tol = "none" if prov.symmetry_tol is None else repr(float(prov.symmetry_tol))
     lines.append(f"symmetry-tol {tol}")
+    if prov.pivot_threshold is not None:
+        lines.append(f"pivot-threshold {float(prov.pivot_threshold)!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -221,7 +223,7 @@ def parse_factorization(text: str) -> Factorization:
     kind = toks[1][0]
     if kind not in (KIND_LU, KIND_GAUSS_CHOLESKY):
         raise ParseError(line, f"kind '{KIND_LU}' or '{KIND_GAUSS_CHOLESKY}', got {kind!r}", toks[1][1])
-    n = _parse_dim(toks[2][0], line, toks[2][1], "order")
+    n = _parse_int(toks[2][0], line, toks[2][1], "positive integer order")
     field = _parse_field(toks[3][0], line, toks[3][1])
 
     factors = {}
@@ -250,22 +252,27 @@ def parse_factorization(text: str) -> Factorization:
     )
 
     line, toks = _expect_keyword(cur, "flops")
-    if len(toks) != 2 or not (toks[1][0].isascii() and toks[1][0].isdigit()):
+    if len(toks) != 2:
         raise ParseError(line, "a flop count", toks[0][1])
-    flops = int(toks[1][0])
+    flops = _parse_int(toks[1][0], line, toks[1][1], "non-negative integer flop count", minimum=0)
 
     line, toks = _expect_keyword(cur, "symmetry-tol")
     if len(toks) != 2:
         raise ParseError(line, "a tolerance or 'none'", toks[0][1])
     tol = None if toks[1][0] == "none" else _parse_real(toks[1][0], line, toks[1][1])
 
+    threshold = None
     trailing = cur.next_content()
+    if trailing is not None and trailing[1].split()[0] == "pivot-threshold":
+        line, toks = trailing[0], _tokens(trailing[1])
+        threshold = _parse_real(toks[1][0], line, toks[1][1]) if len(toks) == 2 else -1.0
+        if threshold < 0.0:
+            raise ParseError(line, "a non-negative pivot threshold", toks[0][1])
+        trailing = cur.next_content()
     if trailing is not None:
         raise ParseError(trailing[0], "end of file after provenance")
 
-    provenance = Provenance(
-        matrix_hash=source_hash, pivots=pivots, flops=flops, symmetry_tol=tol, hash_scheme=scheme
-    )
+    provenance = Provenance(source_hash, pivots, flops, tol, scheme, threshold)
     try:
         return Factorization(kind=kind, n=n, provenance=provenance, **factors)
     except ValueError as exc:

@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NonSquareError, ShapeError
 
 __all__ = [
     "DEFAULT_SYMMETRY_TOL",
@@ -139,7 +139,7 @@ class DenseMatrix:
     def symmetry_deviation(self) -> tuple[float, tuple[int, int]]:
         """Largest |a_ij - a_ji| and its 1-based location."""
         if not self.is_square:
-            raise ShapeError("symmetry is only defined for square matrices")
+            raise NonSquareError(self.rows, self.cols)
         diff = np.abs(self._data - self._data.T)
         i, j = np.unravel_index(np.argmax(diff), diff.shape)
         return float(diff[i, j]), (int(i) + 1, int(j) + 1)

@@ -42,6 +42,7 @@ __all__ = [
     "SolveSession",
     "cost_report",
     "open_session",
+    "resolve_method",
     "run_bench",
     "session_solve",
 ]
@@ -88,6 +89,24 @@ class BenchResult:
     flop_ratio: float
 
 
+def resolve_method(a: DenseMatrix, method: str = METHOD_AUTO, symmetry_tol: float = DEFAULT_SYMMETRY_TOL) -> str:
+    """The kind, lu or gauss-cholesky, that ``method`` asks for on square ``a``.
+
+    ``auto`` resolves to gauss-cholesky when the matrix is symmetric within
+    tolerance and to lu otherwise; gauss-cholesky on a non-symmetric matrix
+    raises ``NotSymmetricError``.
+    """
+    if not a.is_square:
+        raise NonSquareError(a.rows, a.cols)
+    if method == METHOD_AUTO:
+        return KIND_GAUSS_CHOLESKY if a.is_symmetric(symmetry_tol) else KIND_LU
+    if method == KIND_GAUSS_CHOLESKY:
+        require_symmetric(a, symmetry_tol)
+    elif method != KIND_LU:
+        raise ValueError(f"unknown method {method!r}; expected lu, gauss-cholesky, or auto")
+    return method
+
+
 def open_session(
     a: DenseMatrix,
     method: str = METHOD_AUTO,
@@ -95,27 +114,11 @@ def open_session(
     symmetry_tol: float = DEFAULT_SYMMETRY_TOL,
     residual_tol: float = DEFAULT_RECONSTRUCTION_TOL,
 ) -> SolveSession:
-    """Create a session for ``a``; no factorization happens yet.
-
-    ``auto`` resolves to gauss-cholesky when the matrix is symmetric within
-    tolerance and to lu otherwise; requesting gauss-cholesky on a
-    non-symmetric matrix fails immediately.
-    """
-    if not a.is_square:
-        raise NonSquareError(a.rows, a.cols)
-    if method == METHOD_AUTO:
-        resolved = KIND_GAUSS_CHOLESKY if a.is_symmetric(symmetry_tol) else KIND_LU
-    elif method == KIND_GAUSS_CHOLESKY:
-        require_symmetric(a, symmetry_tol)
-        resolved = method
-    elif method == KIND_LU:
-        resolved = method
-    else:
-        raise ValueError(f"unknown method {method!r}; expected lu, gauss-cholesky, or auto")
+    """Create a session for ``a``, resolving its method now; no factorization happens yet."""
     return SolveSession(
         matrix=a,
+        method=resolve_method(a, method, symmetry_tol),
         matrix_hash=matrix_hash(a),
-        method=resolved,
         requested_method=method,
         symmetry_tol=symmetry_tol,
         residual_tol=residual_tol,
@@ -137,7 +140,7 @@ def session_solve(s: SolveSession, b: Vector) -> SolveReport:
             s.factorization = lu_from_record(record)
         # The first system is answered directly from the triangular system
         # U x = b' produced by the elimination itself.
-        x_arr, back_flops = _solve_upper(record.u.data, record.transformed_rhs.data, record.u.max_abs())
+        x_arr, back_flops = _solve_upper(record.u.data, record.transformed_rhs.data)
         solutions = DenseMatrix(x_arr)
         flops = s.factorization.provenance.flops + back_flops
         s.first_flops = flops
@@ -209,7 +212,7 @@ def run_bench(n: int, rhs_count: int, seed: int) -> BenchResult:
     elim_total = 0
     for b in sides:
         record = gauss_eliminate(a, b)
-        _, back_flops = _solve_upper(record.u.data, record.transformed_rhs.data, record.u.max_abs())
+        _, back_flops = _solve_upper(record.u.data, record.transformed_rhs.data)
         elim_per_rhs = record.flops + back_flops
         elim_total += elim_per_rhs
 

@@ -11,6 +11,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import factorkit.elimination
 from factorkit import DenseMatrix, vector
 
 GOLD_A = [[1, -1, 0, 1], [-1, 5, 2, -3], [0, 2, 5, 1], [1, -3, 1, 4]]
@@ -41,6 +42,27 @@ pivots 1.0 4.0 4.0 1.0
 flops 44
 symmetry-tol 1e-12
 """
+# A pivot far below max|U| but above n * eps * max|A|: the elimination
+# accepts it, so every path must.
+NEAR_SINGULAR_A = [[1e-8, 1], [1, 1]]
+# A first pivot below 2 * eps * 1: every path must fail in column 1.
+ZERO_PIVOT_A = [[1e-20, 1], [1, 1]]
+
+
+@pytest.fixture
+def pivot_threshold_calls(monkeypatch):
+    """Every call of the package's pivot policy, ``elimination._pivot_threshold``."""
+    calls = []
+    original = factorkit.elimination._pivot_threshold
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("factorkit.") and getattr(module, "_pivot_threshold", None) is original:
+            monkeypatch.setattr(module, "_pivot_threshold", counting)
+    return calls
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ import pytest
 from factorkit import DenseMatrix, render_matrix, save_matrix, vector
 from factorkit.cli import cli_main
 
-from conftest import GOLD_A, GOLD_B1, GOLD_B2, LEGACY_GOLD_FACTOR_FILE
+from conftest import GOLD_A, GOLD_B1, GOLD_B2, LEGACY_GOLD_FACTOR_FILE, NEAR_SINGULAR_A, ZERO_PIVOT_A
 
 
 @pytest.fixture
@@ -159,6 +159,80 @@ class TestFactorThenSolve:
         )
         assert code == 2
         assert "column 1" in err
+
+
+    def test_factor_non_square_is_a_usage_error(self, capsys, files, tmp_path):
+        for method in ("auto", "lu", "gauss-cholesky"):
+            code, _, err = run(
+                capsys, "factor", "--input", files["rect"], "--method", method, "--output", tmp_path / "r.fact"
+            )
+            assert code == 1
+            assert "expected a square matrix" in err
+
+    def test_factor_gauss_cholesky_on_skew_is_numerical_failure(self, capsys, files, tmp_path):
+        code, _, err = run(
+            capsys, "factor", "--input", files["skew"], "--method", "gauss-cholesky", "--output", tmp_path / "s.fact"
+        )
+        assert code == 2
+        assert "symmetric" in err
+
+
+METHODS = ("lu", "gauss-cholesky", "auto")
+
+
+@pytest.fixture
+def probe(tmp_path):
+    paths = {"near": tmp_path / "near.mat", "zero": tmp_path / "zero.mat", "b": tmp_path / "b.mat"}
+    save_matrix(paths["near"], DenseMatrix(NEAR_SINGULAR_A))
+    save_matrix(paths["zero"], DenseMatrix(ZERO_PIVOT_A))
+    save_matrix(paths["b"], vector([1, 2]))
+    return paths
+
+
+class TestOnePivotVerdict:
+    """Every command judges a pivot as the elimination does."""
+
+    def test_near_singular_pivot_accepted_everywhere(self, capsys, probe, tmp_path):
+        assert run(capsys, "check", "--input", probe["near"])[0] == 0
+        for method in METHODS:
+            fact = tmp_path / f"{method}.fact"
+            code, out, err = run(capsys, "factor", "--input", probe["near"], "--method", method, "--output", fact)
+            assert (code, err) == (0, "")
+            assert "pivots 1e-08 -99999999" in out.splitlines()
+            code, out, err = run(capsys, "solve", "--factor", fact, "--matrix", probe["near"], "--rhs", probe["b"])
+            assert (code, err) == (0, "")
+            # session solves answer, and warn that the residual exceeds 1e-10
+            with pytest.warns(RuntimeWarning, match="exceeds session tolerance"):
+                code, out, err = run(
+                    capsys, "solve", "--matrix", probe["near"], "--rhs", probe["b"], "--method", method
+                )
+            assert code == 0
+            lines = out.splitlines()
+            assert lines[0] == ("method lu" if method == "lu" else "method gauss-cholesky")
+            x = [float(v) for v in lines[1].split()]
+            assert np.allclose(x, [1.0, 1.0], rtol=0, atol=1e-7)  # exact: (1, 1 - 2e-8) / (1 - 1e-8)
+
+    def test_zero_pivot_rejected_everywhere_in_column_1(self, capsys, probe, tmp_path):
+        code, out, _ = run(capsys, "check", "--input", probe["zero"])
+        assert code == 2
+        assert "zero pivot in column 1" in out
+        for method in METHODS:
+            fact = tmp_path / f"{method}.fact"
+            code, _, err = run(capsys, "factor", "--input", probe["zero"], "--method", method, "--output", fact)
+            assert code == 2
+            assert "zero pivot in column 1" in err
+            assert not fact.exists()
+            code, _, err = run(capsys, "solve", "--matrix", probe["zero"], "--rhs", probe["b"], "--method", method)
+            assert code == 2
+            assert "zero pivot in column 1" in err
+
+    def test_factor_file_threshold_above_a_pivot_is_malformed_input(self, capsys, files):
+        run(capsys, "factor", "--input", files["a"], "--output", files["fact"])
+        text = files["fact"].read_text()
+        files["fact"].write_text(text.replace("pivot-threshold 4.440892098500626e-15", "pivot-threshold 1.0"))
+        code, _, err = run(capsys, "solve", "--factor", files["fact"], "--rhs", files["b2"])
+        assert code == 1
+        assert "consistent factorization" in err
 
 
 class TestCheck:

@@ -18,7 +18,8 @@ from factorkit import (
     vector,
 )
 from factorkit.elimination import _PANEL_WIDTH as NB
-from factorkit.elimination import elimination_flops, substitution_flops
+from factorkit.elimination import elimination_flops, scaling_flops, substitution_flops
+from factorkit.matrices import EPS
 
 from conftest import (
     GOLD_BPRIME,
@@ -50,6 +51,16 @@ class TestGaussEliminate:
         # plus 2*(3+2+1) = 12 for the single right-hand side.
         assert gauss_eliminate(golden_a).flops == 34
         assert gauss_eliminate(golden_a, golden_b1).flops == 46
+
+    def test_record_carries_its_pivot_threshold(self, golden_a):
+        # n * eps * max|A| for the 4x4 golden matrix, whose largest entry is 5
+        assert gauss_eliminate(golden_a).pivot_threshold == 4 * EPS * 5
+
+    def test_threshold_computed_once_per_elimination(self, pivot_threshold_calls, golden_a, golden_b1):
+        gauss_eliminate(golden_a, golden_b1)
+        assert pivot_threshold_calls == [(4, 5.0)]
+        gauss_eliminate(DenseMatrix(np.random.default_rng(5).standard_normal((3 * NB, 3 * NB))))
+        assert len(pivot_threshold_calls) == 2  # one per elimination, not one per panel
 
     def test_record_carries_source_hash(self, golden_a):
         assert gauss_eliminate(golden_a).source_hash == matrix_hash(golden_a)
@@ -282,6 +293,10 @@ class TestFlopLedger:
                 assert elimination_flops(n, k) == per_column
                 assert substitution_flops(n, k) == sum(k * (2 * i + 1) for i in range(n))
                 assert substitution_flops(n, k, unit_diagonal=True) == sum(k * 2 * i for i in range(n))
+
+    def test_scaling_flops_is_the_count_it_replaced(self):
+        for n in range(1, 40):
+            assert scaling_flops(n) == n + n * (n - 1) // 2
 
 
 class TestBackSubstitute:

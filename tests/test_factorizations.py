@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -24,7 +26,9 @@ from factorkit import (
     verify,
 )
 
-from conftest import GOLD_G, GOLD_L, GOLD_PIVOTS, GOLD_U, GOLD_X1, GOLD_X2
+from factorkit.matrices import EPS
+
+from conftest import GOLD_G, GOLD_L, GOLD_PIVOTS, GOLD_U, GOLD_X1, GOLD_X2, NEAR_SINGULAR_A, ZERO_PIVOT_A
 from oracles import classical_upper_cholesky, random_spd, random_symmetric
 
 
@@ -245,3 +249,73 @@ class TestVerifyAndValidation:
         f = gauss_cholesky(golden_a)
         assert f.l is None and f.u is None
         assert transpose(f.g) == DenseMatrix(np.array(GOLD_G, dtype=float).T)
+
+
+class TestOnePivotPolicy:
+    """A pivot is judged once, by the elimination; the factors carry its threshold."""
+
+    def test_near_singular_pivot_accepted_on_every_path(self):
+        a = DenseMatrix(NEAR_SINGULAR_A)
+        b = vector([1, 2])
+        lu = lu_from_record(gauss_eliminate(a))
+        gc = gauss_cholesky(a)
+        for f in (lu, gc):
+            assert f.provenance.pivot_threshold == 2 * EPS * 1.0
+            report = solve(f, b)
+            assert report.residuals[0] <= 1e-8
+        assert lu.provenance.pivots == gc.provenance.pivots == (1e-8, 1 - 1e8)
+
+    def test_zero_pivot_rejected_on_every_path(self):
+        a = DenseMatrix(ZERO_PIVOT_A)
+        for build in (lambda: lu_from_record(gauss_eliminate(a)), lambda: gauss_cholesky(a)):
+            with pytest.raises(ZeroPivotError) as exc:
+                build()
+            assert exc.value.column == 1
+
+    @pytest.mark.parametrize("kind", [KIND_LU, KIND_GAUSS_CHOLESKY])
+    def test_recorded_threshold_judges_the_divisors(self, kind, golden_a):
+        # golden pivots are (1, 4, 4, 1): u_ii for LU, g_ii^2 for G
+        record = gauss_eliminate(golden_a)
+        f = lu_from_record(record) if kind == KIND_LU else gauss_cholesky(golden_a)
+        factors = {name: getattr(f, name) for name in ("l", "u", "g") if getattr(f, name) is not None}
+        for threshold, accepted in ((0.0, True), (0.999, True), (1.0, False), (4.0, False)):
+            prov = dataclasses.replace(f.provenance, pivot_threshold=threshold)
+            if accepted:
+                Factorization(kind=kind, n=4, provenance=prov, **factors)
+            else:
+                with pytest.raises(ValueError, match="negligible diagonal entry"):
+                    Factorization(kind=kind, n=4, provenance=prov, **factors)
+
+    def test_g_is_judged_by_its_squared_diagonal(self):
+        # pivots (0.25, 4), G's diagonal (0.5, 2): a threshold of 0.3 lies between
+        f = gauss_cholesky(DenseMatrix([[0.25, 0], [0, 4]]))
+        prov = dataclasses.replace(f.provenance, pivot_threshold=0.3)
+        with pytest.raises(ValueError, match="factor g has a negligible diagonal entry"):
+            Factorization(kind=KIND_GAUSS_CHOLESKY, n=2, provenance=prov, g=f.g)
+
+    def test_unrecorded_threshold_keeps_the_factor_scaled_rule(self):
+        # Without a recorded threshold the rule is n * eps * max|factor|, under
+        # which U = [[1e-8, 1], [0, 1 - 1e8]] has a negligible diagonal entry.
+        f = lu_from_record(gauss_eliminate(DenseMatrix(NEAR_SINGULAR_A)))
+        prov = dataclasses.replace(f.provenance, pivot_threshold=None)
+        with pytest.raises(ValueError, match="factor u has a negligible diagonal entry"):
+            Factorization(kind=KIND_LU, n=2, provenance=prov, l=f.l, u=f.u)
+        gc = gauss_cholesky(DenseMatrix(NEAR_SINGULAR_A))
+        prov = dataclasses.replace(gc.provenance, pivot_threshold=None)
+        Factorization(kind=KIND_GAUSS_CHOLESKY, n=2, provenance=prov, g=gc.g)  # max|G| = 1e4: passes
+
+    def test_no_threshold_computed_after_the_elimination(self, pivot_threshold_calls, golden_a, golden_b1):
+        lu = lu_from_record(gauss_eliminate(golden_a))
+        gc = gauss_cholesky(golden_a)
+        assert len(pivot_threshold_calls) == 2
+        for f in (lu, gc):
+            solve(f, golden_b1)
+            solve(f, DenseMatrix(np.eye(4)))
+        assert len(pivot_threshold_calls) == 2
+
+    def test_structural_check_names_the_factor(self, golden_a):
+        f = gauss_cholesky(golden_a)
+        with pytest.raises(ShapeError, match="upper-triangular factor g"):
+            Factorization(kind=KIND_GAUSS_CHOLESKY, n=4, provenance=f.provenance, g=DenseMatrix(GOLD_L))
+        with pytest.raises(ShapeError, match="factor g must be 4x4"):
+            Factorization(kind=KIND_GAUSS_CHOLESKY, n=4, provenance=f.provenance, g=identity(3))

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -22,7 +25,7 @@ from factorkit import (
 )
 from factorkit.matio import stale_factor_check
 
-from conftest import GOLD_A, LEGACY_GOLD_FACTOR_FILE
+from conftest import GOLD_A, LEGACY_GOLD_FACTOR_FILE, NEAR_SINGULAR_A
 
 
 def random_matrix(rng, complex_entries=False):
@@ -89,6 +92,11 @@ class TestParseMatrix:
             parse_matrix("matrix 1 2 real\n1 oops\n")
         assert exc.value.line == 2
         assert exc.value.column == 3
+
+    def test_dimension_beyond_int_digit_limit_is_a_parse_error(self):
+        # int() refuses digit strings longer than sys.get_int_max_str_digits()
+        with pytest.raises(ParseError, match="positive integer row count"):
+            parse_matrix("matrix " + "1" * 5000 + " 1 real\n1\n")
 
     def test_huge_claimed_dimensions_fail_fast(self):
         with pytest.raises(ParseError, match="rows, found"):
@@ -201,6 +209,58 @@ class TestFactorFiles:
         text = render_factorization(gauss_cholesky(golden_a)).replace(" bytes\n", " sha1\n")
         with pytest.raises(ParseError, match="hash scheme 'bytes', got 'sha1'"):
             parse_factorization(text)
+
+
+class TestPivotThresholdLine:
+    def test_threshold_is_the_last_provenance_line(self, golden_a):
+        text = render_factorization(gauss_cholesky(golden_a))
+        assert text.endswith("\nsymmetry-tol 1e-12\npivot-threshold 4.440892098500626e-15\n")
+        assert parse_factorization(text).provenance.pivot_threshold == gauss_eliminate(golden_a).pivot_threshold
+
+    @pytest.mark.parametrize("threshold", ["1.0", "4.0", "1e300"])
+    def test_threshold_at_or_above_a_pivot_rejected(self, golden_a, threshold):
+        # G's diagonal (1, 2, 2, 1) divides by pivots g_ii^2 = (1, 4, 4, 1); U's is (1, 4, 4, 1)
+        for f in (gauss_cholesky(golden_a), lu_from_record(gauss_eliminate(golden_a))):
+            text = render_factorization(f).replace("4.440892098500626e-15", threshold)
+            with pytest.raises(ParseError, match="consistent factorization"):
+                parse_factorization(text)
+
+    @pytest.mark.parametrize("line", ["pivot-threshold -1.0", "pivot-threshold", "pivot-threshold 1 2",
+                                      "pivot-threshold x", "pivot-threshold 1,0", "pivot-threshold inf"])
+    def test_malformed_threshold_rejected(self, golden_a, line):
+        text = render_factorization(gauss_cholesky(golden_a)).replace("pivot-threshold 4.440892098500626e-15", line)
+        with pytest.raises(ParseError) as exc:
+            parse_factorization(text)
+        assert exc.value.line == 12
+
+    def test_nothing_may_follow_the_threshold(self, golden_a):
+        text = render_factorization(gauss_cholesky(golden_a)) + "flops 44\n"
+        with pytest.raises(ParseError, match="end of file after provenance"):
+            parse_factorization(text)
+
+    def test_file_without_threshold_loads_and_round_trips(self, golden_a):
+        text = re.sub(r"pivot-threshold .*\n", "", render_factorization(gauss_cholesky(golden_a)))
+        f = parse_factorization(text)
+        assert f.provenance.pivot_threshold is None
+        assert f.provenance.hash_scheme == "bytes"
+        assert render_factorization(f) == text
+
+    def test_file_without_threshold_is_judged_by_the_factor_scaled_rule(self):
+        # U = [[1e-8, 1], [0, 1 - 1e8]]: 1e-8 <= 2 * eps * 1e8, as before thresholds were recorded
+        text = render_factorization(lu_from_record(gauss_eliminate(DenseMatrix(NEAR_SINGULAR_A))))
+        parse_factorization(text)
+        with pytest.raises(ParseError, match="consistent factorization"):
+            parse_factorization(re.sub(r"pivot-threshold .*\n", "", text))
+
+    def test_flop_count_beyond_int_digit_limit_is_a_parse_error(self, golden_a):
+        text = render_factorization(gauss_cholesky(golden_a)).replace("flops 44", "flops " + "4" * 5000)
+        with pytest.raises(ParseError, match="non-negative integer flop count"):
+            parse_factorization(text)
+
+    def test_readme_factor_file_is_what_render_writes(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```\n(factor .*?)```", readme, flags=re.S)
+        assert blocks == [render_factorization(gauss_cholesky(DenseMatrix(GOLD_A)))]
 
 
 class TestFuzz:

@@ -23,8 +23,9 @@ from factorkit import (
 
 import factorkit.matio
 import factorkit.matrices
+from factorkit.workflow import resolve_method
 
-from conftest import GOLD_A, GOLD_X1, GOLD_X2
+from conftest import GOLD_A, GOLD_X1, GOLD_X2, NEAR_SINGULAR_A, ZERO_PIVOT_A
 from oracles import random_symmetric
 
 
@@ -64,6 +65,51 @@ class TestOpenSession:
         for c in (1e-6, 1e-3, 1.0, 1e3, 1e6):
             assert open_session(DenseMatrix(c * golden_a.data), "auto").method == base
             assert open_session(DenseMatrix(c * skew.data), "auto").method == skew_base
+
+
+class TestResolveMethod:
+    def test_auto_and_explicit_methods(self, golden_a):
+        skew = DenseMatrix([[1, 2], [3, 4]])
+        assert resolve_method(golden_a) == KIND_GAUSS_CHOLESKY
+        assert resolve_method(skew, "auto") == KIND_LU
+        assert resolve_method(golden_a, KIND_LU) == KIND_LU
+        assert resolve_method(golden_a, KIND_GAUSS_CHOLESKY) == KIND_GAUSS_CHOLESKY
+        with pytest.raises(NotSymmetricError):
+            resolve_method(skew, KIND_GAUSS_CHOLESKY)
+        with pytest.raises(ValueError, match="unknown method"):
+            resolve_method(golden_a, "qr")
+
+    @pytest.mark.parametrize("method", ["auto", KIND_LU, KIND_GAUSS_CHOLESKY])
+    def test_non_square_fails_whatever_the_method(self, method):
+        with pytest.raises(NonSquareError):
+            resolve_method(DenseMatrix([[1, 2, 3], [4, 5, 6]]), method)
+
+
+class TestSessionPivotVerdict:
+    @pytest.mark.parametrize("method", ["auto", KIND_LU, KIND_GAUSS_CHOLESKY])
+    def test_near_singular_session_answers_first_and_reuse(self, method):
+        s = open_session(DenseMatrix(NEAR_SINGULAR_A), method)
+        for b in (vector([1, 2]), vector([3, -1])):
+            with pytest.warns(RuntimeWarning, match="exceeds session tolerance"):
+                report = session_solve(s, b)
+            assert report.residuals[0] <= 1e-7
+        assert len(s.reuse_flops) == 1
+
+    @pytest.mark.parametrize("method", ["auto", KIND_LU, KIND_GAUSS_CHOLESKY])
+    def test_zero_pivot_session_fails_in_column_1(self, method):
+        s = open_session(DenseMatrix(ZERO_PIVOT_A), method)
+        with pytest.raises(ZeroPivotError) as exc:
+            session_solve(s, vector([1, 2]))
+        assert exc.value.column == 1
+
+    @pytest.mark.parametrize("method", [KIND_LU, KIND_GAUSS_CHOLESKY])
+    def test_reuse_solves_compute_no_threshold(self, pivot_threshold_calls, method, golden_a, golden_b1, golden_b2):
+        s = open_session(golden_a, method)
+        session_solve(s, golden_b1)
+        assert len(pivot_threshold_calls) == 1
+        for b in (golden_b2, golden_b1, golden_b2):
+            session_solve(s, b)
+        assert len(pivot_threshold_calls) == 1
 
 
 class TestSessionSolve:
