@@ -3,13 +3,14 @@
 Exit codes: 0 on success, 1 for usage problems and unreadable or malformed
 input files, 2 for numerical failures (zero pivot, non-symmetric input to
 a symmetric method). Results go to stdout, diagnostics to stderr; output
-for identical inputs is byte-identical. Setting FACTORKIT_TOL overrides
-the default symmetry and residual tolerances.
+for identical inputs is byte-identical. Setting FACTORKIT_TOL to a finite
+non-negative number overrides the default symmetry and residual tolerances.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -58,7 +59,9 @@ def _tolerances() -> tuple[float, float]:
     try:
         value = float(raw)
     except ValueError:
-        raise ValueError(f"FACTORKIT_TOL must be a number, got {raw!r}") from None
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"FACTORKIT_TOL must be a finite non-negative number, got {raw!r}")
     return value, value
 
 

@@ -103,17 +103,20 @@ class Factorization:
                 raise ShapeError(f"factor {name} must be {self.n}x{self.n}, got {m.rows}x{m.cols}")
             _require_triangular(m, lower=name == "l", unit_diagonal=name == "l", name=f"factor {name}")
         # The solves divide by the last factor's diagonal: u_ii, the pivots, or
-        # g_ii, whose squares are the pivots. Without a recorded threshold the
-        # factor meets the rule it was saved under, n * eps * max|factor|.
+        # g_ii, their roots. A recorded threshold judges the pivots themselves,
+        # which the diagonal must then match exactly; without one the factor
+        # meets the rule it was saved under, n * eps * max|factor|.
         name = names[-1]
         divisor = getattr(self, name)
-        diagonal = np.abs(np.diagonal(divisor.data))
+        diagonal = np.diagonal(divisor.data)
         threshold = self.provenance.pivot_threshold
         if threshold is None:
-            threshold = _pivot_threshold(self.n, divisor.max_abs())
-        elif name == "g":
-            diagonal = diagonal * diagonal
-        if np.min(diagonal) <= threshold:
+            ok = np.min(np.abs(diagonal)) > _pivot_threshold(self.n, divisor.max_abs())
+        else:
+            pivots = self.provenance.pivots
+            expected = pivots if name == "u" else _pivot_roots(pivots)
+            ok = min(map(abs, pivots)) > threshold and np.array_equal(diagonal, expected)
+        if not ok:
             raise ValueError(f"factor {name} has a negligible diagonal entry")
 
     def rebuild(self) -> DenseMatrix:
@@ -124,6 +127,10 @@ class Factorization:
         # with syrk, whose summation order changes the last bits of the
         # product and so of the reconstruction error that ``factor`` prints.
         return DenseMatrix(np.array(self.g.data.T) @ self.g.data)
+
+
+def _pivot_roots(pivots: tuple) -> np.ndarray:  # G's diagonal
+    return np.array([principal_sqrt(p) for p in pivots])
 
 
 def _provenance(record: EliminationRecord, flops: int, symmetry_tol: float | None = None) -> Provenance:
@@ -156,7 +163,7 @@ def gauss_cholesky_from_record(
     checked symmetry of the source.
     """
     n = record.n
-    roots = np.array([principal_sqrt(p) for p in record.pivots])
+    roots = _pivot_roots(record.pivots)
     g = record.u.data / roots[:, None]
     idx = np.arange(n)
     g[idx, idx] = roots

@@ -24,12 +24,15 @@ Factor files persist a factorization the same way:
 
 The hash scheme is ``bytes`` (``matrices.matrix_hash``). Files written
 before the scheme was recorded carry no scheme token; their hash is the
-legacy ``text`` scheme, blake2b of the matrix's canonical text, which is
-computed only when such a file is checked against a matrix.
+legacy ``text`` scheme, blake2b of the matrix's canonical text (its file
+text, ``render_matrix``), which is computed only when such a file is checked
+against a matrix.
 
 ``pivot-threshold`` is the elimination's bound n * eps * max|A|; loading
-checks the factor's diagonal against it, or, for files written before it was
-recorded, against n * eps * max|factor| as then.
+checks the recorded pivots against it and requires the divisors (u_ii, or
+g_ii, the pivots' principal roots) to be exactly those pivots' own. Files
+written before it was recorded have their diagonal checked against
+n * eps * max|factor| as then.
 """
 
 from __future__ import annotations
@@ -43,9 +46,10 @@ import numpy as np
 
 from .errors import FactorMismatchError, ParseError
 from .factorizations import KIND_GAUSS_CHOLESKY, KIND_LU, Factorization, Provenance
-from .matrices import HASH_SCHEME, DenseMatrix, canonical_text, format_entry, matrix_hash
+from .matrices import HASH_SCHEME, DenseMatrix, Scalar, matrix_hash
 
 __all__ = [
+    "format_entry",
     "load_factorization",
     "load_matrix",
     "parse_factorization",
@@ -167,9 +171,24 @@ def parse_matrix(text: str) -> DenseMatrix:
     return DenseMatrix(body)
 
 
+def format_entry(value: Scalar) -> str:
+    """Shortest exact decimal rendering; complex values as ``re,im``."""
+    if isinstance(value, (complex, np.complexfloating)):
+        v = complex(value)
+        return f"{float(v.real)!r},{float(v.imag)!r}"
+    return repr(float(value))
+
+
+def _render_rows(m: DenseMatrix) -> list[str]:
+    return [" ".join(format_entry(v) for v in row) for row in m.data]
+
+
 def render_matrix(m: DenseMatrix) -> str:
     """Canonical file text for a matrix (exact round-trip)."""
-    return canonical_text(m)
+    return "\n".join([f"matrix {m.rows} {m.cols} {m.field}", *_render_rows(m)]) + "\n"
+
+
+canonical_text = render_matrix  # the legacy ``text`` hash scheme's name for it
 
 
 def load_matrix(path) -> DenseMatrix:
@@ -185,9 +204,7 @@ def render_factorization(f: Factorization) -> str:
     field = sections[0][1].field
     lines = [f"factor {f.kind} {f.n} {field}"]
     for name, factor in sections:
-        lines.append(name)
-        for i in range(f.n):
-            lines.append(" ".join(format_entry(v) for v in factor.data[i]))
+        lines += [name, *_render_rows(factor)]
     prov = f.provenance
     lines.append("provenance")
     if prov.hash_scheme == _LEGACY_HASH_SCHEME:
@@ -293,7 +310,7 @@ def stale_factor_check(f: Factorization, a: DenseMatrix) -> None:
     ``a`` is hashed under the scheme the factorization recorded.
     """
     if f.provenance.hash_scheme == _LEGACY_HASH_SCHEME:
-        current = hashlib.blake2b(canonical_text(a).encode("ascii"), digest_size=8).hexdigest()
+        current = hashlib.blake2b(render_matrix(a).encode("ascii"), digest_size=8).hexdigest()
     else:
         current = matrix_hash(a)
     if f.provenance.matrix_hash != current:

@@ -27,8 +27,6 @@ __all__ = [
     "DenseMatrix",
     "Scalar",
     "Vector",
-    "canonical_text",
-    "format_entry",
     "identity",
     "matmul",
     "matrix_hash",
@@ -224,35 +222,15 @@ def residual_norm(a: DenseMatrix, x: Vector, b: Vector) -> float:
     return float(np.max(np.abs(r)) / max(1.0, np.max(np.abs(b.data))))
 
 
-def format_entry(value: Scalar) -> str:
-    """Shortest exact decimal rendering; complex values as ``re,im``."""
-    if isinstance(value, complex) or isinstance(value, np.complexfloating):
-        v = complex(value)
-        return f"{float(v.real)!r},{float(v.imag)!r}"
-    return repr(float(value))
-
-
-def canonical_text(m: DenseMatrix) -> str:
-    """Canonical textual rendering of a matrix.
-
-    One header line ``matrix <rows> <cols> <field>`` followed by one
-    whitespace-separated line per row. This is also the on-disk matrix
-    format.
-    """
-    lines = [f"matrix {m.rows} {m.cols} {m.field}"]
-    for i in range(m.rows):
-        lines.append(" ".join(format_entry(v) for v in m.data[i]))
-    return "\n".join(lines) + "\n"
-
-
 def matrix_hash(m: DenseMatrix) -> str:
     """64-bit content hash of a matrix, as 16 hex digits.
 
-    blake2b over the header line of ``canonical_text`` and then the
-    entries' row-major little-endian bytes (``<f8`` or ``<c16``). Since
-    ``repr`` round-trips every finite double exactly, two matrices hash
-    alike exactly when their canonical texts are equal (``-0.0`` and
-    ``0.0`` differ in both). Computed once per matrix, then cached.
+    blake2b over the matrix file's header line ``matrix <rows> <cols>
+    <field>`` and then the entries' row-major little-endian bytes (``<f8``
+    or ``<c16``). Since files use the shortest decimal that round-trips
+    exactly, two matrices hash alike exactly when their matrix files
+    (``matio.render_matrix``) are equal (``-0.0`` and ``0.0`` differ in
+    both). Computed once per matrix, then cached.
     """
     if m._hash is None:
         h = hashlib.blake2b(f"matrix {m.rows} {m.cols} {m.field}\n".encode("ascii"), digest_size=8)

@@ -7,19 +7,21 @@ factorization; every later solve costs only two triangular substitutions.
 The flop ledger separates the one-time cost from the per-reuse cost so the
 economics are checkable without wall-clock noise.
 
-Thread contract: the first solve mutates the session cache and must be
-exclusive; once it has returned, concurrent solves on the same session are
-safe. Callers serialize until the first solve completes.
+A session keeps only what it cannot derive, down to a count of reuse solves;
+residuals go back with each answer, so it does not grow with their number.
+Sessions are safe under concurrent use: a per-session lock lets exactly one
+caller eliminate and counts the reuses, whose substitutions run outside it.
 """
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elimination import _solve_upper, elimination_flops, gauss_eliminate, substitution_flops
+from .elimination import _solve_upper, gauss_eliminate, substitution_flops
 from .errors import NonSquareError, NoSolvesError, ShapeError
 from .factorizations import (
     DEFAULT_RECONSTRUCTION_TOL,
@@ -33,7 +35,7 @@ from .factorizations import (
     require_symmetric,
     solve,
 )
-from .matrices import DEFAULT_SYMMETRY_TOL, DenseMatrix, Vector, matrix_hash, residual_norm, vector
+from .matrices import DEFAULT_SYMMETRY_TOL, DenseMatrix, Vector, residual_norm, vector
 
 __all__ = [
     "BenchResult",
@@ -55,22 +57,18 @@ class SolveSession:
     """One matrix, one cached factorization, many right-hand sides."""
 
     matrix: DenseMatrix
-    matrix_hash: str
     method: str  # resolved: "lu" or "gauss-cholesky"
-    requested_method: str
     symmetry_tol: float
     residual_tol: float
     factorization: Factorization | None = None
-    first_flops: int | None = None
-    reuse_flops: list[int] = field(default_factory=list)
-    solve_log: dict[str, float] = field(default_factory=dict)
+    reuse_count: int = 0
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class CostReport:
     first_flops: int
     reuse_flops_per_rhs: int
-    k_break_even: int  # 0 means reuse is never strictly cheaper (only n = 1)
     reuse_count: int
     total_flops: int
 
@@ -118,8 +116,6 @@ def open_session(
     return SolveSession(
         matrix=a,
         method=resolve_method(a, method, symmetry_tol),
-        matrix_hash=matrix_hash(a),
-        requested_method=method,
         symmetry_tol=symmetry_tol,
         residual_tol=residual_tol,
     )
@@ -132,23 +128,26 @@ def session_solve(s: SolveSession, b: Vector) -> SolveReport:
     if b.rows != s.matrix.rows:
         raise ShapeError(f"right-hand side has {b.rows} rows, matrix has {s.matrix.rows}")
 
-    if s.factorization is None:
-        record = gauss_eliminate(s.matrix, b)
-        if s.method == KIND_GAUSS_CHOLESKY:
-            s.factorization = gauss_cholesky_from_record(record, s.symmetry_tol)
+    with s._lock:
+        f, record = s.factorization, None
+        if f is None:
+            record = gauss_eliminate(s.matrix, b)
+            if s.method == KIND_GAUSS_CHOLESKY:
+                f = s.factorization = gauss_cholesky_from_record(record, s.symmetry_tol)
+            else:
+                f = s.factorization = lu_from_record(record)
         else:
-            s.factorization = lu_from_record(record)
+            s.reuse_count += 1
+    if record is not None:
         # The first system is answered directly from the triangular system
         # U x = b' produced by the elimination itself.
         x_arr, back_flops = _solve_upper(record.u.data, record.transformed_rhs.data)
         solutions = DenseMatrix(x_arr)
-        flops = s.factorization.provenance.flops + back_flops
-        s.first_flops = flops
+        flops = f.provenance.flops + back_flops
     else:
-        report = solve(s.factorization, b)
+        report = solve(f, b)
         solutions = report.solutions
         flops = report.flops
-        s.reuse_flops.append(flops)
 
     residual = residual_norm(s.matrix, solutions, b)
     if residual > s.residual_tol:
@@ -157,30 +156,22 @@ def session_solve(s: SolveSession, b: Vector) -> SolveReport:
             RuntimeWarning,
             stacklevel=2,
         )
-    s.solve_log[matrix_hash(b)] = residual
     return SolveReport(solutions=solutions, residuals=(residual,), flops=flops, method=s.method)
 
 
-def _reuse_flops(n: int, method: str) -> int:
-    # Forward then back substitution; LU's forward factor has a unit diagonal.
-    return substitution_flops(n, 1, unit_diagonal=method == KIND_LU) + substitution_flops(n, 1)
-
-
 def cost_report(s: SolveSession) -> CostReport:
-    """Measured first-solve cost versus per-reuse cost for this session."""
-    if s.first_flops is None:
+    """First-solve cost versus per-reuse cost for this session, from the closed forms."""
+    if s.factorization is None:
         raise NoSolvesError()
     n = s.matrix.rows
-    reuse = s.reuse_flops[0] if s.reuse_flops else _reuse_flops(n, s.method)
-    # Cost of answering one right-hand side from scratch: eliminate with the
-    # side riding along, then back substitution.
-    fresh = elimination_flops(n, 1) + substitution_flops(n, 1)
+    first = s.factorization.provenance.flops + substitution_flops(n, 1)
+    # Forward then back substitution; LU's forward factor has a unit diagonal.
+    reuse = substitution_flops(n, 1, unit_diagonal=s.method == KIND_LU) + substitution_flops(n, 1)
     return CostReport(
-        first_flops=s.first_flops,
+        first_flops=first,
         reuse_flops_per_rhs=reuse,
-        k_break_even=1 if reuse < fresh else 0,
-        reuse_count=len(s.reuse_flops),
-        total_flops=s.first_flops + sum(s.reuse_flops),
+        reuse_count=s.reuse_count,
+        total_flops=first + s.reuse_count * reuse,
     )
 
 

@@ -12,6 +12,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import factorkit.elimination
+import factorkit.matrices
 from factorkit import DenseMatrix, vector
 
 GOLD_A = [[1, -1, 0, 1], [-1, 5, 2, -3], [0, 2, 5, 1], [1, -3, 1, 4]]
@@ -47,22 +48,37 @@ symmetry-tol 1e-12
 NEAR_SINGULAR_A = [[1e-8, 1], [1, 1]]
 # A first pivot below 2 * eps * 1: every path must fail in column 1.
 ZERO_PIVOT_A = [[1e-20, 1], [1, 1]]
+# A first pivot one ulp above its threshold 2 * eps * max|A| whose principal
+# root, squared, rounds to at or below it: the elimination accepts it, so
+# every path must, including the one that builds G from that root.
+ULP_ABOVE_THRESHOLD_A = [[5.825701929797969e-16, 1.3118314520104855], [1.3118314520104855, 1.3118314520104855]]
 
 
-@pytest.fixture
-def pivot_threshold_calls(monkeypatch):
-    """Every call of the package's pivot policy, ``elimination._pivot_threshold``."""
+def _count_calls(monkeypatch, module, name):
+    """Record the arguments of every call of ``module.name`` made inside the package."""
     calls = []
-    original = factorkit.elimination._pivot_threshold
+    original = getattr(module, name)
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("factorkit.") and getattr(module, "_pivot_threshold", None) is original:
-            monkeypatch.setattr(module, "_pivot_threshold", counting)
+    for module_name, loaded in list(sys.modules.items()):
+        if module_name.startswith("factorkit.") and getattr(loaded, name, None) is original:
+            monkeypatch.setattr(loaded, name, counting)
     return calls
+
+
+@pytest.fixture
+def pivot_threshold_calls(monkeypatch):
+    """Every call of the package's pivot policy, ``elimination._pivot_threshold``."""
+    return _count_calls(monkeypatch, factorkit.elimination, "_pivot_threshold")
+
+
+@pytest.fixture
+def matrix_hash_calls(monkeypatch):
+    """Every call of ``matrices.matrix_hash`` made inside the package."""
+    return _count_calls(monkeypatch, factorkit.matrices, "matrix_hash")
 
 
 @pytest.fixture

@@ -4,7 +4,15 @@ import pytest
 from factorkit import DenseMatrix, render_matrix, save_matrix, vector
 from factorkit.cli import cli_main
 
-from conftest import GOLD_A, GOLD_B1, GOLD_B2, LEGACY_GOLD_FACTOR_FILE, NEAR_SINGULAR_A, ZERO_PIVOT_A
+from conftest import (
+    GOLD_A,
+    GOLD_B1,
+    GOLD_B2,
+    LEGACY_GOLD_FACTOR_FILE,
+    NEAR_SINGULAR_A,
+    ULP_ABOVE_THRESHOLD_A,
+    ZERO_PIVOT_A,
+)
 
 
 @pytest.fixture
@@ -212,6 +220,23 @@ class TestOnePivotVerdict:
             x = [float(v) for v in lines[1].split()]
             assert np.allclose(x, [1.0, 1.0], rtol=0, atol=1e-7)  # exact: (1, 1 - 2e-8) / (1 - 1e-8)
 
+    def test_pivot_one_ulp_above_the_threshold_accepted_everywhere(self, capsys, probe, tmp_path):
+        ulp = tmp_path / "ulp.mat"
+        save_matrix(ulp, DenseMatrix(ULP_ABOVE_THRESHOLD_A))
+        code, out, _ = run(capsys, "check", "--input", ulp)
+        assert code == 0
+        assert "pivots 5.825701929797969e-16 -2953981819223657.5" in out.splitlines()
+        for method in METHODS:
+            fact = tmp_path / f"{method}.fact"
+            code, _, err = run(capsys, "factor", "--input", ulp, "--method", method, "--output", fact)
+            assert (code, err) == (0, "")
+            code, _, err = run(capsys, "solve", "--factor", fact, "--matrix", ulp, "--rhs", probe["b"])
+            assert (code, err) == (0, "")
+            with pytest.warns(RuntimeWarning, match="exceeds session tolerance"):
+                code, out, _ = run(capsys, "solve", "--matrix", ulp, "--rhs", probe["b"], "--method", method)
+            assert code == 0
+            assert out.splitlines()[0] == ("method lu" if method == "lu" else "method gauss-cholesky")
+
     def test_zero_pivot_rejected_everywhere_in_column_1(self, capsys, probe, tmp_path):
         code, out, _ = run(capsys, "check", "--input", probe["zero"])
         assert code == 2
@@ -317,6 +342,20 @@ class TestErrorsAndUsage:
         code, _, err = run(capsys, "check", "--input", files["a"])
         assert code == 1
         assert "FACTORKIT_TOL" in err
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-1"])
+    def test_env_tolerance_must_be_finite_and_non_negative(self, capsys, files, monkeypatch, raw):
+        monkeypatch.setenv("FACTORKIT_TOL", raw)
+        for argv in (("check", "--input", files["a"]), ("solve", "--matrix", files["a"], "--rhs", files["b1"])):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert "FACTORKIT_TOL must be a finite non-negative number" in err
+
+    def test_env_tolerance_zero_is_exact(self, capsys, files, monkeypatch):
+        monkeypatch.setenv("FACTORKIT_TOL", "0")
+        code, out, _ = run(capsys, "check", "--input", files["a"])
+        assert code == 0
+        assert "symmetric true (max deviation 0 at (1,1))" in out
 
     def test_mutated_inputs_never_crash_the_cli(self, capsys, files, tmp_path):
         rng = np.random.default_rng(40)

@@ -19,7 +19,9 @@ from factorkit import (
     identity,
     lu_from_record,
     matrix_hash,
+    parse_factorization,
     principal_sqrt,
+    render_factorization,
     solve,
     transpose,
     vector,
@@ -28,7 +30,17 @@ from factorkit import (
 
 from factorkit.matrices import EPS
 
-from conftest import GOLD_G, GOLD_L, GOLD_PIVOTS, GOLD_U, GOLD_X1, GOLD_X2, NEAR_SINGULAR_A, ZERO_PIVOT_A
+from conftest import (
+    GOLD_G,
+    GOLD_L,
+    GOLD_PIVOTS,
+    GOLD_U,
+    GOLD_X1,
+    GOLD_X2,
+    NEAR_SINGULAR_A,
+    ULP_ABOVE_THRESHOLD_A,
+    ZERO_PIVOT_A,
+)
 from oracles import classical_upper_cholesky, random_spd, random_symmetric
 
 
@@ -292,6 +304,29 @@ class TestOnePivotPolicy:
         prov = dataclasses.replace(f.provenance, pivot_threshold=0.3)
         with pytest.raises(ValueError, match="factor g has a negligible diagonal entry"):
             Factorization(kind=KIND_GAUSS_CHOLESKY, n=2, provenance=prov, g=f.g)
+
+    def test_pivot_one_ulp_above_the_threshold_accepted_on_every_path(self):
+        a = DenseMatrix(ULP_ABOVE_THRESHOLD_A)
+        record = gauss_eliminate(a)
+        pivot, threshold = record.pivots[0], record.pivot_threshold
+        assert pivot == np.nextafter(threshold, np.inf)
+        assert principal_sqrt(pivot) ** 2 <= threshold  # G's squared diagonal would fail
+        for f in (lu_from_record(record), gauss_cholesky(a)):
+            assert f.provenance.pivot_threshold == threshold
+            assert parse_factorization(render_factorization(f)) == f
+
+    @pytest.mark.parametrize("kind", [KIND_LU, KIND_GAUSS_CHOLESKY])
+    def test_recorded_threshold_requires_the_pivots_on_the_diagonal(self, kind, golden_a):
+        # -u_ii and -g_ii pass any magnitude test, but are not the pivots' own divisors
+        f = lu_from_record(gauss_eliminate(golden_a)) if kind == KIND_LU else gauss_cholesky(golden_a)
+        name = "u" if kind == KIND_LU else "g"
+        flipped = getattr(f, name).data.copy()
+        flipped[3, 3] = -flipped[3, 3]
+        factors = {"l": f.l, "u": DenseMatrix(flipped)} if kind == KIND_LU else {"g": DenseMatrix(flipped)}
+        with pytest.raises(ValueError, match=f"factor {name} has a negligible diagonal entry"):
+            Factorization(kind=kind, n=4, provenance=f.provenance, **factors)
+        unrecorded = dataclasses.replace(f.provenance, pivot_threshold=None)
+        Factorization(kind=kind, n=4, provenance=unrecorded, **factors)  # the factor-scaled rule passes it
 
     def test_unrecorded_threshold_keeps_the_factor_scaled_rule(self):
         # Without a recorded threshold the rule is n * eps * max|factor|, under

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import re
 from pathlib import Path
 
@@ -262,6 +264,18 @@ class TestPivotThresholdLine:
         blocks = re.findall(r"```\n(factor .*?)```", readme, flags=re.S)
         assert blocks == [render_factorization(gauss_cholesky(DenseMatrix(GOLD_A)))]
 
+
+    def test_readme_quick_start_prints_what_it_shows(self):
+        # every print in the quick start is followed by a comment line holding its output
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+        lines = block.splitlines()
+        shown = [after[2:] for line, after in zip(lines, lines[1:]) if line.startswith("print(")]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(block, {})
+        assert out.getvalue().splitlines() == shown
+        assert len(shown) == 2
 
 class TestFuzz:
     ALPHABET = "0123456789.,-+eE# \nmatrixcomplel"

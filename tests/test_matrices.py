@@ -12,7 +12,7 @@ from factorkit import (
     transpose,
     vector,
 )
-from factorkit.matrices import canonical_text, format_entry
+from factorkit.matio import canonical_text, format_entry
 
 from conftest import GOLD_A, GOLD_GT, GOLD_X1, GOLD_X2
 
