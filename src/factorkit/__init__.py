@@ -43,9 +43,6 @@ from .matrices import (
     DEFAULT_SYMMETRY_TOL,
     DenseMatrix,
     Scalar,
-    Vector,
-    identity,
-    matmul,
     matrix_hash,
     principal_sqrt,
     residual_norm,
@@ -83,7 +80,6 @@ __all__ = [
     "ShapeError",
     "SolveReport",
     "SolveSession",
-    "Vector",
     "ZeroPivotError",
     "back_substitute",
     "cost_report",
@@ -91,11 +87,9 @@ __all__ = [
     "gauss_cholesky",
     "gauss_cholesky_from_record",
     "gauss_eliminate",
-    "identity",
     "load_factorization",
     "load_matrix",
     "lu_from_record",
-    "matmul",
     "matrix_hash",
     "open_session",
     "parse_factorization",

@@ -18,15 +18,7 @@ import numpy as np
 
 from .elimination import gauss_eliminate
 from .errors import NotSymmetricError, ZeroPivotError
-from .factorizations import (
-    DEFAULT_RECONSTRUCTION_TOL,
-    KIND_GAUSS_CHOLESKY,
-    KIND_LU,
-    gauss_cholesky_from_record,
-    lu_from_record,
-    solve,
-    verify,
-)
+from .factorizations import DEFAULT_RECONSTRUCTION_TOL, KIND_GAUSS_CHOLESKY, KIND_LU, from_record, solve, verify
 from .matio import load_factorization, load_matrix, save_factorization, stale_factor_check
 from .matrices import DEFAULT_SYMMETRY_TOL, residual_norm
 from .workflow import METHOD_AUTO, cost_report, open_session, resolve_method, run_bench, session_solve
@@ -69,8 +61,7 @@ def _cmd_factor(args) -> int:
     symmetry_tol, _ = _tolerances()
     a = load_matrix(args.input)
     method = resolve_method(a, args.method, symmetry_tol)
-    record = gauss_eliminate(a)
-    f = lu_from_record(record) if method == KIND_LU else gauss_cholesky_from_record(record, symmetry_tol)
+    f = from_record(gauss_eliminate(a), method, symmetry_tol)
     print(f"kind {f.kind}")
     print(f"n {f.n}")
     print("pivots " + " ".join(_display(p, args.digits) for p in f.provenance.pivots))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonSquareError, ShapeError, ZeroPivotError
-from .matrices import EPS, DenseMatrix, Vector, matrix_hash
+from .matrices import EPS, DenseMatrix, matrix_hash
 
 __all__ = [
     "EliminationRecord",
@@ -192,7 +192,7 @@ def _require_triangular(m: DenseMatrix, lower: bool, unit_diagonal: bool = False
         raise ShapeError(f"expected {name} to have a unit diagonal")
 
 
-def _substitute(t: DenseMatrix, c: Vector, lower: bool) -> Vector:
+def _substitute(t: DenseMatrix, c: DenseMatrix, lower: bool) -> DenseMatrix:
     # t is the caller's source matrix: judge its diagonal as pivots are judged.
     _require_triangular(t, lower)
     if c.rows != t.rows:
@@ -207,11 +207,11 @@ def _substitute(t: DenseMatrix, c: Vector, lower: bool) -> Vector:
     return DenseMatrix(x)
 
 
-def back_substitute(u: DenseMatrix, c: Vector) -> Vector:
+def back_substitute(u: DenseMatrix, c: DenseMatrix) -> DenseMatrix:
     """Solve ``u @ x = c`` for upper-triangular u (each column independently)."""
     return _substitute(u, c, lower=False)
 
 
-def forward_substitute(l: DenseMatrix, c: Vector) -> Vector:
+def forward_substitute(l: DenseMatrix, c: DenseMatrix) -> DenseMatrix:
     """Solve ``l @ y = c`` for lower-triangular l (each column independently)."""
     return _substitute(l, c, lower=True)

@@ -32,11 +32,13 @@ from .matrices import (
 )
 
 __all__ = [
+    "FACTOR_NAMES",
     "Factorization",
     "KIND_GAUSS_CHOLESKY",
     "KIND_LU",
     "Provenance",
     "SolveReport",
+    "from_record",
     "gauss_cholesky",
     "gauss_cholesky_from_record",
     "lu_from_record",
@@ -46,6 +48,10 @@ __all__ = [
 
 KIND_LU = "lu"
 KIND_GAUSS_CHOLESKY = "gauss-cholesky"
+
+# The factors each kind carries, in file order; the last one's diagonal
+# holds the divisors of the solves.
+FACTOR_NAMES = {KIND_LU: ("l", "u"), KIND_GAUSS_CHOLESKY: ("g",)}
 
 # Default bound on the relative Frobenius reconstruction error accepted as
 # "this factorization reproduces its source".
@@ -92,7 +98,7 @@ class Factorization:
     g: DenseMatrix | None = None
 
     def __post_init__(self):
-        names = {KIND_LU: ("l", "u"), KIND_GAUSS_CHOLESKY: ("g",)}.get(self.kind)
+        names = FACTOR_NAMES.get(self.kind)
         if names is None:
             raise ValueError(f"unknown factorization kind {self.kind!r}")
         if tuple(name for name in "lug" if getattr(self, name) is not None) != names:
@@ -114,8 +120,9 @@ class Factorization:
             ok = np.min(np.abs(diagonal)) > _pivot_threshold(self.n, divisor.max_abs())
         else:
             pivots = self.provenance.pivots
-            expected = pivots if name == "u" else _pivot_roots(pivots)
-            ok = min(map(abs, pivots)) > threshold and np.array_equal(diagonal, expected)
+            ok = min(map(abs, pivots)) > threshold
+            if ok and not np.array_equal(diagonal, pivots if name == "u" else _pivot_roots(pivots)):
+                raise ValueError(f"factor {name} has a diagonal that is not the recorded pivots' own")
         if not ok:
             raise ValueError(f"factor {name} has a negligible diagonal entry")
 
@@ -173,6 +180,15 @@ def gauss_cholesky_from_record(
         g=DenseMatrix(g),
         provenance=_provenance(record, record.flops + scaling_flops(n), symmetry_tol),
     )
+
+
+def from_record(record: EliminationRecord, kind: str, symmetry_tol: float = DEFAULT_SYMMETRY_TOL) -> Factorization:
+    """Package an elimination record as a factorization of ``kind``, lu or gauss-cholesky."""
+    if kind == KIND_LU:
+        return lu_from_record(record)
+    if kind == KIND_GAUSS_CHOLESKY:
+        return gauss_cholesky_from_record(record, symmetry_tol)
+    raise ValueError(f"unknown factorization kind {kind!r}")
 
 
 def require_symmetric(a: DenseMatrix, tol: float = DEFAULT_SYMMETRY_TOL) -> None:

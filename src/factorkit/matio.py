@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FactorMismatchError, ParseError
-from .factorizations import KIND_GAUSS_CHOLESKY, KIND_LU, Factorization, Provenance
+from .factorizations import FACTOR_NAMES, Factorization, Provenance
 from .matrices import HASH_SCHEME, DenseMatrix, Scalar, matrix_hash
 
 __all__ = [
@@ -188,9 +188,6 @@ def render_matrix(m: DenseMatrix) -> str:
     return "\n".join([f"matrix {m.rows} {m.cols} {m.field}", *_render_rows(m)]) + "\n"
 
 
-canonical_text = render_matrix  # the legacy ``text`` hash scheme's name for it
-
-
 def load_matrix(path) -> DenseMatrix:
     return parse_matrix(Path(path).read_text(encoding="utf-8"))
 
@@ -200,11 +197,10 @@ def save_matrix(path, m: DenseMatrix) -> None:
 
 
 def render_factorization(f: Factorization) -> str:
-    sections = [("l", f.l), ("u", f.u)] if f.kind == KIND_LU else [("g", f.g)]
-    field = sections[0][1].field
-    lines = [f"factor {f.kind} {f.n} {field}"]
-    for name, factor in sections:
-        lines += [name, *_render_rows(factor)]
+    names = FACTOR_NAMES[f.kind]
+    lines = [f"factor {f.kind} {f.n} {getattr(f, names[0]).field}"]
+    for name in names:
+        lines += [name, *_render_rows(getattr(f, name))]
     prov = f.provenance
     lines.append("provenance")
     if prov.hash_scheme == _LEGACY_HASH_SCHEME:
@@ -238,13 +234,13 @@ def parse_factorization(text: str) -> Factorization:
     if len(toks) != 4:
         raise ParseError(line, f"'factor <kind> <n> <field>', got {len(toks)} tokens", toks[0][1])
     kind = toks[1][0]
-    if kind not in (KIND_LU, KIND_GAUSS_CHOLESKY):
-        raise ParseError(line, f"kind '{KIND_LU}' or '{KIND_GAUSS_CHOLESKY}', got {kind!r}", toks[1][1])
+    if kind not in FACTOR_NAMES:
+        raise ParseError(line, f"kind {' or '.join(map(repr, FACTOR_NAMES))}, got {kind!r}", toks[1][1])
     n = _parse_int(toks[2][0], line, toks[2][1], "positive integer order")
     field = _parse_field(toks[3][0], line, toks[3][1])
 
     factors = {}
-    for name in ("l", "u") if kind == KIND_LU else ("g",):
+    for name in FACTOR_NAMES[kind]:
         _expect_keyword(cur, name)
         factors[name] = DenseMatrix(_read_rows(cur, n, n, field, f"factor {name}"))
 

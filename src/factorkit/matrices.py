@@ -26,9 +26,6 @@ __all__ = [
     "HASH_SCHEME",
     "DenseMatrix",
     "Scalar",
-    "Vector",
-    "identity",
-    "matmul",
     "matrix_hash",
     "principal_sqrt",
     "residual_norm",
@@ -157,10 +154,6 @@ class DenseMatrix:
         return f"DenseMatrix({self.rows}x{self.cols} {self.field})"
 
 
-#: A vector is simply an n-by-1 DenseMatrix.
-Vector = DenseMatrix
-
-
 def vector(values) -> DenseMatrix:
     """Build an n-by-1 column vector from a flat sequence."""
     arr = _coerce_entries(values)
@@ -169,10 +162,6 @@ def vector(values) -> DenseMatrix:
     if arr.ndim != 2 or arr.shape[1] != 1:
         raise ShapeError(f"a vector must be a flat sequence or an n-by-1 matrix, got shape {arr.shape}")
     return DenseMatrix(arr)
-
-
-def identity(n: int) -> DenseMatrix:
-    return DenseMatrix(np.eye(n))
 
 
 def principal_sqrt(z: Scalar) -> Scalar:
@@ -198,19 +187,12 @@ def principal_sqrt(z: Scalar) -> Scalar:
     return complex(0.0, math.sqrt(-x))
 
 
-def matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    """Standard matrix product."""
-    if a.cols != b.rows:
-        raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    return DenseMatrix(a.data @ b.data)
-
-
 def transpose(a: DenseMatrix) -> DenseMatrix:
     """Transpose without conjugation."""
     return DenseMatrix(a.data.T)
 
 
-def residual_norm(a: DenseMatrix, x: Vector, b: Vector) -> float:
+def residual_norm(a: DenseMatrix, x: DenseMatrix, b: DenseMatrix) -> float:
     """Scaled residual ``||A x - b||_inf / max(1, ||b||_inf)``."""
     if x.cols != 1 or b.cols != 1:
         raise ShapeError("residual_norm expects single-column x and b")

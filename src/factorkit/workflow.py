@@ -11,6 +11,8 @@ A session keeps only what it cannot derive, down to a count of reuse solves;
 residuals go back with each answer, so it does not grow with their number.
 Sessions are safe under concurrent use: a per-session lock lets exactly one
 caller eliminate and counts the reuses, whose substitutions run outside it.
+An elimination that hits a zero pivot is not retried: later solves re-raise
+its error.
 """
 
 from __future__ import annotations
@@ -22,20 +24,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elimination import _solve_upper, gauss_eliminate, substitution_flops
-from .errors import NonSquareError, NoSolvesError, ShapeError
+from .errors import NonSquareError, NoSolvesError, ShapeError, ZeroPivotError
 from .factorizations import (
     DEFAULT_RECONSTRUCTION_TOL,
     KIND_GAUSS_CHOLESKY,
     KIND_LU,
     Factorization,
     SolveReport,
+    from_record,
     gauss_cholesky,
-    gauss_cholesky_from_record,
-    lu_from_record,
     require_symmetric,
     solve,
 )
-from .matrices import DEFAULT_SYMMETRY_TOL, DenseMatrix, Vector, residual_norm, vector
+from .matrices import DEFAULT_SYMMETRY_TOL, DenseMatrix, residual_norm, vector
 
 __all__ = [
     "BenchResult",
@@ -63,6 +64,9 @@ class SolveSession:
     factorization: Factorization | None = None
     reuse_count: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False, compare=False)
+    # The elimination's ZeroPivotError, kept so later solves re-raise it
+    # without eliminating again.
+    _failure: ZeroPivotError | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -121,7 +125,7 @@ def open_session(
     )
 
 
-def session_solve(s: SolveSession, b: Vector) -> SolveReport:
+def session_solve(s: SolveSession, b: DenseMatrix) -> SolveReport:
     """Solve against the session matrix, factoring on the first call only."""
     if b.cols != 1:
         raise ShapeError("session_solve takes one right-hand side column at a time")
@@ -129,13 +133,18 @@ def session_solve(s: SolveSession, b: Vector) -> SolveReport:
         raise ShapeError(f"right-hand side has {b.rows} rows, matrix has {s.matrix.rows}")
 
     with s._lock:
+        if s._failure is not None:
+            e = s._failure
+            raise ZeroPivotError(e.axis, e.index, e.value, e.threshold)
         f, record = s.factorization, None
         if f is None:
-            record = gauss_eliminate(s.matrix, b)
-            if s.method == KIND_GAUSS_CHOLESKY:
-                f = s.factorization = gauss_cholesky_from_record(record, s.symmetry_tol)
-            else:
-                f = s.factorization = lu_from_record(record)
+            try:
+                record = gauss_eliminate(s.matrix, b)
+            except ZeroPivotError as exc:
+                # A copy: the raised one's traceback would keep the elimination's frames alive.
+                s._failure = ZeroPivotError(exc.axis, exc.index, exc.value, exc.threshold)
+                raise
+            f = s.factorization = from_record(record, s.method, s.symmetry_tol)
         else:
             s.reuse_count += 1
     if record is not None:
@@ -199,12 +208,11 @@ def run_bench(n: int, rhs_count: int, seed: int) -> BenchResult:
         reuse_per_rhs = report.flops
         reuse_total += report.flops
 
+    # Every side solved from scratch: the first solve of a fresh session.
     elim_per_rhs = 0
     elim_total = 0
     for b in sides:
-        record = gauss_eliminate(a, b)
-        _, back_flops = _solve_upper(record.u.data, record.transformed_rhs.data)
-        elim_per_rhs = record.flops + back_flops
+        elim_per_rhs = session_solve(open_session(a, KIND_LU), b).flops
         elim_total += elim_per_rhs
 
     return BenchResult(

@@ -76,6 +76,12 @@ def pivot_threshold_calls(monkeypatch):
 
 
 @pytest.fixture
+def gauss_eliminate_calls(monkeypatch):
+    """Every call of ``elimination.gauss_eliminate`` made inside the package."""
+    return _count_calls(monkeypatch, factorkit.elimination, "gauss_eliminate")
+
+
+@pytest.fixture
 def matrix_hash_calls(monkeypatch):
     """Every call of ``matrices.matrix_hash`` made inside the package."""
     return _count_calls(monkeypatch, factorkit.matrices, "matrix_hash")

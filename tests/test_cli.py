@@ -112,6 +112,21 @@ class TestFactorThenSolve:
         assert "1.0 -1.0 0.0 1.0" in body
         assert "0.0 2.0 1.0 -1.0" in body
 
+    @pytest.mark.parametrize("method, name", [("lu", "u"), ("gauss-cholesky", "g")])
+    def test_sign_flipped_divisor_is_named(self, capsys, files, method, name):
+        run(capsys, "factor", "--input", files["a"], "--method", method, "--output", files["fact"])
+        lines = files["fact"].read_text().splitlines()
+        last_row = lines.index("provenance") - 1  # u_44 or g_44 ends it
+        assert lines[last_row] == "0.0 0.0 0.0 1.0"
+        lines[last_row] = "0.0 0.0 0.0 -1.0"
+        files["fact"].write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "solve", "--factor", files["fact"], "--rhs", files["b1"])
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: line 1: expected a consistent factorization "
+            f"(factor {name} has a diagonal that is not the recorded pivots' own)\n"
+        )
+
     def test_solve_from_factor_file(self, capsys, files):
         run(capsys, "factor", "--input", files["a"], "--output", files["fact"])
         code, out, _ = run(capsys, "solve", "--factor", files["fact"], "--rhs", files["b2"])
@@ -371,3 +386,164 @@ class TestErrorsAndUsage:
             code = cli_main(["check", "--input", str(target)])
             assert code in (0, 1, 2)
         capsys.readouterr()
+
+
+# The complete stdout and exit code of each call, run in order in one
+# directory. Every printed value of these inputs is exact, so the bytes do
+# not depend on the BLAS build: a change here is a change of output format.
+PINNED_CALLS = [
+    ("check --input a.mat", 0, (
+        "rows 4\n"
+        "cols 4\n"
+        "square true\n"
+        "symmetric true (max deviation 0 at (1,1))\n"
+        "pivots 1 4 4 1\n"
+    )),
+    ("factor --input a.mat --method lu --output a.lu.fact", 0, (
+        "kind lu\n"
+        "n 4\n"
+        "pivots 1 4 4 1\n"
+        "reconstruction-error 0\n"
+        "wrote a.lu.fact\n"
+    )),
+    ("factor --input a.mat --method gauss-cholesky --output a.gauss-cholesky.fact", 0, (
+        "kind gauss-cholesky\n"
+        "n 4\n"
+        "pivots 1 4 4 1\n"
+        "reconstruction-error 0\n"
+        "wrote a.gauss-cholesky.fact\n"
+    )),
+    ("factor --input a.mat --method auto --output a.auto.fact", 0, (
+        "kind gauss-cholesky\n"
+        "n 4\n"
+        "pivots 1 4 4 1\n"
+        "reconstruction-error 0\n"
+        "wrote a.auto.fact\n"
+    )),
+    ("solve --factor a.lu.fact --rhs b.mat", 0, (
+        "method lu\n"
+        "3 1 -2 1\n"
+        "3.75 1.75 -0.5 1\n"
+    )),
+    ("solve --factor a.gauss-cholesky.fact --matrix a.mat --rhs b.mat", 0, (
+        "method gauss-cholesky\n"
+        "3 1 -2 1\n"
+        "residual 0\n"
+        "3.75 1.75 -0.5 1\n"
+        "residual 0\n"
+    )),
+    ("solve --matrix a.mat --rhs b.mat --method lu", 0, (
+        "method lu\n"
+        "3 1 -2 1\n"
+        "residual 0\n"
+        "3.75 1.75 -0.5 1\n"
+        "residual 0\n"
+        "flops first 62\n"
+        "flops reuse-per-rhs 28\n"
+        "flops total 90\n"
+    )),
+    ("solve --matrix a.mat --rhs b.mat --method lu --digits 2", 0, (
+        "method lu\n"
+        "3 1 -2 1\n"
+        "residual 0\n"
+        "3.8 1.8 -0.5 1\n"
+        "residual 0\n"
+        "flops first 62\n"
+        "flops reuse-per-rhs 28\n"
+        "flops total 90\n"
+    )),
+    ("solve --matrix a.mat --rhs b.mat --method gauss-cholesky", 0, (
+        "method gauss-cholesky\n"
+        "3 1 -2 1\n"
+        "residual 0\n"
+        "3.75 1.75 -0.5 1\n"
+        "residual 0\n"
+        "flops first 72\n"
+        "flops reuse-per-rhs 32\n"
+        "flops total 104\n"
+    )),
+    ("solve --matrix a.mat --rhs b.mat --method gauss-cholesky --digits 2", 0, (
+        "method gauss-cholesky\n"
+        "3 1 -2 1\n"
+        "residual 0\n"
+        "3.8 1.8 -0.5 1\n"
+        "residual 0\n"
+        "flops first 72\n"
+        "flops reuse-per-rhs 32\n"
+        "flops total 104\n"
+    )),
+    ("solve --matrix a.mat --rhs b.mat --method auto", 0, (
+        "method gauss-cholesky\n"
+        "3 1 -2 1\n"
+        "residual 0\n"
+        "3.75 1.75 -0.5 1\n"
+        "residual 0\n"
+        "flops first 72\n"
+        "flops reuse-per-rhs 32\n"
+        "flops total 104\n"
+    )),
+    ("solve --matrix a.mat --rhs b.mat --method auto --digits 2", 0, (
+        "method gauss-cholesky\n"
+        "3 1 -2 1\n"
+        "residual 0\n"
+        "3.8 1.8 -0.5 1\n"
+        "residual 0\n"
+        "flops first 72\n"
+        "flops reuse-per-rhs 32\n"
+        "flops total 104\n"
+    )),
+    ("check --input swap.mat", 2, (
+        "rows 2\n"
+        "cols 2\n"
+        "square true\n"
+        "symmetric true (max deviation 0 at (1,1))\n"
+        "elimination fails in column 1: zero pivot in column 1: |pivot| = 0.000000e+00 <= threshold 4.440892e-16\n"
+    )),
+    ("factor --input swap.mat --method lu --output swap.fact", 2, (
+        ""
+    )),
+    ("factor --input swap.mat --method gauss-cholesky --output swap.fact", 2, (
+        ""
+    )),
+    ("factor --input swap.mat --method auto --output swap.fact", 2, (
+        ""
+    )),
+    ("solve --matrix swap.mat --rhs b2.mat --method lu", 2, (
+        "method lu\n"
+    )),
+    ("solve --matrix swap.mat --rhs b2.mat --method lu --digits 2", 2, (
+        "method lu\n"
+    )),
+    ("solve --matrix swap.mat --rhs b2.mat --method gauss-cholesky", 2, (
+        "method gauss-cholesky\n"
+    )),
+    ("solve --matrix swap.mat --rhs b2.mat --method gauss-cholesky --digits 2", 2, (
+        "method gauss-cholesky\n"
+    )),
+    ("solve --matrix swap.mat --rhs b2.mat --method auto", 2, (
+        "method gauss-cholesky\n"
+    )),
+    ("solve --matrix swap.mat --rhs b2.mat --method auto --digits 2", 2, (
+        "method gauss-cholesky\n"
+    )),
+    ("bench --n 20 --rhs-count 4 --seed 7", 0, (
+        "bench n=20 rhs=4 seed=7 method=gauss-cholesky\n"
+        "factor flops                          5340\n"
+        "solve flops per rhs                    800\n"
+        "factor+solve total                    8540\n"
+        "elimination flops per rhs             5910\n"
+        "elimination total                    23640\n"
+        "flop ratio                          0.3613\n"
+    )),
+]
+
+
+class TestPinnedStdout:
+    def test_calls_print_exactly_the_pinned_bytes(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        save_matrix("a.mat", DenseMatrix(GOLD_A))
+        save_matrix("b.mat", DenseMatrix(np.array([GOLD_B1, GOLD_B2], dtype=float).T))
+        save_matrix("swap.mat", DenseMatrix([[0, 1], [1, 0]]))
+        save_matrix("b2.mat", vector([1, 2]))
+        for argv, code, out in PINNED_CALLS:
+            assert run(capsys, *argv.split())[:2] == (code, out), argv

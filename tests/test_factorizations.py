@@ -15,8 +15,8 @@ from factorkit import (
     ShapeError,
     ZeroPivotError,
     gauss_cholesky,
+    gauss_cholesky_from_record,
     gauss_eliminate,
-    identity,
     lu_from_record,
     matrix_hash,
     parse_factorization,
@@ -28,6 +28,7 @@ from factorkit import (
     verify,
 )
 
+from factorkit.factorizations import from_record
 from factorkit.matrices import EPS
 
 from conftest import (
@@ -48,6 +49,17 @@ def _rel_fro(x, y):
     return np.linalg.norm(x - y) / np.linalg.norm(y)
 
 
+class TestFromRecord:
+    def test_each_kind_packages_as_its_builder(self, golden_a):
+        record = gauss_eliminate(golden_a)
+        assert from_record(record, KIND_LU) == lu_from_record(record)
+        assert from_record(record, KIND_GAUSS_CHOLESKY, 1e-3) == gauss_cholesky_from_record(record, 1e-3)
+
+    def test_unknown_kind(self, golden_a):
+        with pytest.raises(ValueError, match="unknown factorization kind 'qr'"):
+            from_record(gauss_eliminate(golden_a), "qr")
+
+
 class TestLuFromRecord:
     def test_golden_factors(self, golden_a):
         f = lu_from_record(gauss_eliminate(golden_a))
@@ -57,9 +69,9 @@ class TestLuFromRecord:
         assert_array_equal(f.rebuild().data, golden_a.data)
 
     def test_identity(self):
-        f = lu_from_record(gauss_eliminate(identity(4)))
-        assert f.l == identity(4)
-        assert f.u == identity(4)
+        f = lu_from_record(gauss_eliminate(DenseMatrix(np.eye(4))))
+        assert f.l == DenseMatrix(np.eye(4))
+        assert f.u == DenseMatrix(np.eye(4))
 
     def test_provenance(self, golden_a):
         f = lu_from_record(gauss_eliminate(golden_a))
@@ -223,7 +235,7 @@ class TestVerifyAndValidation:
         assert verify(gauss_cholesky(golden_a), golden_a) <= 1e-14
 
     def test_verify_lu_identity(self):
-        assert verify(lu_from_record(gauss_eliminate(identity(3))), identity(3)) == 0.0
+        assert verify(lu_from_record(gauss_eliminate(DenseMatrix(np.eye(3)))), DenseMatrix(np.eye(3))) == 0.0
 
     def test_verify_random_spd(self):
         rng = np.random.default_rng(13)
@@ -232,7 +244,7 @@ class TestVerifyAndValidation:
 
     def test_verify_shape_mismatch(self, golden_a):
         with pytest.raises(ShapeError):
-            verify(gauss_cholesky(golden_a), identity(3))
+            verify(gauss_cholesky(golden_a), DenseMatrix(np.eye(3)))
 
     def test_construction_rejects_wrong_kind(self, golden_a):
         record = gauss_eliminate(golden_a)
@@ -323,7 +335,7 @@ class TestOnePivotPolicy:
         flipped = getattr(f, name).data.copy()
         flipped[3, 3] = -flipped[3, 3]
         factors = {"l": f.l, "u": DenseMatrix(flipped)} if kind == KIND_LU else {"g": DenseMatrix(flipped)}
-        with pytest.raises(ValueError, match=f"factor {name} has a negligible diagonal entry"):
+        with pytest.raises(ValueError, match=f"factor {name} has a diagonal that is not the recorded pivots' own"):
             Factorization(kind=kind, n=4, provenance=f.provenance, **factors)
         unrecorded = dataclasses.replace(f.provenance, pivot_threshold=None)
         Factorization(kind=kind, n=4, provenance=unrecorded, **factors)  # the factor-scaled rule passes it
@@ -353,4 +365,4 @@ class TestOnePivotPolicy:
         with pytest.raises(ShapeError, match="upper-triangular factor g"):
             Factorization(kind=KIND_GAUSS_CHOLESKY, n=4, provenance=f.provenance, g=DenseMatrix(GOLD_L))
         with pytest.raises(ShapeError, match="factor g must be 4x4"):
-            Factorization(kind=KIND_GAUSS_CHOLESKY, n=4, provenance=f.provenance, g=identity(3))
+            Factorization(kind=KIND_GAUSS_CHOLESKY, n=4, provenance=f.provenance, g=DenseMatrix(np.eye(3)))

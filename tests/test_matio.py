@@ -13,7 +13,6 @@ from factorkit import (
     ParseError,
     gauss_cholesky,
     gauss_eliminate,
-    identity,
     load_factorization,
     load_matrix,
     lu_from_record,
@@ -191,7 +190,7 @@ class TestFactorFiles:
         f = gauss_cholesky(golden_a)
         stale_factor_check(f, golden_a)  # same matrix: fine
         with pytest.raises(FactorMismatchError):
-            stale_factor_check(f, identity(4))
+            stale_factor_check(f, DenseMatrix(np.eye(4)))
 
     def test_new_files_record_the_hash_scheme(self, golden_a):
         text = render_factorization(gauss_cholesky(golden_a))

@@ -117,6 +117,25 @@ class TestSessionPivotVerdict:
         assert exc.value.column == 1
 
     @pytest.mark.parametrize("method", [KIND_LU, KIND_GAUSS_CHOLESKY])
+    def test_failed_session_reraises_without_eliminating_again(self, gauss_eliminate_calls, method):
+        s = open_session(DenseMatrix(ZERO_PIVOT_A), method)
+        errors = []
+        for b in (vector([1, 2]), vector([3, -1]), vector([1, 2])):
+            with pytest.raises(ZeroPivotError) as exc:
+                session_solve(s, b)
+            errors.append(exc.value)
+        assert len(gauss_eliminate_calls) == 1
+        first = errors[0]
+        assert (first.axis, first.index) == ("column", 1)
+        for e in errors[1:]:
+            assert (e.axis, e.index, e.value, e.threshold, str(e)) == (
+                first.axis, first.index, first.value, first.threshold, str(first)
+            )
+        assert s.factorization is None and s.reuse_count == 0
+        with pytest.raises(NoSolvesError):
+            cost_report(s)
+
+    @pytest.mark.parametrize("method", [KIND_LU, KIND_GAUSS_CHOLESKY])
     def test_reuse_solves_compute_no_threshold(self, pivot_threshold_calls, method, golden_a, golden_b1, golden_b2):
         s = open_session(golden_a, method)
         session_solve(s, golden_b1)
@@ -184,7 +203,7 @@ class TestSessionSolve:
             raise AssertionError("text rendering reached the solve path")
 
         for module in (factorkit.matio,):
-            monkeypatch.setattr(module, "canonical_text", refuse)
+            monkeypatch.setattr(module, "render_matrix", refuse)
             monkeypatch.setattr(module, "format_entry", refuse)
         s = open_session(DenseMatrix(GOLD_A), method)
         for b in (golden_b1, golden_b2, golden_b1):
@@ -297,6 +316,14 @@ class TestConcurrency:
                 r = np.max(np.abs(a.data @ x - b.data))
                 eta = r / (norm_a * np.max(np.abs(x)) + np.max(np.abs(b.data)))
                 assert eta <= 1e-12
+
+    def test_racing_solves_of_a_failing_session_eliminate_once(self, gauss_eliminate_calls):
+        workers = 4
+        s = open_session(DenseMatrix(ZERO_PIVOT_A), "auto")
+        errors = _run_together(workers, lambda j: session_solve(s, vector([1, j])))
+        assert len(gauss_eliminate_calls) == 1
+        assert len(errors) == workers and all(isinstance(e, ZeroPivotError) and e.column == 1 for e in errors)
+        assert len({id(e) for e in errors}) == workers  # no exception object is shared between threads
 
     def test_concurrent_reuses_lose_no_count(self, golden_a, golden_b1, golden_b2):
         # more threads than cores and a short switch interval, so the reuses
