@@ -18,10 +18,11 @@ import numpy as np
 
 from .elimination import gauss_eliminate
 from .errors import NotSymmetricError, ZeroPivotError
-from .factorizations import DEFAULT_RECONSTRUCTION_TOL, KIND_GAUSS_CHOLESKY, KIND_LU, from_record, solve, verify
+from .factorizations import KIND_GAUSS_CHOLESKY, KIND_LU, from_record, solve, verify
 from .matio import load_factorization, load_matrix, save_factorization, stale_factor_check
 from .matrices import DEFAULT_SYMMETRY_TOL, residual_norm
-from .workflow import METHOD_AUTO, cost_report, open_session, resolve_method, run_bench, session_solve
+from .workflow import DEFAULT_RESIDUAL_TOL, METHOD_AUTO, cost_report, open_session, resolve_method
+from .workflow import run_bench, session_solve
 
 __all__ = ["cli_main", "main"]
 
@@ -47,7 +48,7 @@ def _solution_line(column, digits: int | None) -> str:
 def _tolerances() -> tuple[float, float]:
     raw = os.environ.get("FACTORKIT_TOL")
     if raw is None:
-        return DEFAULT_SYMMETRY_TOL, DEFAULT_RECONSTRUCTION_TOL
+        return DEFAULT_SYMMETRY_TOL, DEFAULT_RESIDUAL_TOL
     try:
         value = float(raw)
     except ValueError:
@@ -142,6 +143,16 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _digits(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     # Usage problems exit 1 (argparse defaults to 2, which we reserve for
     # numerical failures).
@@ -158,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
     factor.add_argument("--input", required=True, help="matrix file to factor")
     factor.add_argument("--method", choices=[KIND_LU, KIND_GAUSS_CHOLESKY, METHOD_AUTO], default=METHOD_AUTO)
     factor.add_argument("--output", required=True, help="factor file to write")
-    factor.add_argument("--digits", type=int, default=None, help="significant digits for printed values")
+    factor.add_argument("--digits", type=_digits, default=None, help="significant digits for printed values")
     factor.set_defaults(func=_cmd_factor)
 
     slv = sub.add_parser("solve", help="solve one or many right-hand sides")
@@ -167,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--rhs", required=True, help="right-hand side matrix file (columns are solved independently)")
     slv.add_argument("--method", choices=[KIND_LU, KIND_GAUSS_CHOLESKY, METHOD_AUTO], default=METHOD_AUTO)
     slv.add_argument("--force", action="store_true", help="skip the stale-factor hash check")
-    slv.add_argument("--digits", type=int, default=None)
+    slv.add_argument("--digits", type=_digits, default=None)
     slv.set_defaults(func=_cmd_solve)
 
     chk = sub.add_parser("check", help="report squareness, symmetry, and the pivot sequence")

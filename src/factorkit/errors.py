@@ -2,9 +2,22 @@
 
 Indices carried by these exceptions are 1-based, matching the convention
 used in reports and documentation.
+
+Each exception's ``args`` are its constructor's arguments and its message is
+built by ``__str__``, so pickling and ``copy.copy`` rebuild it as it was.
 """
 
 from __future__ import annotations
+
+__all__ = [
+    "FactorMismatchError",
+    "NonSquareError",
+    "NoSolvesError",
+    "NotSymmetricError",
+    "ParseError",
+    "ShapeError",
+    "ZeroPivotError",
+]
 
 
 class ShapeError(ValueError):
@@ -17,7 +30,10 @@ class NonSquareError(ShapeError):
     def __init__(self, rows: int, cols: int):
         self.rows = rows
         self.cols = cols
-        super().__init__(f"expected a square matrix, got {rows}x{cols}")
+        super().__init__(rows, cols)
+
+    def __str__(self) -> str:
+        return f"expected a square matrix, got {self.rows}x{self.cols}"
 
 
 class NotSymmetricError(ValueError):
@@ -27,10 +43,13 @@ class NotSymmetricError(ValueError):
         self.deviation = deviation
         self.at = at
         self.bound = bound
-        i, j = at
-        super().__init__(
-            f"matrix is not symmetric: |a[{i},{j}] - a[{j},{i}]| = {deviation:.6e} "
-            f"exceeds {bound:.6e}"
+        super().__init__(deviation, at, bound)
+
+    def __str__(self) -> str:
+        i, j = self.at
+        return (
+            f"matrix is not symmetric: |a[{i},{j}] - a[{j},{i}]| = {self.deviation:.6e} "
+            f"exceeds {self.bound:.6e}"
         )
 
 
@@ -46,10 +65,11 @@ class ZeroPivotError(ArithmeticError):
         self.index = index
         self.value = value
         self.threshold = threshold
-        super().__init__(
-            f"zero pivot in {axis} {index}: |pivot| = {abs(value):.6e} "
-            f"<= threshold {threshold:.6e}"
-        )
+        super().__init__(axis, index, value, threshold)
+
+    def __str__(self) -> str:
+        pivot = abs(self.value)
+        return f"zero pivot in {self.axis} {self.index}: |pivot| = {pivot:.6e} <= threshold {self.threshold:.6e}"
 
     @property
     def column(self) -> int | None:
@@ -67,8 +87,11 @@ class ParseError(ValueError):
         self.line = line
         self.column = column
         self.expected = expected
-        where = f"line {line}" + (f", column {column}" if column is not None else "")
-        super().__init__(f"{where}: expected {expected}")
+        super().__init__(line, expected, column)
+
+    def __str__(self) -> str:
+        where = f"line {self.line}" + (f", column {self.column}" if self.column is not None else "")
+        return f"{where}: expected {self.expected}"
 
 
 class FactorMismatchError(ValueError):
@@ -77,14 +100,17 @@ class FactorMismatchError(ValueError):
     def __init__(self, factor_hash: str, matrix_hash: str):
         self.factor_hash = factor_hash
         self.matrix_hash = matrix_hash
-        super().__init__(
-            f"factorization was computed from matrix {factor_hash}, "
-            f"but the supplied matrix hashes to {matrix_hash}"
+        super().__init__(factor_hash, matrix_hash)
+
+    def __str__(self) -> str:
+        return (
+            f"factorization was computed from matrix {self.factor_hash}, "
+            f"but the supplied matrix hashes to {self.matrix_hash}"
         )
 
 
 class NoSolvesError(RuntimeError):
     """A cost report was requested before any solve was performed."""
 
-    def __init__(self) -> None:
-        super().__init__("no solves performed on this session yet")
+    def __str__(self) -> str:
+        return "no solves performed on this session yet"

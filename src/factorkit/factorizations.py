@@ -32,13 +32,11 @@ from .matrices import (
 )
 
 __all__ = [
-    "FACTOR_NAMES",
     "Factorization",
     "KIND_GAUSS_CHOLESKY",
     "KIND_LU",
     "Provenance",
     "SolveReport",
-    "from_record",
     "gauss_cholesky",
     "gauss_cholesky_from_record",
     "lu_from_record",
@@ -52,10 +50,6 @@ KIND_GAUSS_CHOLESKY = "gauss-cholesky"
 # The factors each kind carries, in file order; the last one's diagonal
 # holds the divisors of the solves.
 FACTOR_NAMES = {KIND_LU: ("l", "u"), KIND_GAUSS_CHOLESKY: ("g",)}
-
-# Default bound on the relative Frobenius reconstruction error accepted as
-# "this factorization reproduces its source".
-DEFAULT_RECONSTRUCTION_TOL = 1e-10
 
 
 @dataclass(frozen=True)

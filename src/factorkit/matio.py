@@ -46,10 +46,9 @@ import numpy as np
 
 from .errors import FactorMismatchError, ParseError
 from .factorizations import FACTOR_NAMES, Factorization, Provenance
-from .matrices import HASH_SCHEME, DenseMatrix, Scalar, matrix_hash
+from .matrices import HASH_SCHEME, DenseMatrix, matrix_hash
 
 __all__ = [
-    "format_entry",
     "load_factorization",
     "load_matrix",
     "parse_factorization",
@@ -58,7 +57,6 @@ __all__ = [
     "render_matrix",
     "save_factorization",
     "save_matrix",
-    "stale_factor_check",
 ]
 
 _TOKEN = re.compile(r"\S+")
@@ -171,7 +169,7 @@ def parse_matrix(text: str) -> DenseMatrix:
     return DenseMatrix(body)
 
 
-def format_entry(value: Scalar) -> str:
+def format_entry(value: float | complex) -> str:
     """Shortest exact decimal rendering; complex values as ``re,im``."""
     if isinstance(value, (complex, np.complexfloating)):
         v = complex(value)

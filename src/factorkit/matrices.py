@@ -14,7 +14,6 @@ from __future__ import annotations
 import cmath
 import hashlib
 import math
-from typing import Union
 
 import numpy as np
 
@@ -22,18 +21,13 @@ from .errors import NonSquareError, ShapeError
 
 __all__ = [
     "DEFAULT_SYMMETRY_TOL",
-    "EPS",
-    "HASH_SCHEME",
     "DenseMatrix",
-    "Scalar",
     "matrix_hash",
     "principal_sqrt",
     "residual_norm",
     "transpose",
     "vector",
 ]
-
-Scalar = Union[float, complex]
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -164,7 +158,7 @@ def vector(values) -> DenseMatrix:
     return DenseMatrix(arr)
 
 
-def principal_sqrt(z: Scalar) -> Scalar:
+def principal_sqrt(z: float | complex) -> float | complex:
     """Principal square root: Re > 0, or Re == 0 with Im >= 0.
 
     Real non-negative input yields a real result; everything else is complex.

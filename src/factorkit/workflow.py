@@ -17,6 +17,7 @@ its error.
 
 from __future__ import annotations
 
+import copy
 import threading
 import warnings
 from dataclasses import dataclass, field
@@ -26,7 +27,6 @@ import numpy as np
 from .elimination import _solve_upper, gauss_eliminate, substitution_flops
 from .errors import NonSquareError, NoSolvesError, ShapeError, ZeroPivotError
 from .factorizations import (
-    DEFAULT_RECONSTRUCTION_TOL,
     KIND_GAUSS_CHOLESKY,
     KIND_LU,
     Factorization,
@@ -41,16 +41,18 @@ from .matrices import DEFAULT_SYMMETRY_TOL, DenseMatrix, residual_norm, vector
 __all__ = [
     "BenchResult",
     "CostReport",
-    "METHOD_AUTO",
     "SolveSession",
     "cost_report",
     "open_session",
-    "resolve_method",
     "run_bench",
     "session_solve",
 ]
 
 METHOD_AUTO = "auto"
+
+# Default bound on a session's scaled residual ||A x - b||_inf / max(1, ||b||_inf);
+# a solve above it warns.
+DEFAULT_RESIDUAL_TOL = 1e-10
 
 
 @dataclass
@@ -64,8 +66,7 @@ class SolveSession:
     factorization: Factorization | None = None
     reuse_count: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False, compare=False)
-    # The elimination's ZeroPivotError, kept so later solves re-raise it
-    # without eliminating again.
+    # The elimination's ZeroPivotError, which later solves re-raise.
     _failure: ZeroPivotError | None = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -114,7 +115,7 @@ def open_session(
     method: str = METHOD_AUTO,
     *,
     symmetry_tol: float = DEFAULT_SYMMETRY_TOL,
-    residual_tol: float = DEFAULT_RECONSTRUCTION_TOL,
+    residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> SolveSession:
     """Create a session for ``a``, resolving its method now; no factorization happens yet."""
     return SolveSession(
@@ -134,15 +135,14 @@ def session_solve(s: SolveSession, b: DenseMatrix) -> SolveReport:
 
     with s._lock:
         if s._failure is not None:
-            e = s._failure
-            raise ZeroPivotError(e.axis, e.index, e.value, e.threshold)
+            raise copy.copy(s._failure)
         f, record = s.factorization, None
         if f is None:
             try:
                 record = gauss_eliminate(s.matrix, b)
             except ZeroPivotError as exc:
                 # A copy: the raised one's traceback would keep the elimination's frames alive.
-                s._failure = ZeroPivotError(exc.axis, exc.index, exc.value, exc.threshold)
+                s._failure = copy.copy(exc)
                 raise
             f = s.factorization = from_record(record, s.method, s.symmetry_tol)
         else:

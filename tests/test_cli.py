@@ -320,6 +320,28 @@ class TestErrorsAndUsage:
         code, _, _ = run(capsys, "factor", "--input", "x.mat")
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["factor", "solve"])
+    def test_negative_digits_is_a_usage_error(self, capsys, files, command):
+        args = {
+            "factor": ["--input", files["a"], "--output", files["fact"]],
+            "solve": ["--matrix", files["a"], "--rhs", files["b1"]],
+        }[command]
+        code, out, err = run(capsys, command, *args, "--digits", "-1")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"usage: factorkit {command}")
+        assert "argument --digits: expected a non-negative integer, got '-1'" in err
+        assert not files["fact"].exists()
+
+    def test_zero_digits_prints_one_significant_digit(self, capsys, files):
+        code, out, _ = run(
+            capsys, "factor", "--input", files["a"], "--output", files["fact"], "--digits", "0"
+        )
+        assert code == 0
+        assert out.splitlines()[2:4] == ["pivots 1 4 4 1", "reconstruction-error 0"]
+        code, out, _ = run(capsys, "solve", "--matrix", files["a"], "--rhs", files["b2"], "--digits", "0")
+        assert code == 0
+        assert out.splitlines()[1:3] == ["4 2 -0.5 1", "residual 0"]
+
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
 
