@@ -3,7 +3,8 @@
 The eliminator reduces A to an upper-triangular matrix U, storing the
 multiplier m_il = a_il / a_ll used to clear each sub-diagonal entry. Row
 exchanges are never performed: a pivot at or below the singularity
-threshold n * eps * max|A| raises ``ZeroPivotError`` instead of being worked
+threshold n * eps * max|A|, or one that is not finite because the
+elimination overflowed, raises ``ZeroPivotError`` instead of being worked
 around, because every consumer of the multiplier table depends on the
 elimination order being exactly 1..n. This is the one place a pivot is
 judged: the threshold rides on the record into the factors, and the
@@ -102,12 +103,14 @@ def substitution_flops(n: int, sides: int, unit_diagonal: bool = False) -> int:
     return sides * n * (n - 1) if unit_diagonal else sides * n * n
 
 
+# Overflow fails as a pivot that is not finite; numpy's warnings would repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None) -> EliminationRecord:
     """Eliminate ``a`` (and optionally right-hand sides ``b``) without pivoting.
 
     Raises ``NonSquareError`` for a non-square matrix and ``ZeroPivotError``
-    naming the failing column when a pivot is negligible. Inputs are not
-    modified.
+    naming the failing column when a pivot is negligible or not finite.
+    Inputs are not modified.
     """
     if not a.is_square:
         raise NonSquareError(a.rows, a.cols)
@@ -126,7 +129,7 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None) -> Elimination
         k1 = min(k0 + _PANEL_WIDTH, n)
         for col in range(k0, k1):
             pivot = work[col, col]
-            if abs(pivot) <= threshold:
+            if not threshold < abs(pivot) < np.inf:
                 raise ZeroPivotError("column", col + 1, pivot.item(), threshold)
             # Standard update a_ij - m_il * a_lj. The products are written
             # as m[:, None] * v[None, :], which is what np.outer computes

@@ -54,7 +54,7 @@ class NotSymmetricError(ValueError):
 
 
 class ZeroPivotError(ArithmeticError):
-    """A diagonal pivot fell at or below the singularity threshold.
+    """A diagonal pivot fell at or below the singularity threshold, or overflowed.
 
     No-pivot elimination cannot continue past such an entry; callers must not
     silently fall back to row exchanges.
@@ -69,6 +69,8 @@ class ZeroPivotError(ArithmeticError):
 
     def __str__(self) -> str:
         pivot = abs(self.value)
+        if not pivot < float("inf"):  # also NaN
+            return f"non-finite pivot in {self.axis} {self.index}: the elimination overflowed"
         return f"zero pivot in {self.axis} {self.index}: |pivot| = {pivot:.6e} <= threshold {self.threshold:.6e}"
 
     @property

@@ -48,6 +48,10 @@ symmetry-tol 1e-12
 NEAR_SINGULAR_A = [[1e-8, 1], [1, 1]]
 # A first pivot below 2 * eps * 1: every path must fail in column 1.
 ZERO_PIVOT_A = [[1e-20, 1], [1, 1]]
+# Finite and symmetric, but column 1's multiplier 1e14 sends the pivot of
+# column 2 to 1 - 1e314 = -inf: every path must fail in column 2.
+OVERFLOW_A = [[1e286, 1e300], [1e300, 1]]
+OVERFLOW_MESSAGE = "non-finite pivot in column 2: the elimination overflowed"
 # A first pivot one ulp above its threshold 2 * eps * max|A| whose principal
 # root, squared, rounds to at or below it: the elimination accepts it, so
 # every path must, including the one that builds G from that root.

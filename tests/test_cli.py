@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import factorkit
 from factorkit import DenseMatrix, render_matrix, save_matrix, vector
 from factorkit.cli import cli_main
 
@@ -10,6 +16,8 @@ from conftest import (
     GOLD_B2,
     LEGACY_GOLD_FACTOR_FILE,
     NEAR_SINGULAR_A,
+    OVERFLOW_A,
+    OVERFLOW_MESSAGE,
     ULP_ABOVE_THRESHOLD_A,
     ZERO_PIVOT_A,
 )
@@ -275,6 +283,25 @@ class TestOnePivotVerdict:
         assert "consistent factorization" in err
 
 
+class TestOverflowingElimination:
+    """An elimination that overflows fails at its non-finite pivot on every path."""
+
+    def test_fails_in_column_2_everywhere(self, capsys, probe, tmp_path):
+        path = tmp_path / "overflow.mat"
+        path.write_text("matrix 2 2 real\n1e286 1e300\n1e300 1\n")
+        code, out, err = run(capsys, "check", "--input", path)
+        assert (code, err) == (2, "")
+        assert out.splitlines()[-1] == f"elimination fails in column 2: {OVERFLOW_MESSAGE}"
+        for method in METHODS:
+            fact = tmp_path / f"{method}.fact"
+            code, out, err = run(capsys, "factor", "--input", path, "--method", method, "--output", fact)
+            assert (code, out, err) == (2, "", f"error: {OVERFLOW_MESSAGE}\n")
+            assert not fact.exists()
+            code, out, err = run(capsys, "solve", "--matrix", path, "--rhs", probe["b"], "--method", method)
+            assert (code, err) == (2, f"error: {OVERFLOW_MESSAGE}\n")
+            assert out.splitlines() == ["method lu" if method == "lu" else "method gauss-cholesky"]
+
+
 class TestCheck:
     def test_healthy_symmetric_matrix(self, capsys, files):
         code, out, _ = run(capsys, "check", "--input", files["a"])
@@ -309,6 +336,34 @@ class TestBench:
         code, _, err = run(capsys, "bench", "--n", 0)
         assert code == 1
         assert "n >= 1" in err
+
+
+class TestEntryPoint:
+    """``python -m factorkit.cli`` exits with the code ``cli_main`` returns."""
+
+    @pytest.mark.parametrize(
+        "entries, code",
+        [(GOLD_A, 0), ("matrix 2 2 real\n1 x\n1 1\n", 1), (ZERO_PIVOT_A, 2), (OVERFLOW_A, 2)],
+        ids=["ok", "malformed", "zero-pivot", "overflow"],
+    )
+    def test_process_exit_code_is_cli_mains(self, capsys, tmp_path, entries, code):
+        path = tmp_path / "a.mat"
+        if isinstance(entries, str):
+            path.write_text(entries)
+        else:
+            save_matrix(path, DenseMatrix(entries))
+        argv = ["factor", "--input", str(path), "--output", str(tmp_path / "a.fact")]
+        expected = run(capsys, *argv)
+        assert expected[0] == code
+        src = Path(factorkit.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "factorkit.cli", *argv],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
 
 class TestErrorsAndUsage:

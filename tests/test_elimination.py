@@ -30,6 +30,7 @@ from conftest import (
     GOLD_X1,
     GOLD_X2,
     GOLD_Y2,
+    OVERFLOW_A,
 )
 from oracles import cofactor_det, elimination_snapshots, plain_eliminate, random_symmetric
 
@@ -90,6 +91,23 @@ class TestGaussEliminate:
         with pytest.raises(ZeroPivotError) as exc:
             gauss_eliminate(DenseMatrix([[1, 2], [2, 4]]))
         assert exc.value.index == 2
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "a, column",
+        [
+            (OVERFLOW_A, 2),
+            # Column 1 sends a_23 and a_33 to -inf; column 2 then takes -inf from -inf.
+            ([[1e290, 0, 1e300], [1e300, 1e290, 0], [1e300, 1e290, 0]], 3),
+        ],
+        ids=["inf", "nan"],
+    )
+    def test_non_finite_pivot_fails_without_warning(self, a, column):
+        with pytest.raises(ZeroPivotError) as exc:
+            gauss_eliminate(DenseMatrix(a), vector(np.ones(len(a))))
+        assert exc.value.column == column
+        assert not np.isfinite(exc.value.value)
+        assert str(exc.value) == f"non-finite pivot in column {column}: the elimination overflowed"
 
     def test_near_zero_pivot_is_scaled_against_matrix(self):
         # |pivot| = 1 exceeds n*eps*1e16 is false -> must raise
@@ -266,6 +284,20 @@ class TestBlockedElimination:
         with pytest.raises(ZeroPivotError) as exc:
             gauss_eliminate(DenseMatrix(a), vector(np.ones(n)))
         assert exc.value.column == c
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("c", [NB + 1, NB + 2, 2 * NB + 1, 3 * NB + 5])
+    def test_overflow_names_its_column_across_panel_edges(self, c, complex_entries):
+        # Column c - 1's multiplier 1e10 overflows the pivot of column c; for
+        # c - 1 at a panel's end, inside the trailing matrix product.
+        n = 3 * NB + 5
+        a = np.diag(np.full(n, 1e290, dtype=complex if complex_entries else float))
+        a[c - 2 : c, c - 2 : c] = [[1e290, 1e300], [1e300, 1]]
+        with pytest.raises(ZeroPivotError) as exc:
+            gauss_eliminate(DenseMatrix(a), vector(np.ones(n)))
+        assert exc.value.column == c
+        assert str(exc.value) == f"non-finite pivot in column {c}: the elimination overflowed"
 
     @pytest.mark.parametrize("case", ["real-spd", "real-indefinite", "complex"])
     def test_proof_identity_and_cholesky_across_panels(self, case):

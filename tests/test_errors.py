@@ -40,6 +40,14 @@ MESSAGES = [
         "but the supplied matrix hashes to fedcba9876543210",
     ),
     (NoSolvesError(), "no solves performed on this session yet"),
+    (
+        ZeroPivotError("column", 2, float("-inf"), 4.4e284),
+        "non-finite pivot in column 2: the elimination overflowed",
+    ),
+    (
+        ZeroPivotError("column", 3, complex(float("inf"), 1.0), 1e-16),
+        "non-finite pivot in column 3: the elimination overflowed",
+    ),
 ]
 IDS = [f"{type(e).__name__}-{i}" for i, (e, _) in enumerate(MESSAGES)]
 

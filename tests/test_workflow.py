@@ -8,8 +8,10 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from factorkit import (
+    BenchResult,
     CostReport,
     DenseMatrix,
+    Factorization,
     KIND_GAUSS_CHOLESKY,
     KIND_LU,
     NonSquareError,
@@ -33,7 +35,16 @@ import factorkit.workflow
 from factorkit.elimination import elimination_flops, scaling_flops, substitution_flops
 from factorkit.workflow import resolve_method
 
-from conftest import GOLD_A, GOLD_X1, GOLD_X2, NEAR_SINGULAR_A, ULP_ABOVE_THRESHOLD_A, ZERO_PIVOT_A
+from conftest import (
+    GOLD_A,
+    GOLD_X1,
+    GOLD_X2,
+    NEAR_SINGULAR_A,
+    OVERFLOW_A,
+    OVERFLOW_MESSAGE,
+    ULP_ABOVE_THRESHOLD_A,
+    ZERO_PIVOT_A,
+)
 from oracles import random_spd, random_symmetric
 
 
@@ -134,6 +145,19 @@ class TestSessionPivotVerdict:
         assert s.factorization is None and s.reuse_count == 0
         with pytest.raises(NoSolvesError):
             cost_report(s)
+
+    @pytest.mark.parametrize("method", [KIND_LU, KIND_GAUSS_CHOLESKY])
+    def test_overflowing_session_keeps_its_failure(self, gauss_eliminate_calls, method):
+        s = open_session(DenseMatrix(OVERFLOW_A), method)
+        errors = []
+        for _ in range(3):
+            with pytest.raises(ZeroPivotError) as exc:
+                session_solve(s, vector([1, 1]))
+            errors.append(exc.value)
+        assert len(gauss_eliminate_calls) == 1
+        for e in errors:
+            assert (e.axis, e.index, e.value, str(e)) == ("column", 2, -np.inf, OVERFLOW_MESSAGE)
+            assert vars(e) == vars(errors[0])
 
     @pytest.mark.parametrize("method", [KIND_LU, KIND_GAUSS_CHOLESKY])
     def test_reuse_solves_compute_no_threshold(self, pivot_threshold_calls, method, golden_a, golden_b1, golden_b2):
@@ -403,6 +427,27 @@ class TestBench:
         assert result.reuse_total == result.factor_flops + 3 * result.reuse_flops_per_rhs
         assert result.elimination_total == 3 * result.elimination_flops_per_rhs
         assert result.reuse_flops_per_rhs == 2 * 12 * 12
+
+    @pytest.mark.parametrize("rhs_count", [1, 10])
+    def test_one_side_each_way_whatever_the_count(self, gauss_eliminate_calls, monkeypatch, rhs_count):
+        rebuilds = []
+        rebuild = Factorization.rebuild
+        monkeypatch.setattr(Factorization, "rebuild", lambda f: rebuilds.append(f) or rebuild(f))
+        run_bench(20, rhs_count, seed=3)
+        assert len(gauss_eliminate_calls) == 2  # the cached factors, and one fresh session
+        assert len(rebuilds) == 1  # the one solve through the cached factors
+
+    @pytest.mark.parametrize("rhs_count", [1, 7])
+    def test_result_is_the_closed_forms(self, rhs_count):
+        n = 20
+        factor = elimination_flops(n, 0) + scaling_flops(n)
+        reuse = 2 * substitution_flops(n, 1)  # G^T then G: neither diagonal is unit
+        fresh = elimination_flops(n, 1) + substitution_flops(n, 1)
+        reuse_total, fresh_total = factor + rhs_count * reuse, rhs_count * fresh
+        assert run_bench(n, rhs_count, seed=5) == BenchResult(
+            n, rhs_count, 5, KIND_GAUSS_CHOLESKY, factor, reuse, reuse_total, fresh, fresh_total,
+            reuse_total / fresh_total,
+        )
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
