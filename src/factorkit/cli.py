@@ -1,10 +1,10 @@
 """Command-line front end: factor, solve, check, and bench subcommands.
 
 Exit codes: 0 on success, 1 for usage problems and unreadable or malformed
-input files, 2 for numerical failures (zero pivot, non-symmetric input to
-a symmetric method). Results go to stdout, diagnostics to stderr; output
-for identical inputs is byte-identical. Setting FACTORKIT_TOL to a finite
-non-negative number overrides the default symmetry and residual tolerances.
+input files, 2 for numerical failures (zero pivot, non-symmetric input to a
+symmetric method, a right-hand side that overflows). Results go to stdout,
+diagnostics to stderr; identical inputs give byte-identical output. A finite
+non-negative FACTORKIT_TOL overrides the symmetry and residual tolerances.
 """
 
 from __future__ import annotations
@@ -203,7 +203,7 @@ def cli_main(argv=None) -> int:
         return code if isinstance(code, int) else 1
     try:
         return args.func(args)
-    except (ZeroPivotError, NotSymmetricError) as exc:
+    except (ZeroPivotError, NotSymmetricError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # malformed input must never escape as a traceback

@@ -8,14 +8,17 @@ elimination overflowed, raises ``ZeroPivotError`` instead of being worked
 around, because every consumer of the multiplier table depends on the
 elimination order being exactly 1..n. This is the one place a pivot is
 judged: the threshold rides on the record into the factors, and the
-substitution kernels test nothing.
+substitution kernels test no pivot. A right-hand side that overflows, in
+the elimination or in a substitution, raises ``OverflowError``: the fault
+is the side's, not the matrix's.
 
 The elimination is blocked (right-looking). Each panel of ``_PANEL_WIDTH``
 columns is reduced column by column, with the pivot test at every column,
 updating only the panel, its block row and the matching rows of the sides;
 the rest of the trailing matrix and sides then take the whole panel's
 update as one matrix product. Multipliers are kept in place below the
-diagonal and split from U at the end. For n <= ``_PANEL_WIDTH`` there is one
+diagonal, so the record carries the working array itself, packed as
+LAPACK's ``getrf`` returns it. For n <= ``_PANEL_WIDTH`` there is one
 panel, so every entry is computed by exactly the operations, in exactly the
 order, of a plain column-by-column elimination.
 
@@ -45,16 +48,15 @@ __all__ = [
 class EliminationRecord:
     """Everything produced by one elimination pass.
 
-    ``u`` is upper triangular with exact zeros below the diagonal (set, not
-    computed). ``multipliers`` is the strictly-lower-triangular table of
-    m_il; adding the identity to it gives the unit lower-triangular L with
-    L @ u == source matrix. ``transformed_rhs`` holds the right-hand sides
-    after the same row operations, when any were supplied.
-    ``pivot_threshold`` is the bound every pivot exceeded in magnitude.
+    ``lu`` is the packed elimination: U on and above the diagonal, the
+    multipliers m_il strictly below it; the identity plus that lower part
+    is the unit lower-triangular L with L @ U == source matrix.
+    ``transformed_rhs`` holds the right-hand sides after the same row
+    operations, when any were supplied. ``pivot_threshold`` is the bound
+    every pivot exceeded in magnitude.
     """
 
-    u: DenseMatrix
-    multipliers: DenseMatrix
+    lu: DenseMatrix
     pivots: tuple
     transformed_rhs: DenseMatrix | None
     flops: int
@@ -63,7 +65,7 @@ class EliminationRecord:
 
     @property
     def n(self) -> int:
-        return self.u.rows
+        return self.lu.rows
 
 
 # Columns per panel, the fastest in a sweep of 8 to 48 at n = 128, 200 and
@@ -103,14 +105,23 @@ def substitution_flops(n: int, sides: int, unit_diagonal: bool = False) -> int:
     return sides * n * (n - 1) if unit_diagonal else sides * n * n
 
 
-# Overflow fails as a pivot that is not finite; numpy's warnings would repeat it.
-@np.errstate(over="ignore", invalid="ignore")
+# Overflow fails as a non-finite pivot or an OverflowError; numpy's warnings would repeat it.
+_overflow_is_checked = np.errstate(over="ignore", invalid="ignore")
+
+
+def _require_finite(x: np.ndarray, what: str) -> None:
+    if not np.isfinite(x).all():
+        raise OverflowError(f"{what} overflowed")
+
+
+@_overflow_is_checked
 def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None) -> EliminationRecord:
     """Eliminate ``a`` (and optionally right-hand sides ``b``) without pivoting.
 
-    Raises ``NonSquareError`` for a non-square matrix and ``ZeroPivotError``
-    naming the failing column when a pivot is negligible or not finite.
-    Inputs are not modified.
+    Raises ``NonSquareError`` for a non-square matrix, ``ZeroPivotError``
+    naming the failing column when a pivot is negligible or not finite, and
+    ``OverflowError`` when the transformed sides are not finite. Inputs are
+    not modified.
     """
     if not a.is_square:
         raise NonSquareError(a.rows, a.cols)
@@ -135,8 +146,8 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None) -> Elimination
             # as m[:, None] * v[None, :], which is what np.outer computes
             # without its wrapper; m[:, None] * v with a 1-D v can round
             # complex products differently.
-            m = work[col + 1 :, col] / pivot
-            work[col + 1 :, col] = m
+            m = work[col + 1 :, col]
+            m /= pivot
             work[col + 1 :, col + 1 : k1] -= m[:, None] * work[col, col + 1 : k1][None, :]
             m_panel = m[: k1 - col - 1, None]
             work[col + 1 : k1, k1:] -= m_panel * work[col, k1:][None, :]
@@ -150,9 +161,10 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None) -> Elimination
             if rhs is not None:
                 rhs[k1:] -= l21 @ rhs[k0:k1]
 
+    if rhs is not None:
+        _require_finite(rhs, "the elimination of the right-hand side")
     return EliminationRecord(
-        u=DenseMatrix(np.triu(work)),
-        multipliers=DenseMatrix(np.tril(work, -1)),
+        lu=DenseMatrix(work),
         pivots=tuple(np.diagonal(work).tolist()),
         transformed_rhs=DenseMatrix(rhs) if rhs is not None else None,
         flops=elimination_flops(n, rhs.shape[1] if rhs is not None else 0),
@@ -161,15 +173,18 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None) -> Elimination
     )
 
 
+@_overflow_is_checked
 def _solve_upper(u: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int]:
-    """Back substitution, last row upward. Returns (solution, flops)."""
+    """Back substitution, last row upward, reading only u's upper triangle. Returns (solution, flops)."""
     n, k = u.shape[0], c.shape[1]
     x = np.zeros((n, k), dtype=np.result_type(u, c))
     for i in range(n - 1, -1, -1):
         x[i, :] = (c[i, :] - u[i, i + 1 :] @ x[i + 1 :, :]) / u[i, i]
+    _require_finite(x, "the back substitution")
     return x, substitution_flops(n, k)
 
 
+@_overflow_is_checked
 def _solve_lower(l: np.ndarray, c: np.ndarray, unit_diagonal: bool) -> tuple[np.ndarray, int]:
     """Forward substitution, first row downward. Returns (solution, flops).
 
@@ -181,6 +196,7 @@ def _solve_lower(l: np.ndarray, c: np.ndarray, unit_diagonal: bool) -> tuple[np.
         y[i, :] = c[i, :] - l[i, :i] @ y[:i, :]
         if not unit_diagonal:
             y[i, :] /= l[i, i]
+    _require_finite(y, "the forward substitution")
     return y, substitution_flops(n, k, unit_diagonal)
 
 

@@ -141,14 +141,13 @@ def _provenance(record: EliminationRecord, flops: int, symmetry_tol: float | Non
 
 
 def lu_from_record(record: EliminationRecord) -> Factorization:
-    """Package an elimination record as A = L U."""
-    n = record.n
-    l = np.eye(n, dtype=record.multipliers.data.dtype) + record.multipliers.data
+    """Package an elimination record as A = L U, cutting both from the packed ``record.lu``."""
+    n, lu = record.n, record.lu.data
     return Factorization(
         kind=KIND_LU,
         n=n,
-        l=DenseMatrix(l),
-        u=record.u,
+        l=DenseMatrix(np.eye(n, dtype=lu.dtype) + np.tril(lu, -1)),
+        u=DenseMatrix(np.triu(lu)),
         provenance=_provenance(record, record.flops),
     )
 
@@ -165,7 +164,7 @@ def gauss_cholesky_from_record(
     """
     n = record.n
     roots = _pivot_roots(record.pivots)
-    g = record.u.data / roots[:, None]
+    g = np.triu(record.lu.data) / roots[:, None]
     idx = np.arange(n)
     g[idx, idx] = roots
     return Factorization(

@@ -149,8 +149,8 @@ def session_solve(s: SolveSession, b: DenseMatrix) -> SolveReport:
             s.reuse_count += 1
     if record is not None:
         # The first system is answered directly from the triangular system
-        # U x = b' produced by the elimination itself.
-        x_arr, back_flops = _solve_upper(record.u.data, record.transformed_rhs.data)
+        # U x = b' that the elimination left in the upper triangle of record.lu.
+        x_arr, back_flops = _solve_upper(record.lu.data, record.transformed_rhs.data)
         solutions = DenseMatrix(x_arr)
         flops = f.provenance.flops + back_flops
     else:

@@ -52,6 +52,17 @@ ZERO_PIVOT_A = [[1e-20, 1], [1, 1]]
 # column 2 to 1 - 1e314 = -inf: every path must fail in column 2.
 OVERFLOW_A = [[1e286, 1e300], [1e300, 1]]
 OVERFLOW_MESSAGE = "non-finite pivot in column 2: the elimination overflowed"
+# Healthy and symmetric, but the side's 1 - 1e3 * 1e306 = -inf: the
+# elimination, or the forward substitution, overflows the side, not a pivot.
+SIDE_OVERFLOW_A = [[1e-3, 1], [1, 1]]
+SIDE_OVERFLOW_B = [1e306, 1]
+SIDE_OVERFLOW_MESSAGE = "the elimination of the right-hand side overflowed"
+FORWARD_OVERFLOW_MESSAGE = "the forward substitution overflowed"
+# Healthy and symmetric, and the side eliminates to itself, but the back
+# substitution's x_2 = 1e306 / 1e-3 = inf.
+SUBSTITUTION_OVERFLOW_A = [[1, 0], [0, 1e-3]]
+SUBSTITUTION_OVERFLOW_B = [1, 1e306]
+BACK_OVERFLOW_MESSAGE = "the back substitution overflowed"
 # A first pivot one ulp above its threshold 2 * eps * max|A| whose principal
 # root, squared, rounds to at or below it: the elimination accepts it, so
 # every path must, including the one that builds G from that root.

@@ -68,25 +68,24 @@ def elimination_snapshots(a: np.ndarray) -> list[np.ndarray]:
 def plain_eliminate(a: np.ndarray, b: np.ndarray):
     """Unblocked no-pivot elimination, one rank-1 update per column.
 
-    Returns (u, multipliers, transformed b, pivots) computed with exactly
-    the operations of a column-by-column loop, as the reference the blocked
+    Returns (lu, transformed b, pivots) computed with exactly the
+    operations of a column-by-column loop, as the reference the blocked
     eliminator must match bit for bit while its input fits in one panel.
+    ``lu`` is packed: U on and above the diagonal, the multipliers below.
     Pivots are not tested against any threshold.
     """
     n = a.shape[0]
     work = np.array(a)
     rhs = np.array(b, dtype=np.result_type(a, b))
-    multipliers = np.zeros_like(work)
     pivots = []
     for col in range(n):
         pivot = work[col, col]
         pivots.append(pivot.item())
         m = work[col + 1 :, col] / pivot
-        multipliers[col + 1 :, col] = m
         work[col + 1 :, col + 1 :] -= np.outer(m, work[col, col + 1 :])
-        work[col + 1 :, col] = 0.0
+        work[col + 1 :, col] = m
         rhs[col + 1 :, :] -= np.outer(m, rhs[col, :])
-    return work, multipliers, rhs, tuple(pivots)
+    return work, rhs, tuple(pivots)
 
 
 def random_symmetric(rng: np.random.Generator, n: int, *, complex_entries: bool = False) -> np.ndarray:

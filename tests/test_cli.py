@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,8 @@ from factorkit import DenseMatrix, render_matrix, save_matrix, vector
 from factorkit.cli import cli_main
 
 from conftest import (
+    BACK_OVERFLOW_MESSAGE,
+    FORWARD_OVERFLOW_MESSAGE,
     GOLD_A,
     GOLD_B1,
     GOLD_B2,
@@ -18,6 +21,11 @@ from conftest import (
     NEAR_SINGULAR_A,
     OVERFLOW_A,
     OVERFLOW_MESSAGE,
+    SIDE_OVERFLOW_A,
+    SIDE_OVERFLOW_B,
+    SIDE_OVERFLOW_MESSAGE,
+    SUBSTITUTION_OVERFLOW_A,
+    SUBSTITUTION_OVERFLOW_B,
     ULP_ABOVE_THRESHOLD_A,
     ZERO_PIVOT_A,
 )
@@ -302,6 +310,84 @@ class TestOverflowingElimination:
             assert out.splitlines() == ["method lu" if method == "lu" else "method gauss-cholesky"]
 
 
+def _failure_paths():
+    # (id, kind, steps): a path is the commands a user runs, in order, until
+    # one fails; solve --factor reads the file that factor writes.
+    yield "check", "check", [["check", "--input", "{a}"]]
+    for m in METHODS:
+        factor = ["factor", "--input", "{a}", "--method", m, "--output", "{f}"]
+        yield f"factor-{m}", "factor", [factor]
+        yield f"solve-factor-{m}", "solve-factor", [factor, ["solve", "--factor", "{f}", "--rhs", "{b}"]]
+        yield (f"solve-factor-{m}-matrix", "solve-factor",
+               [factor, ["solve", "--factor", "{f}", "--rhs", "{b}", "--matrix", "{a}"]])
+        yield f"session-{m}", "session", [["solve", "--matrix", "{a}", "--rhs", "{b}", "--method", m]]
+
+
+_PATH_KINDS = ("check", "factor", "solve-factor", "session")
+
+# fault: (matrix, side, {path kind: (exit code, message or None)})
+FAULTS = {
+    "overflowing-pivot": (OVERFLOW_A, [1, 1], dict.fromkeys(_PATH_KINDS, (2, OVERFLOW_MESSAGE))),
+    "zero-pivot": (ZERO_PIVOT_A, [1, 1], dict.fromkeys(_PATH_KINDS, (2, "zero pivot in column 1"))),
+    "overflowing-side": (SIDE_OVERFLOW_A, SIDE_OVERFLOW_B, {
+        "check": (0, None), "factor": (0, None),
+        "solve-factor": (2, FORWARD_OVERFLOW_MESSAGE), "session": (2, SIDE_OVERFLOW_MESSAGE),
+    }),
+    "overflowing-substitution": (SUBSTITUTION_OVERFLOW_A, SUBSTITUTION_OVERFLOW_B, {
+        "check": (0, None), "factor": (0, None),
+        "solve-factor": (2, BACK_OVERFLOW_MESSAGE), "session": (2, BACK_OVERFLOW_MESSAGE),
+    }),
+    "malformed-token": ("matrix 2 2 real\n1 x\n1 1\n", [1, 1], dict.fromkeys(_PATH_KINDS, (1, "line 2"))),
+}
+
+
+class TestFailureTable:
+    """Every CLI path against every fault: the documented exit code, one
+    diagnostic line, no traceback and no numpy warning."""
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("kind, steps", [pytest.param(*p[1:], id=p[0]) for p in _failure_paths()])
+    def test_path_against_fault(self, capsys, tmp_path, kind, steps, fault):
+        entries, side, expected = FAULTS[fault]
+        files = {"a": tmp_path / "a.mat", "b": tmp_path / "b.mat", "f": tmp_path / "a.fact"}
+        if isinstance(entries, str):
+            files["a"].write_text(entries)
+        else:
+            save_matrix(files["a"], DenseMatrix(entries))
+        save_matrix(files["b"], vector(side))
+        out = err = ""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for step in steps:
+                code, step_out, step_err = run(capsys, *(arg.format(**files) for arg in step))
+                out, err = out + step_out, err + step_err
+                if code:
+                    break
+        want_code, message = expected[kind]
+        assert code == want_code
+        assert [str(w.message) for w in caught] == []
+        assert "Traceback" not in out + err
+        if want_code == 0:
+            assert err == ""
+        elif kind == "check" and want_code == 2:
+            # check reports a failed elimination as its finding, on stdout
+            assert err == ""
+            verdicts = [line for line in out.splitlines() if line.startswith("elimination fails in column")]
+            assert len(verdicts) == 1 and message in verdicts[0]
+        else:
+            assert len(err.splitlines()) == 1
+            assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_session_answers_a_side_then_fails_on_an_overflowing_one(self, capsys, tmp_path, method):
+        a, b = tmp_path / "a.mat", tmp_path / "b.mat"
+        save_matrix(a, DenseMatrix(SIDE_OVERFLOW_A))
+        save_matrix(b, DenseMatrix(np.array([[1, 1], SIDE_OVERFLOW_B], dtype=float).T))
+        code, out, err = run(capsys, "solve", "--matrix", a, "--rhs", b, "--method", method)
+        assert (code, err) == (2, f"error: {FORWARD_OVERFLOW_MESSAGE}\n")
+        assert out.splitlines() == ["method lu" if method == "lu" else "method gauss-cholesky", "0 1", "residual 0"]
+
+
 class TestCheck:
     def test_healthy_symmetric_matrix(self, capsys, files):
         code, out, _ = run(capsys, "check", "--input", files["a"])
@@ -386,6 +472,11 @@ class TestErrorsAndUsage:
         assert err.startswith(f"usage: factorkit {command}")
         assert "argument --digits: expected a non-negative integer, got '-1'" in err
         assert not files["fact"].exists()
+
+    def test_non_numeric_digits_is_a_usage_error(self, capsys, files):
+        code, out, err = run(capsys, "solve", "--matrix", files["a"], "--rhs", files["b1"], "--digits", "abc")
+        assert (code, out) == (1, "")
+        assert "argument --digits: expected a non-negative integer, got 'abc'" in err
 
     def test_zero_digits_prints_one_significant_digit(self, capsys, files):
         code, out, _ = run(

@@ -11,6 +11,7 @@ from factorkit import (
     forward_substitute,
     gauss_cholesky,
     gauss_eliminate,
+    lu_from_record,
     matrix_hash,
     principal_sqrt,
     residual_norm,
@@ -21,6 +22,8 @@ from factorkit.elimination import elimination_flops, scaling_flops, substitution
 from factorkit.matrices import EPS
 
 from conftest import (
+    BACK_OVERFLOW_MESSAGE,
+    FORWARD_OVERFLOW_MESSAGE,
     GOLD_BPRIME,
     GOLD_GT,
     GOLD_L,
@@ -31,6 +34,11 @@ from conftest import (
     GOLD_X2,
     GOLD_Y2,
     OVERFLOW_A,
+    SIDE_OVERFLOW_A,
+    SIDE_OVERFLOW_B,
+    SIDE_OVERFLOW_MESSAGE,
+    SUBSTITUTION_OVERFLOW_A,
+    SUBSTITUTION_OVERFLOW_B,
 )
 from oracles import cofactor_det, elimination_snapshots, plain_eliminate, random_symmetric
 
@@ -38,12 +46,12 @@ from oracles import cofactor_det, elimination_snapshots, plain_eliminate, random
 class TestGaussEliminate:
     def test_golden_upper_triangle_exact(self, golden_a, golden_b1):
         record = gauss_eliminate(golden_a, golden_b1)
-        assert_array_equal(record.u.data, np.array(GOLD_U, dtype=float))
+        assert_array_equal(np.triu(record.lu.data), np.array(GOLD_U, dtype=float))
         assert_array_equal(record.transformed_rhs.data, np.array(GOLD_BPRIME, float).reshape(-1, 1))
 
     def test_golden_multipliers_exact(self, golden_a):
         record = gauss_eliminate(golden_a)
-        assert_array_equal(record.multipliers.data, np.array(GOLD_MULT, dtype=float))
+        assert_array_equal(np.tril(record.lu.data, -1), np.array(GOLD_MULT, dtype=float))
         assert record.pivots == GOLD_PIVOTS
 
     def test_golden_flop_count(self, golden_a, golden_b1):
@@ -67,8 +75,8 @@ class TestGaussEliminate:
 
     def test_identity_unchanged(self):
         record = gauss_eliminate(DenseMatrix(np.eye(5)))
-        assert record.u == DenseMatrix(np.eye(5))
-        assert not np.any(record.multipliers.data)
+        # U is the identity and every multiplier is zero
+        assert record.lu == DenseMatrix(np.eye(5))
         # the update work is still performed (and counted) even though
         # every multiplier is zero
         assert record.flops == 70
@@ -76,8 +84,8 @@ class TestGaussEliminate:
     def test_already_upper_triangular_unchanged(self):
         u = DenseMatrix([[2, 1, 4], [0, 3, 5], [0, 0, 7]])
         record = gauss_eliminate(u)
-        assert record.u == u
-        assert not np.any(record.multipliers.data)
+        # U is the input and every multiplier is zero
+        assert record.lu == u
 
     def test_zero_pivot_in_first_column(self):
         with pytest.raises(ZeroPivotError) as exc:
@@ -108,6 +116,14 @@ class TestGaussEliminate:
         assert exc.value.column == column
         assert not np.isfinite(exc.value.value)
         assert str(exc.value) == f"non-finite pivot in column {column}: the elimination overflowed"
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_side_raises_overflow_error(self):
+        a = DenseMatrix(SIDE_OVERFLOW_A)
+        with pytest.raises(OverflowError, match=f"^{SIDE_OVERFLOW_MESSAGE}$"):
+            gauss_eliminate(a, vector(SIDE_OVERFLOW_B))
+        # The fault is the side's: the matrix alone eliminates.
+        assert gauss_eliminate(a).pivots == (1e-3, -999.0)
 
     def test_near_zero_pivot_is_scaled_against_matrix(self):
         # |pivot| = 1 exceeds n*eps*1e16 is false -> must raise
@@ -147,7 +163,7 @@ class TestGaussEliminate:
         # a real scalar behaves exactly like a complex scalar with im = 0
         real = gauss_eliminate(golden_a, golden_b1)
         cplx = gauss_eliminate(DenseMatrix(golden_a.data.astype(complex)), golden_b1)
-        assert_array_equal(real.u.data.astype(complex), cplx.u.data)
+        assert_array_equal(real.lu.data.astype(complex), cplx.lu.data)
         assert_array_equal(real.transformed_rhs.data.astype(complex), cplx.transformed_rhs.data)
         assert real.flops == cplx.flops
 
@@ -159,11 +175,12 @@ class TestEliminationProperties:
             n = int(rng.integers(2, 51))
             a = rng.standard_normal((n, n))
             record = gauss_eliminate(DenseMatrix(a))
-            # below-diagonal entries are set to exact zeros, not computed
-            assert not np.any(np.tril(record.u.data, -1))
-            assert not np.any(np.triu(record.multipliers.data))
-            l = np.eye(n) + record.multipliers.data
-            err = np.linalg.norm(l @ record.u.data - a) / np.linalg.norm(a)
+            f = lu_from_record(record)
+            # the packaging sets the other triangles to exact zeros, not computed ones
+            assert not np.any(np.tril(f.u.data, -1))
+            assert not np.any(np.triu(f.l.data, 1))
+            assert_array_equal(f.u.data + np.tril(f.l.data, -1), record.lu.data)
+            err = np.linalg.norm(f.l.data @ f.u.data - a) / np.linalg.norm(a)
             assert err <= 1e-11
 
     def test_transformed_rhs_solves_original_system(self):
@@ -173,7 +190,7 @@ class TestEliminationProperties:
             a = DenseMatrix(rng.standard_normal((n, n)))
             b = vector(rng.standard_normal(n))
             record = gauss_eliminate(a, b)
-            x = back_substitute(record.u, record.transformed_rhs)
+            x = back_substitute(lu_from_record(record).u, record.transformed_rhs)
             assert residual_norm(a, x, b) <= 1e-10
 
     def test_trailing_blocks_stay_symmetric(self):
@@ -191,7 +208,7 @@ class TestEliminationProperties:
                 block = snap[k:, k:]
                 dev = np.max(np.abs(block - block.T))
                 assert dev <= 1e-12 * max(1.0, np.max(np.abs(a)))
-            assert np.allclose(np.triu(snapshots[-1]), record.u.data, rtol=0, atol=1e-12)
+            assert np.allclose(np.triu(snapshots[-1]), np.triu(record.lu.data), rtol=0, atol=1e-12)
 
     def test_pivot_product_is_the_determinant(self):
         rng = np.random.default_rng(3)
@@ -231,10 +248,10 @@ class TestBlockedElimination:
             if kind == "real-a-complex-b":
                 b = b + 1j * rng.standard_normal(b.shape)
             record = gauss_eliminate(DenseMatrix(a), DenseMatrix(b))
-            u, multipliers, rhs, pivots = plain_eliminate(a, b)
-            assert_array_equal(record.u.data, u)
-            assert_array_equal(record.multipliers.data, multipliers)
-            assert_array_equal(record.transformed_rhs.data, rhs)
+            lu, rhs, pivots = plain_eliminate(a, b)
+            # bytes, so that the sign of every zero matches too
+            assert record.lu.data.tobytes() == lu.tobytes()
+            assert record.transformed_rhs.data.tobytes() == rhs.tobytes()
             assert record.pivots == pivots
             assert record.flops == elimination_flops(n, b.shape[1])
 
@@ -244,11 +261,12 @@ class TestBlockedElimination:
         a = rng.standard_normal((n, n)) + np.sqrt(n) * np.eye(n)
         b = vector(rng.standard_normal(n))
         record = gauss_eliminate(DenseMatrix(a), b)
-        l = np.eye(n) + record.multipliers.data
-        assert np.linalg.norm(l @ record.u.data - a) <= 1e-11 * np.linalg.norm(a)
-        assert not np.any(np.tril(record.u.data, -1))
-        assert not np.any(np.triu(record.multipliers.data))
-        x = back_substitute(record.u, record.transformed_rhs)
+        f = lu_from_record(record)
+        assert np.linalg.norm(f.l.data @ f.u.data - a) <= 1e-11 * np.linalg.norm(a)
+        assert not np.any(np.tril(f.u.data, -1))
+        assert not np.any(np.triu(f.l.data, 1))
+        assert_array_equal(f.u.data + np.tril(f.l.data, -1), record.lu.data)
+        x = back_substitute(f.u, record.transformed_rhs)
         assert residual_norm(DenseMatrix(a), x, b) <= 1e-10
         assert record.flops == elimination_flops(n, 1)
 
@@ -259,8 +277,7 @@ class TestBlockedElimination:
         b = rng.standard_normal((n, 2))
         row_major = gauss_eliminate(DenseMatrix(a), DenseMatrix(b))
         col_major = gauss_eliminate(DenseMatrix(np.asfortranarray(a)), DenseMatrix(np.asfortranarray(b)))
-        assert_array_equal(col_major.u.data, row_major.u.data)
-        assert_array_equal(col_major.multipliers.data, row_major.multipliers.data)
+        assert_array_equal(col_major.lu.data, row_major.lu.data)
         assert_array_equal(col_major.transformed_rhs.data, row_major.transformed_rhs.data)
 
     @pytest.mark.parametrize("complex_entries", [False, True])
@@ -269,11 +286,10 @@ class TestBlockedElimination:
         n = 2 * NB + 1
         a = _dominant(rng, n, complex_entries=complex_entries)
         record = gauss_eliminate(DenseMatrix(a))
-        assert record.u.data.dtype == a.dtype
-        assert record.multipliers.data.dtype == a.dtype
+        assert record.lu.data.dtype == a.dtype
         scalar = complex if complex_entries else float
         assert all(type(p) is scalar for p in record.pivots)
-        assert_array_equal(np.array(record.pivots), np.diagonal(record.u.data))
+        assert_array_equal(np.array(record.pivots), np.diagonal(record.lu.data))
 
     @pytest.mark.parametrize("c", [1, NB, NB + 1, 2 * NB + 1, 3 * NB + 5])
     def test_zero_pivot_names_its_column_across_panel_edges(self, c):
@@ -309,8 +325,8 @@ class TestBlockedElimination:
         a = _dominant(rng, n, complex_entries=case == "complex", signs=signs)
         record = gauss_eliminate(DenseMatrix(a))
         roots = np.array([principal_sqrt(p) for p in record.pivots])
-        lhs = (np.eye(n) + record.multipliers.data) * roots[None, :]
-        rhs = (record.u.data / roots[:, None]).T
+        lhs = (np.eye(n) + np.tril(record.lu.data, -1)) * roots[None, :]
+        rhs = (np.triu(record.lu.data) / roots[:, None]).T
         assert np.linalg.norm(lhs - rhs) <= 1e-11 * np.linalg.norm(rhs)
         g = gauss_cholesky(DenseMatrix(a)).g.data
         assert np.linalg.norm(g.T @ g - a) <= 1e-9 * np.linalg.norm(a)
@@ -357,6 +373,16 @@ class TestBackSubstitute:
         with pytest.raises(ShapeError):
             back_substitute(golden_u, vector([1, 2]))
 
+    @pytest.mark.parametrize("substitute", [back_substitute, forward_substitute])
+    def test_non_square_raises(self, substitute):
+        with pytest.raises(NonSquareError):
+            substitute(DenseMatrix([[1, 0, 0], [0, 1, 0]]), vector([1, 1]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_raises_overflow_error(self):
+        with pytest.raises(OverflowError, match=f"^{BACK_OVERFLOW_MESSAGE}$"):
+            back_substitute(DenseMatrix(SUBSTITUTION_OVERFLOW_A), vector(SUBSTITUTION_OVERFLOW_B))
+
 
 class TestForwardSubstitute:
     def test_golden_gt_system(self, golden_b2):
@@ -381,3 +407,9 @@ class TestForwardSubstitute:
     def test_rejects_non_triangular(self):
         with pytest.raises(ShapeError):
             forward_substitute(DenseMatrix([[1, 2], [0, 1]]), vector([1, 1]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_raises_overflow_error(self):
+        # y_2 = 1 - 1e3 * 1e306, the side's overflow in SIDE_OVERFLOW_A's elimination
+        with pytest.raises(OverflowError, match=f"^{FORWARD_OVERFLOW_MESSAGE}$"):
+            forward_substitute(DenseMatrix([[1, 0], [1e3, 1]]), vector(SIDE_OVERFLOW_B))

@@ -32,6 +32,8 @@ from factorkit.factorizations import from_record
 from factorkit.matrices import EPS
 
 from conftest import (
+    BACK_OVERFLOW_MESSAGE,
+    FORWARD_OVERFLOW_MESSAGE,
     GOLD_G,
     GOLD_L,
     GOLD_PIVOTS,
@@ -39,6 +41,10 @@ from conftest import (
     GOLD_X1,
     GOLD_X2,
     NEAR_SINGULAR_A,
+    SIDE_OVERFLOW_A,
+    SIDE_OVERFLOW_B,
+    SUBSTITUTION_OVERFLOW_A,
+    SUBSTITUTION_OVERFLOW_B,
     ULP_ABOVE_THRESHOLD_A,
     ZERO_PIVOT_A,
 )
@@ -176,9 +182,9 @@ class TestGaussCholesky:
             except ZeroPivotError:
                 continue
             roots = np.array([principal_sqrt(p) for p in record.pivots])
-            l = np.eye(7) + record.multipliers.data
+            l = np.eye(7) + np.tril(record.lu.data, -1)
             lhs = l * roots[None, :]
-            rhs = (record.u.data / roots[:, None]).T
+            rhs = (np.triu(record.lu.data) / roots[:, None]).T
             assert np.linalg.norm(lhs - rhs) <= 1e-11 * np.linalg.norm(rhs)
 
 
@@ -215,6 +221,21 @@ class TestSolve:
         with pytest.raises(ShapeError):
             solve(gauss_cholesky(golden_a), vector([1, 2]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", [KIND_LU, KIND_GAUSS_CHOLESKY])
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            (SIDE_OVERFLOW_A, SIDE_OVERFLOW_B, FORWARD_OVERFLOW_MESSAGE),
+            (SUBSTITUTION_OVERFLOW_A, SUBSTITUTION_OVERFLOW_B, BACK_OVERFLOW_MESSAGE),
+        ],
+        ids=["forward", "back"],
+    )
+    def test_overflowing_substitution_raises_overflow_error(self, kind, a, b, message):
+        f = from_record(gauss_eliminate(DenseMatrix(a)), kind)
+        with pytest.raises(OverflowError, match=f"^{message}$"):
+            solve(f, vector(b))
+
     def test_lu_and_gc_agree_on_symmetric_systems(self):
         rng = np.random.default_rng(12)
         for _ in range(15):
@@ -242,6 +263,9 @@ class TestVerifyAndValidation:
         a = random_spd(rng, 20)
         assert verify(gauss_cholesky(DenseMatrix(a)), DenseMatrix(a)) <= 1e-12
 
+    def test_verify_against_a_zero_matrix_is_infinite(self, golden_a):
+        assert verify(gauss_cholesky(golden_a), DenseMatrix(np.zeros((4, 4)))) == float("inf")
+
     def test_verify_shape_mismatch(self, golden_a):
         with pytest.raises(ShapeError):
             verify(gauss_cholesky(golden_a), DenseMatrix(np.eye(3)))
@@ -250,19 +274,19 @@ class TestVerifyAndValidation:
         record = gauss_eliminate(golden_a)
         prov = Provenance(record.source_hash, record.pivots, record.flops)
         with pytest.raises(ValueError):
-            Factorization(kind="qr", n=4, provenance=prov, u=record.u)
+            Factorization(kind="qr", n=4, provenance=prov, u=lu_from_record(record).u)
 
     def test_construction_rejects_missing_factors(self, golden_a):
         record = gauss_eliminate(golden_a)
         prov = Provenance(record.source_hash, record.pivots, record.flops)
         with pytest.raises(ValueError):
-            Factorization(kind=KIND_LU, n=4, provenance=prov, u=record.u)
+            Factorization(kind=KIND_LU, n=4, provenance=prov, u=lu_from_record(record).u)
 
     def test_construction_rejects_non_unit_l(self, golden_a):
         record = gauss_eliminate(golden_a)
         prov = Provenance(record.source_hash, record.pivots, record.flops)
         with pytest.raises(ValueError, match="unit diagonal"):
-            Factorization(kind=KIND_LU, n=4, provenance=prov, l=DenseMatrix(2 * np.eye(4)), u=record.u)
+            Factorization(kind=KIND_LU, n=4, provenance=prov, l=DenseMatrix(2 * np.eye(4)), u=lu_from_record(record).u)
 
     def test_construction_rejects_zero_diagonal_g(self):
         prov = Provenance("0" * 16, (0.0,), 0)

@@ -79,6 +79,7 @@ class TestParseMatrix:
             ("matrix 1 1 real\ninf", "finite"),
             ("matrix 1 1 real\nnan", "finite"),
             ("matrix 1 1 real\n1e9999", "finite"),
+            ("matrix 1 1 complex\ninf,1", "finite components"),
         ],
     )
     def test_rejections_carry_line_numbers(self, text, fragment):
@@ -233,6 +234,13 @@ class TestPivotThresholdLine:
         with pytest.raises(ParseError) as exc:
             parse_factorization(text)
         assert exc.value.line == 12
+
+    @pytest.mark.parametrize("line", ["symmetry-tol", "symmetry-tol 1e-12 1e-12"])
+    def test_malformed_symmetry_tol_rejected(self, golden_a, line):
+        text = render_factorization(gauss_cholesky(golden_a)).replace("symmetry-tol 1e-12", line)
+        with pytest.raises(ParseError, match="a tolerance or 'none'") as exc:
+            parse_factorization(text)
+        assert exc.value.line == 11
 
     def test_nothing_may_follow_the_threshold(self, golden_a):
         text = render_factorization(gauss_cholesky(golden_a)) + "flops 44\n"

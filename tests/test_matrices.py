@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 from factorkit import (
     DenseMatrix,
@@ -71,6 +72,22 @@ class TestConstruction:
     def test_equality_is_by_value(self):
         assert DenseMatrix([[1, 2]]) == DenseMatrix([[1.0, 2.0]])
         assert DenseMatrix([[1, 2]]) != DenseMatrix([[1, 3]])
+
+    def test_equality_with_a_non_matrix_is_not_implemented(self):
+        m = DenseMatrix([[1, 2]])
+        assert m.__eq__([[1, 2]]) is NotImplemented
+        assert m != [[1, 2]]
+
+    def test_from_a_dense_matrix_copies_its_entries(self):
+        m = DenseMatrix([[1, 2j], [3, 4]])
+        copy = DenseMatrix(m)
+        assert copy == m
+        assert not np.shares_memory(copy.data, m.data)
+
+    def test_scalar_index_gives_a_python_scalar_and_a_row_index_an_array(self):
+        m = DenseMatrix([[1, 2], [3, 4]])
+        assert type(m[1, 0]) is float
+        assert_array_equal(m[1], [3.0, 4.0])
 
     def test_vector_from_flat_sequence(self):
         v = vector([1, 2, 3])

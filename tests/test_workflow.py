@@ -23,6 +23,7 @@ from factorkit import (
     back_substitute,
     cost_report,
     gauss_eliminate,
+    lu_from_record,
     matrix_hash,
     open_session,
     run_bench,
@@ -36,12 +37,19 @@ from factorkit.elimination import elimination_flops, scaling_flops, substitution
 from factorkit.workflow import resolve_method
 
 from conftest import (
+    BACK_OVERFLOW_MESSAGE,
+    FORWARD_OVERFLOW_MESSAGE,
     GOLD_A,
     GOLD_X1,
     GOLD_X2,
     NEAR_SINGULAR_A,
     OVERFLOW_A,
     OVERFLOW_MESSAGE,
+    SIDE_OVERFLOW_A,
+    SIDE_OVERFLOW_B,
+    SIDE_OVERFLOW_MESSAGE,
+    SUBSTITUTION_OVERFLOW_A,
+    SUBSTITUTION_OVERFLOW_B,
     ULP_ABOVE_THRESHOLD_A,
     ZERO_PIVOT_A,
 )
@@ -159,6 +167,40 @@ class TestSessionPivotVerdict:
             assert (e.axis, e.index, e.value, str(e)) == ("column", 2, -np.inf, OVERFLOW_MESSAGE)
             assert vars(e) == vars(errors[0])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", [KIND_LU, KIND_GAUSS_CHOLESKY])
+    def test_overflowing_first_side_is_not_kept(self, gauss_eliminate_calls, method):
+        # The failure belongs to the side, not to A: the next side eliminates again.
+        s = open_session(DenseMatrix(SIDE_OVERFLOW_A), method)
+        with pytest.raises(OverflowError, match=f"^{SIDE_OVERFLOW_MESSAGE}$"):
+            session_solve(s, vector(SIDE_OVERFLOW_B))
+        assert s.factorization is None
+        x = session_solve(s, vector([1, 1])).solutions.data.ravel()
+        assert_array_equal(x, [0.0, 1.0])
+        assert len(gauss_eliminate_calls) == 2
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", [KIND_LU, KIND_GAUSS_CHOLESKY])
+    def test_overflowing_first_back_substitution_keeps_the_factors(self, gauss_eliminate_calls, method):
+        s = open_session(DenseMatrix(SUBSTITUTION_OVERFLOW_A), method)
+        with pytest.raises(OverflowError, match=f"^{BACK_OVERFLOW_MESSAGE}$"):
+            session_solve(s, vector(SUBSTITUTION_OVERFLOW_B))
+        assert s.factorization is not None
+        x = session_solve(s, vector([1, 1e-3])).solutions.data.ravel()
+        assert np.allclose(x, [1.0, 1.0], rtol=0, atol=1e-12)
+        assert len(gauss_eliminate_calls) == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", [KIND_LU, KIND_GAUSS_CHOLESKY])
+    def test_overflowing_reuse_side_raises_overflow_error(self, gauss_eliminate_calls, method):
+        s = open_session(DenseMatrix(SIDE_OVERFLOW_A), method)
+        assert_array_equal(session_solve(s, vector([1, 1])).solutions.data.ravel(), [0.0, 1.0])
+        with pytest.raises(OverflowError, match=f"^{FORWARD_OVERFLOW_MESSAGE}$"):
+            session_solve(s, vector(SIDE_OVERFLOW_B))
+        x = session_solve(s, vector([1, 1])).solutions.data.ravel()
+        assert np.allclose(x, [0.0, 1.0], rtol=0, atol=1e-12)
+        assert len(gauss_eliminate_calls) == 1
+
     @pytest.mark.parametrize("method", [KIND_LU, KIND_GAUSS_CHOLESKY])
     def test_reuse_solves_compute_no_threshold(self, pivot_threshold_calls, method, golden_a, golden_b1, golden_b2):
         s = open_session(golden_a, method)
@@ -217,7 +259,7 @@ class TestSessionSolve:
             for b in sides:
                 got = session_solve(s, b).solutions
                 record = gauss_eliminate(a, b)
-                want = back_substitute(record.u, record.transformed_rhs)
+                want = back_substitute(lu_from_record(record).u, record.transformed_rhs)
                 num = np.linalg.norm(got.data - want.data)
                 assert num <= 1e-10 * max(1.0, np.linalg.norm(want.data))
 
