@@ -18,7 +18,7 @@ import numpy as np
 
 from .elimination import gauss_eliminate
 from .errors import NotSymmetricError, ZeroPivotError
-from .factorizations import KIND_GAUSS_CHOLESKY, KIND_LU, from_record, solve, verify
+from .factorizations import KIND_GAUSS_CHOLESKY, KIND_LU, _require_order, from_record, solve, verify
 from .matio import load_factorization, load_matrix, save_factorization, stale_factor_check
 from .matrices import DEFAULT_SYMMETRY_TOL, residual_norm
 from .workflow import DEFAULT_RESIDUAL_TOL, METHOD_AUTO, cost_report, open_session, resolve_method
@@ -79,8 +79,8 @@ def _cmd_solve(args) -> int:
     if args.factor is not None:
         f = load_factorization(args.factor)
         a = load_matrix(args.matrix) if args.matrix else None
-        if a is not None and not args.force:
-            stale_factor_check(f, a)
+        if a is not None:  # --force skips the hash check, not the size check
+            (_require_order if args.force else stale_factor_check)(f, a)
         report = solve(f, b)
         print(f"method {f.kind}")
         for j in range(b.cols):
@@ -150,6 +150,10 @@ def _digits(text: str) -> int:
         value = -1
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    try:
+        f"{0.0:.{value}g}"  # the formatter's own limit, met here rather than mid-output
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"floats cannot be formatted with {text} digits") from None
     return value
 
 

@@ -1,4 +1,4 @@
-"""Gauss elimination without pivoting, plus the triangular substitutions.
+"""Gauss elimination without pivoting, plus one triangular substitution kernel.
 
 The eliminator reduces A to an upper-triangular matrix U, storing the
 multiplier m_il = a_il / a_ll used to clear each sub-diagonal entry. Row
@@ -8,9 +8,10 @@ elimination overflowed, raises ``ZeroPivotError`` instead of being worked
 around, because every consumer of the multiplier table depends on the
 elimination order being exactly 1..n. This is the one place a pivot is
 judged: the threshold rides on the record into the factors, and the
-substitution kernels test no pivot. A right-hand side that overflows, in
-the elimination or in a substitution, raises ``OverflowError``: the fault
-is the side's, not the matrix's.
+substitution kernel, one row loop for forward and back substitution alike,
+tests no pivot. A right-hand side that overflows, in the elimination or in
+a substitution, raises ``OverflowError``: the fault is the side's, not the
+matrix's.
 
 The elimination is blocked (right-looking). Each panel of ``_PANEL_WIDTH``
 columns is reduced column by column, with the pivot test at every column,
@@ -29,6 +30,7 @@ the arithmetic runs, so blocking does not change the ledger.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,30 +176,26 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None) -> Elimination
 
 
 @_overflow_is_checked
-def _solve_upper(u: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int]:
-    """Back substitution, last row upward, reading only u's upper triangle. Returns (solution, flops)."""
-    n, k = u.shape[0], c.shape[1]
-    x = np.zeros((n, k), dtype=np.result_type(u, c))
-    for i in range(n - 1, -1, -1):
-        x[i, :] = (c[i, :] - u[i, i + 1 :] @ x[i + 1 :, :]) / u[i, i]
-    _require_finite(x, "the back substitution")
-    return x, substitution_flops(n, k)
+def _substitute_rows(t: np.ndarray, c: np.ndarray, lower: bool, unit_diagonal: bool) -> tuple[np.ndarray, int]:
+    """Solve t @ x = c one row at a time, reading only t's own triangle. Returns (solution, flops).
 
-
-@_overflow_is_checked
-def _solve_lower(l: np.ndarray, c: np.ndarray, unit_diagonal: bool) -> tuple[np.ndarray, int]:
-    """Forward substitution, first row downward. Returns (solution, flops).
-
-    A unit diagonal is neither read nor divided by.
+    Lower walks the rows first-down (forward substitution), upper last-up
+    (back substitution). A unit diagonal is neither read nor divided by.
     """
-    n, k = l.shape[0], c.shape[1]
-    y = np.zeros((n, k), dtype=np.result_type(l, c))
-    for i in range(n):
-        y[i, :] = c[i, :] - l[i, :i] @ y[:i, :]
-        if not unit_diagonal:
-            y[i, :] /= l[i, i]
-    _require_finite(y, "the forward substitution")
-    return y, substitution_flops(n, k, unit_diagonal)
+    n, k = t.shape[0], c.shape[1]
+    x = np.zeros((n, k), dtype=np.result_type(t, c))
+    for i in range(n) if lower else range(n - 1, -1, -1):
+        lo, hi = (0, i) if lower else (i + 1, n)  # the rows of x already solved
+        r = c[i, :] - t[i, lo:hi] @ x[lo:hi, :]
+        x[i, :] = r if unit_diagonal else r / t[i, i]
+    _require_finite(x, "the forward substitution" if lower else "the back substitution")
+    return x, substitution_flops(n, k, unit_diagonal)
+
+
+# The two directions keep their own names, which the callers use and
+# perfbench's tracer wraps: _solve_upper(u, c), _solve_lower(l, c, unit_diagonal=...).
+_solve_upper = functools.partial(_substitute_rows, lower=False, unit_diagonal=False)
+_solve_lower = functools.partial(_substitute_rows, lower=True)
 
 
 def _require_triangular(m: DenseMatrix, lower: bool, unit_diagonal: bool = False, name: str = "matrix") -> None:

@@ -229,10 +229,14 @@ def solve(f: Factorization, b: DenseMatrix) -> SolveReport:
     )
 
 
-def verify(f: Factorization, a: DenseMatrix) -> float:
-    """Relative Frobenius error of the reconstruction against ``a``."""
+def _require_order(f: Factorization, a: DenseMatrix) -> None:
     if a.shape != (f.n, f.n):
         raise ShapeError(f"matrix is {a.rows}x{a.cols}, factorization is for n = {f.n}")
+
+
+def verify(f: Factorization, a: DenseMatrix) -> float:
+    """Relative Frobenius error of the reconstruction against ``a``."""
+    _require_order(f, a)
     diff = float(np.linalg.norm(f.rebuild().data - a.data))
     denom = float(np.linalg.norm(a.data))
     if denom == 0.0:

@@ -7,10 +7,11 @@ factorization; every later solve costs only two triangular substitutions.
 The flop ledger separates the one-time cost from the per-reuse cost so the
 economics are checkable without wall-clock noise.
 
-A session keeps only what it cannot derive, down to a count of reuse solves;
-residuals go back with each answer, so it does not grow with their number.
-Sessions are safe under concurrent use: a per-session lock lets exactly one
-caller eliminate and counts the reuses, whose substitutions run outside it.
+A session keeps only what it cannot derive, down to a count of the reuse
+solves that returned an answer; residuals go back with each answer, so it
+does not grow with their number. Sessions are safe under concurrent use: a
+per-session lock lets exactly one caller eliminate and counts the reuses,
+whose substitutions run outside it.
 An elimination that hits a zero pivot is not retried: later solves re-raise
 its error.
 """
@@ -145,8 +146,6 @@ def session_solve(s: SolveSession, b: DenseMatrix) -> SolveReport:
                 s._failure = copy.copy(exc)
                 raise
             f = s.factorization = from_record(record, s.method, s.symmetry_tol)
-        else:
-            s.reuse_count += 1
     if record is not None:
         # The first system is answered directly from the triangular system
         # U x = b' that the elimination left in the upper triangle of record.lu.
@@ -157,6 +156,8 @@ def session_solve(s: SolveSession, b: DenseMatrix) -> SolveReport:
         report = solve(f, b)
         solutions = report.solutions
         flops = report.flops
+        with s._lock:  # counted once answered: a reuse that raises is not one
+            s.reuse_count += 1
 
     residual = residual_norm(s.matrix, solutions, b)
     if residual > s.residual_tol:

@@ -3,7 +3,8 @@
 Nothing here calls into factorkit's solvers: the Cholesky factor is the
 classical textbook recursion, determinants come from cofactor expansion,
 and linear systems are solved by Cramer's rule. These stay deliberately
-naive so that agreement with the fast paths is meaningful.
+naive so that agreement with the fast paths is meaningful. The row
+substitutions are kept as the reference for the library's kernel.
 """
 
 from __future__ import annotations
@@ -86,6 +87,38 @@ def plain_eliminate(a: np.ndarray, b: np.ndarray):
         work[col + 1 :, col] = m
         rhs[col + 1 :, :] -= np.outer(m, rhs[col, :])
     return work, rhs, tuple(pivots)
+
+
+def row_back_substitute(u: np.ndarray, c: np.ndarray):
+    """Back substitution, last row upward, reading only u's upper triangle.
+
+    Returns (x, flops) with the flops tallied row by row: a multiply and an
+    add per known unknown, then a division. The arithmetic, in its order,
+    is the reference the library's substitution kernel must match bit for
+    bit.
+    """
+    n, k = u.shape[0], c.shape[1]
+    x = np.zeros((n, k), dtype=np.result_type(u, c))
+    flops = 0
+    for i in range(n - 1, -1, -1):
+        x[i, :] = (c[i, :] - u[i, i + 1 :] @ x[i + 1 :, :]) / u[i, i]
+        flops += k * (2 * (n - 1 - i) + 1)
+    return x, flops
+
+
+def row_forward_substitute(l: np.ndarray, c: np.ndarray, unit_diagonal: bool):
+    """Forward substitution, first row downward; a unit diagonal is neither
+    read nor divided by. Returns (y, flops), tallied as in
+    ``row_back_substitute``."""
+    n, k = l.shape[0], c.shape[1]
+    y = np.zeros((n, k), dtype=np.result_type(l, c))
+    flops = 0
+    for i in range(n):
+        y[i, :] = c[i, :] - l[i, :i] @ y[:i, :]
+        if not unit_diagonal:
+            y[i, :] /= l[i, i]
+        flops += k * (2 * i + (0 if unit_diagonal else 1))
+    return y, flops
 
 
 def random_symmetric(rng: np.random.Generator, n: int, *, complex_entries: bool = False) -> np.ndarray:

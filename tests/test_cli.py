@@ -177,6 +177,14 @@ class TestFactorThenSolve:
         assert code == 0
         assert "3.75 1.75 -0.5 1" in out.splitlines()
 
+    def test_forced_matrix_of_the_wrong_size_fails_before_output(self, capsys, files, tmp_path):
+        two, side = tmp_path / "two.fact", tmp_path / "side.mat"
+        run(capsys, "factor", "--input", files["skew"], "--output", two)
+        save_matrix(side, vector([1, 2]))
+        code, out, err = run(capsys, "solve", "--factor", two, "--rhs", side, "--matrix", files["a"], "--force")
+        assert (code, out) == (1, "")
+        assert err == "error: matrix is 4x4, factorization is for n = 2\n"
+
     def test_legacy_factor_file_still_verifies(self, capsys, files, tmp_path):
         legacy = tmp_path / "legacy.fact"
         legacy.write_text(LEGACY_GOLD_FACTOR_FILE)
@@ -471,6 +479,19 @@ class TestErrorsAndUsage:
         assert (code, out) == (1, "")
         assert err.startswith(f"usage: factorkit {command}")
         assert "argument --digits: expected a non-negative integer, got '-1'" in err
+        assert not files["fact"].exists()
+
+    @pytest.mark.parametrize("command", ["factor", "solve"])
+    def test_digits_beyond_the_float_formatter_is_a_usage_error(self, capsys, files, command):
+        args = {
+            "factor": ["--input", files["a"], "--output", files["fact"]],
+            "solve": ["--matrix", files["a"], "--rhs", files["b1"]],
+        }[command]
+        digits = "1" + "0" * 30
+        code, out, err = run(capsys, command, *args, "--digits", digits)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"usage: factorkit {command}")
+        assert f"argument --digits: floats cannot be formatted with {digits} digits" in err
         assert not files["fact"].exists()
 
     def test_non_numeric_digits_is_a_usage_error(self, capsys, files):

@@ -10,6 +10,7 @@ from factorkit import (
     back_substitute,
     forward_substitute,
     gauss_cholesky,
+    gauss_cholesky_from_record,
     gauss_eliminate,
     lu_from_record,
     matrix_hash,
@@ -18,6 +19,7 @@ from factorkit import (
     vector,
 )
 from factorkit.elimination import _PANEL_WIDTH as NB
+from factorkit.elimination import _solve_lower, _solve_upper
 from factorkit.elimination import elimination_flops, scaling_flops, substitution_flops
 from factorkit.matrices import EPS
 
@@ -40,7 +42,14 @@ from conftest import (
     SUBSTITUTION_OVERFLOW_A,
     SUBSTITUTION_OVERFLOW_B,
 )
-from oracles import cofactor_det, elimination_snapshots, plain_eliminate, random_symmetric
+from oracles import (
+    cofactor_det,
+    elimination_snapshots,
+    plain_eliminate,
+    random_symmetric,
+    row_back_substitute,
+    row_forward_substitute,
+)
 
 
 class TestGaussEliminate:
@@ -344,6 +353,36 @@ class TestFlopLedger:
     def test_scaling_flops_is_the_count_it_replaced(self):
         for n in range(1, 40):
             assert scaling_flops(n) == n + n * (n - 1) // 2
+
+
+class TestSubstitutionKernel:
+    """One row loop serves both triangles; it must reproduce the reference
+    row loops bit for bit, flops included, reading only its own triangle."""
+
+    @pytest.mark.parametrize("sides", [1, 3])
+    @pytest.mark.parametrize("kind", ["real", "complex", "real-t-complex-c"])
+    @pytest.mark.parametrize("n", [1, 2, NB - 1, NB, NB + 1, 64])
+    def test_bitwise_the_reference_row_loops(self, n, kind, sides):
+        rng = np.random.default_rng(n * 10 + sides)
+        a = _dominant(rng, n, complex_entries=kind == "complex")
+        c = rng.standard_normal((n, sides))
+        if kind != "real":
+            c = c + 1j * rng.standard_normal(c.shape)
+        record = gauss_eliminate(DenseMatrix(a))
+        lu = record.lu.data  # packed: the multipliers lie below U's diagonal
+        g = gauss_cholesky_from_record(record).g.data
+        assert g.T.flags.f_contiguous  # solve() hands the kernel this view
+        cases = [
+            (_solve_upper(lu, c), row_back_substitute(np.triu(lu), c)),
+            (_solve_upper(g, c), row_back_substitute(g, c)),
+            (_solve_lower(lu, c, unit_diagonal=True), row_forward_substitute(np.tril(lu, -1), c, True)),
+            (_solve_lower(g.T, c, unit_diagonal=False), row_forward_substitute(g.T, c, False)),
+        ]
+        for (x, flops), (want, want_flops) in cases:
+            assert x.dtype == want.dtype
+            # bytes, so that the sign of every zero matches too
+            assert x.tobytes() == want.tobytes()
+            assert flops == want_flops
 
 
 class TestBackSubstitute:

@@ -197,9 +197,12 @@ class TestSessionPivotVerdict:
         assert_array_equal(session_solve(s, vector([1, 1])).solutions.data.ravel(), [0.0, 1.0])
         with pytest.raises(OverflowError, match=f"^{FORWARD_OVERFLOW_MESSAGE}$"):
             session_solve(s, vector(SIDE_OVERFLOW_B))
+        costs = cost_report(s)  # the failed reuse answered nothing, so it is not counted
+        assert (costs.reuse_count, costs.total_flops) == (0, costs.first_flops)
         x = session_solve(s, vector([1, 1])).solutions.data.ravel()
         assert np.allclose(x, [0.0, 1.0], rtol=0, atol=1e-12)
         assert len(gauss_eliminate_calls) == 1
+        assert cost_report(s).reuse_count == 1
 
     @pytest.mark.parametrize("method", [KIND_LU, KIND_GAUSS_CHOLESKY])
     def test_reuse_solves_compute_no_threshold(self, pivot_threshold_calls, method, golden_a, golden_b1, golden_b2):
