@@ -13,6 +13,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -97,7 +98,12 @@ def _cmd_solve(args) -> int:
     session = open_session(a, args.method, symmetry_tol=symmetry_tol, residual_tol=residual_tol)
     print(f"method {session.method}")
     for j in range(b.cols):
-        report = session_solve(session, b.column(j))
+        # The library's warnings become fixed-text diagnostics, whatever the warning filters or install path.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = session_solve(session, b.column(j))
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
         print(_solution_line(report.solutions, args.digits))
         print(f"residual {_display(report.residuals[0], args.digits)}")
     costs = cost_report(session)

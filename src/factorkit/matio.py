@@ -28,6 +28,9 @@ legacy ``text`` scheme, blake2b of the matrix's canonical text (its file
 text, ``render_matrix``), which is computed only when such a file is checked
 against a matrix.
 
+Parse errors name their 1-based line. A malformed header or provenance line
+is reported at its keyword's column, a missing one at the file's last line.
+
 ``pivot-threshold`` is the elimination's bound n * eps * max|A|; loading
 checks the recorded pivots against it and requires the divisors (u_ii, or
 g_ii, the pivots' principal roots) to be exactly those pivots' own. Files
@@ -66,24 +69,15 @@ _LEGACY_HASH_SCHEME = "text"
 
 
 class _Lines:
-    """Cursor over content lines, skipping blanks and comments."""
+    """Cursor over the content lines (neither blank nor a comment), numbered from 1."""
 
     def __init__(self, text: str):
-        self._lines = text.splitlines()
-        self._pos = 0
+        lines = text.splitlines()
+        self.end_line = max(len(lines), 1)
+        self._content = ((i, raw) for i, raw in enumerate(lines, 1) if raw.lstrip()[:1] not in ("", "#"))
 
     def next_content(self) -> tuple[int, str] | None:
-        while self._pos < len(self._lines):
-            raw = self._lines[self._pos]
-            self._pos += 1
-            stripped = raw.strip()
-            if stripped and not stripped.startswith("#"):
-                return self._pos, raw
-        return None
-
-    @property
-    def end_line(self) -> int:
-        return max(len(self._lines), 1)
+        return next(self._content, None)
 
 
 def _tokens(raw: str) -> list[tuple[str, int]]:
@@ -131,6 +125,27 @@ def _parse_field(tok: str, line: int, col: int) -> str:
     return tok
 
 
+def _expect_keyword(
+    cur: _Lines, keyword: str, counts: tuple[int, ...] = (), miss: str = "", absent: str = ""
+) -> tuple[int, list[tuple[str, int]]]:
+    """The next content line, which must start with ``keyword`` and, given ``counts``, hold that many tokens.
+
+    A wrong count reports ``miss``, formatted with the ``tokens`` found and the
+    ``values`` after the keyword; both misses point at the keyword's column.
+    """
+    item = cur.next_content()
+    if item is None:
+        raise ParseError(cur.end_line, absent or f"keyword '{keyword}'")
+    line, raw = item
+    toks = _tokens(raw)
+    head, col = toks[0]
+    if head != keyword:
+        raise ParseError(line, f"keyword '{keyword}', got {head!r}", col)
+    if counts and len(toks) not in counts:
+        raise ParseError(line, miss.format(tokens=len(toks), values=len(toks) - 1), col)
+    return line, toks
+
+
 def _read_rows(cur: _Lines, rows: int, cols: int, field: str, what: str) -> np.ndarray:
     collected = []
     parse = _parse_complex if field == "complex" else _parse_real
@@ -149,16 +164,9 @@ def _read_rows(cur: _Lines, rows: int, cols: int, field: str, what: str) -> np.n
 
 def parse_matrix(text: str) -> DenseMatrix:
     """Parse matrix-file text; raises ``ParseError`` naming the bad line."""
+    shape = "'matrix <rows> <cols> <field>'"
     cur = _Lines(text)
-    item = cur.next_content()
-    if item is None:
-        raise ParseError(cur.end_line, "header line 'matrix <rows> <cols> <field>'")
-    line, raw = item
-    toks = _tokens(raw)
-    if toks[0][0] != "matrix":
-        raise ParseError(line, f"keyword 'matrix', got {toks[0][0]!r}", toks[0][1])
-    if len(toks) != 4:
-        raise ParseError(line, f"'matrix <rows> <cols> <field>', got {len(toks)} tokens", toks[0][1])
+    line, toks = _expect_keyword(cur, "matrix", (4,), shape + ", got {tokens} tokens", f"header line {shape}")
     rows = _parse_int(toks[1][0], line, toks[1][1], "positive integer row count")
     cols = _parse_int(toks[2][0], line, toks[2][1], "positive integer column count")
     field = _parse_field(toks[3][0], line, toks[3][1])
@@ -214,23 +222,10 @@ def render_factorization(f: Factorization) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _expect_keyword(cur: _Lines, keyword: str) -> tuple[int, list[tuple[str, int]]]:
-    item = cur.next_content()
-    if item is None:
-        raise ParseError(cur.end_line, f"keyword '{keyword}'")
-    line, raw = item
-    toks = _tokens(raw)
-    if toks[0][0] != keyword:
-        raise ParseError(line, f"keyword '{keyword}', got {toks[0][0]!r}", toks[0][1])
-    return line, toks
-
-
 def parse_factorization(text: str) -> Factorization:
     """Parse factor-file text back into a ``Factorization``, bit for bit."""
     cur = _Lines(text)
-    line, toks = _expect_keyword(cur, "factor")
-    if len(toks) != 4:
-        raise ParseError(line, f"'factor <kind> <n> <field>', got {len(toks)} tokens", toks[0][1])
+    line, toks = _expect_keyword(cur, "factor", (4,), "'factor <kind> <n> <field>', got {tokens} tokens")
     kind = toks[1][0]
     if kind not in FACTOR_NAMES:
         raise ParseError(line, f"kind {' or '.join(map(repr, FACTOR_NAMES))}, got {kind!r}", toks[1][1])
@@ -244,9 +239,7 @@ def parse_factorization(text: str) -> Factorization:
 
     _expect_keyword(cur, "provenance")
 
-    line, toks = _expect_keyword(cur, "matrix-hash")
-    if len(toks) not in (2, 3):
-        raise ParseError(line, "a hash value and its scheme", toks[0][1])
+    line, toks = _expect_keyword(cur, "matrix-hash", (2, 3), "a hash value and its scheme")
     source_hash = toks[1][0]
     scheme = _LEGACY_HASH_SCHEME
     if len(toks) == 3:
@@ -254,22 +247,16 @@ def parse_factorization(text: str) -> Factorization:
         if scheme != HASH_SCHEME:
             raise ParseError(line, f"hash scheme {HASH_SCHEME!r}, got {scheme!r}", col)
 
-    line, toks = _expect_keyword(cur, "pivots")
-    if len(toks) != n + 1:
-        raise ParseError(line, f"{n} pivots, found {len(toks) - 1}", toks[0][1])
+    line, toks = _expect_keyword(cur, "pivots", (n + 1,), f"{n} pivots, found {{values}}")
     pivots = tuple(
         _parse_complex(tok, line, col) if "," in tok else _parse_real(tok, line, col)
         for tok, col in toks[1:]
     )
 
-    line, toks = _expect_keyword(cur, "flops")
-    if len(toks) != 2:
-        raise ParseError(line, "a flop count", toks[0][1])
+    line, toks = _expect_keyword(cur, "flops", (2,), "a flop count")
     flops = _parse_int(toks[1][0], line, toks[1][1], "non-negative integer flop count", minimum=0)
 
-    line, toks = _expect_keyword(cur, "symmetry-tol")
-    if len(toks) != 2:
-        raise ParseError(line, "a tolerance or 'none'", toks[0][1])
+    line, toks = _expect_keyword(cur, "symmetry-tol", (2,), "a tolerance or 'none'")
     tol = None if toks[1][0] == "none" else _parse_real(toks[1][0], line, toks[1][1])
 
     threshold = None

@@ -1,4 +1,7 @@
+import importlib
 import os
+import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -225,6 +228,8 @@ class TestFactorThenSolve:
 
 
 METHODS = ("lu", "gauss-cholesky", "auto")
+# What session solve prints on stderr when a residual exceeds the default tolerance.
+RESIDUAL_WARNING = re.compile(r"warning: solve residual \d\.\d{3}e-\d\d exceeds session tolerance 1\.000e-10\n")
 
 
 @pytest.fixture
@@ -248,12 +253,10 @@ class TestOnePivotVerdict:
             assert "pivots 1e-08 -99999999" in out.splitlines()
             code, out, err = run(capsys, "solve", "--factor", fact, "--matrix", probe["near"], "--rhs", probe["b"])
             assert (code, err) == (0, "")
-            # session solves answer, and warn that the residual exceeds 1e-10
-            with pytest.warns(RuntimeWarning, match="exceeds session tolerance"):
-                code, out, err = run(
-                    capsys, "solve", "--matrix", probe["near"], "--rhs", probe["b"], "--method", method
-                )
+            # session solves answer, and warn on stderr that the residual exceeds 1e-10
+            code, out, err = run(capsys, "solve", "--matrix", probe["near"], "--rhs", probe["b"], "--method", method)
             assert code == 0
+            assert RESIDUAL_WARNING.fullmatch(err)
             lines = out.splitlines()
             assert lines[0] == ("method lu" if method == "lu" else "method gauss-cholesky")
             x = [float(v) for v in lines[1].split()]
@@ -271,9 +274,9 @@ class TestOnePivotVerdict:
             assert (code, err) == (0, "")
             code, _, err = run(capsys, "solve", "--factor", fact, "--matrix", ulp, "--rhs", probe["b"])
             assert (code, err) == (0, "")
-            with pytest.warns(RuntimeWarning, match="exceeds session tolerance"):
-                code, out, _ = run(capsys, "solve", "--matrix", ulp, "--rhs", probe["b"], "--method", method)
+            code, out, err = run(capsys, "solve", "--matrix", ulp, "--rhs", probe["b"], "--method", method)
             assert code == 0
+            assert RESIDUAL_WARNING.fullmatch(err)
             assert out.splitlines()[0] == ("method lu" if method == "lu" else "method gauss-cholesky")
 
     def test_zero_pivot_rejected_everywhere_in_column_1(self, capsys, probe, tmp_path):
@@ -432,8 +435,20 @@ class TestBench:
         assert "n >= 1" in err
 
 
+def _run_module(src, argv, *flags):
+    """Run ``python <flags> -m factorkit.cli <argv>`` with the package imported from ``src``."""
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "factorkit.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 class TestEntryPoint:
-    """``python -m factorkit.cli`` exits with the code ``cli_main`` returns."""
+    """``python -m factorkit.cli`` and the ``factorkit`` console script behave as ``cli_main``."""
 
     @pytest.mark.parametrize(
         "entries, code",
@@ -450,14 +465,37 @@ class TestEntryPoint:
         expected = run(capsys, *argv)
         assert expected[0] == code
         src = Path(factorkit.__file__).resolve().parents[1]
-        proc = subprocess.run(
-            [sys.executable, "-m", "factorkit.cli", *argv],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert (proc.returncode, proc.stdout, proc.stderr) == expected
+        assert _run_module(src, argv) == expected
+
+    def test_residual_warning_is_one_fixed_line_however_the_cli_runs(self, capsys, tmp_path):
+        save_matrix(tmp_path / "near.mat", DenseMatrix(NEAR_SINGULAR_A))
+        save_matrix(tmp_path / "b.mat", DenseMatrix([[1, 2], [2, 3]]))
+        argv = ["solve", "--matrix", str(tmp_path / "near.mat"), "--rhs", str(tmp_path / "b.mat"), "--method", "lu"]
+        expected = run(capsys, *argv)
+        code, out, err = expected
+        assert code == 0 and out.startswith("method lu\n")
+        assert re.fullmatch(f"(?:{RESIDUAL_WARNING.pattern}){{2}}", err)  # one per column, and no source path
+        src = Path(factorkit.__file__).resolve().parents[1]
+        moved = tmp_path / "moved"
+        shutil.copytree(src / "factorkit", moved / "factorkit", ignore=shutil.ignore_patterns("__pycache__"))
+        assert _run_module(src, argv) == expected
+        assert _run_module(src, argv, "-W", "error") == expected
+        assert _run_module(src, argv, "-W", "ignore") == expected
+        assert _run_module(moved, argv) == expected
+
+    def test_console_script_target_runs_cli_main(self, capsys, monkeypatch, tmp_path):
+        pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+        scripts = pyproject.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        ((module, name),) = re.findall(r'^factorkit = "([\w.]+):(\w+)"$', scripts, flags=re.M)
+        path = tmp_path / "a.mat"
+        save_matrix(path, DenseMatrix(GOLD_A))
+        code, out, _ = run(capsys, "check", "--input", path)
+        assert code == 0 and out
+        monkeypatch.setattr(sys, "argv", ["factorkit", "check", "--input", str(path)])
+        with pytest.raises(SystemExit) as exc:
+            getattr(importlib.import_module(module), name)()
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == out
 
 
 class TestErrorsAndUsage:

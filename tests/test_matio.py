@@ -284,6 +284,70 @@ class TestPivotThresholdLine:
         assert out.getvalue().splitlines() == shown
         assert len(shown) == 2
 
+
+# GOLD_A's factor file, one entry per line: 1 header, 2 g, 3-6 rows, 7 provenance,
+# 8 matrix-hash, 9 pivots, 10 flops, 11 symmetry-tol, 12 pivot-threshold.
+GOLD_FACTOR_LINES = render_factorization(gauss_cholesky(DenseMatrix(GOLD_A))).splitlines()
+
+
+def _gold_factor(line: int, replacement: str) -> str:
+    lines = list(GOLD_FACTOR_LINES)
+    lines[line - 1] = replacement
+    return "\n".join(lines) + "\n"
+
+
+def _gold_factor_cut(before: int, tail: str = "") -> str:
+    return "\n".join(GOLD_FACTOR_LINES[: before - 1]) + "\n" + tail
+
+
+class TestKeywordLineErrors:
+    """Every header and provenance line's error: message, line and column, pinned whole."""
+
+    @pytest.mark.parametrize(
+        "parse, text, message, line, column",
+        [
+            (parse_matrix, "", "line 1: expected header line 'matrix <rows> <cols> <field>'", 1, None),
+            (parse_matrix, "# only\n\n  # note\n",
+             "line 3: expected header line 'matrix <rows> <cols> <field>'", 3, None),
+            (parse_factorization, "", "line 1: expected keyword 'factor'", 1, None),
+            (parse_factorization, "# only\n\n  # note\n", "line 3: expected keyword 'factor'", 3, None),
+            (parse_matrix, "\n  vector 2 2 real\n1 2\n3 4\n",
+             "line 2, column 3: expected keyword 'matrix', got 'vector'", 2, 3),
+            (parse_factorization, "matrix 1 1 real\n1\n",
+             "line 1, column 1: expected keyword 'factor', got 'matrix'", 1, 1),
+            (parse_matrix, "  matrix 2 2\n1 2\n3 4\n",
+             "line 1, column 3: expected 'matrix <rows> <cols> <field>', got 3 tokens", 1, 3),
+            (parse_matrix, "# c\nmatrix 2 2 real 9\n1 2\n3 4\n",
+             "line 2, column 1: expected 'matrix <rows> <cols> <field>', got 5 tokens", 2, 1),
+            (parse_factorization, _gold_factor(1, " factor gauss-cholesky 4"),
+             "line 1, column 2: expected 'factor <kind> <n> <field>', got 3 tokens", 1, 2),
+            (parse_factorization, _gold_factor(8, "  matrix-hash"),
+             "line 8, column 3: expected a hash value and its scheme", 8, 3),
+            (parse_factorization, _gold_factor(8, "matrix-hash 0123456789abcdef bytes x"),
+             "line 8, column 1: expected a hash value and its scheme", 8, 1),
+            (parse_factorization, _gold_factor(9, "pivots 1.0 4.0 4.0 1.0 1.0"),
+             "line 9, column 1: expected 4 pivots, found 5", 9, 1),
+            (parse_factorization, _gold_factor(9, "   pivots"),
+             "line 9, column 4: expected 4 pivots, found 0", 9, 4),
+            (parse_factorization, _gold_factor(10, "flops"), "line 10, column 1: expected a flop count", 10, 1),
+            (parse_factorization, _gold_factor(10, " flops 44 44"), "line 10, column 2: expected a flop count", 10, 2),
+            (parse_factorization, _gold_factor(11, "  symmetry-tol"),
+             "line 11, column 3: expected a tolerance or 'none'", 11, 3),
+            (parse_factorization, _gold_factor(11, "symmetry-tol none 1e-12"),
+             "line 11, column 1: expected a tolerance or 'none'", 11, 1),
+            (parse_factorization, _gold_factor_cut(7), "line 6: expected keyword 'provenance'", 6, None),
+            (parse_factorization, _gold_factor_cut(7, "\n# cut\n  \n"),
+             "line 9: expected keyword 'provenance'", 9, None),
+            (parse_factorization, _gold_factor_cut(9), "line 8: expected keyword 'pivots'", 8, None),
+            (parse_factorization, _gold_factor_cut(9, "# cut\n\n"), "line 10: expected keyword 'pivots'", 10, None),
+        ],
+    )
+    def test_error_is_pinned(self, parse, text, message, line, column):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (str(exc.value), exc.value.line, exc.value.column) == (message, line, column)
+
+
 class TestFuzz:
     ALPHABET = "0123456789.,-+eE# \nmatrixcomplel"
 
@@ -301,6 +365,14 @@ class TestFuzz:
                 chars = chars[: int(rng.integers(0, len(chars) + 1))]
         return "".join(chars)
 
+    @staticmethod
+    def _assert_points_into(text, exc):
+        """The error names a line of ``text``, and any column starts a token on that line."""
+        lines = text.splitlines()
+        assert 1 <= exc.line <= max(len(lines), 1)
+        if exc.column is not None:
+            assert exc.column in [m.start() + 1 for m in re.finditer(r"\S+", lines[exc.line - 1])]
+
     def test_mutated_matrix_files_never_crash(self, golden_a):
         rng = np.random.default_rng(32)
         base = render_matrix(golden_a)
@@ -312,6 +384,7 @@ class TestFuzz:
             except ParseError as exc:
                 rejected += 1
                 assert f"line {exc.line}" in str(exc)
+                self._assert_points_into(mutated, exc)
         assert rejected > 0
 
     def test_mutated_factor_files_never_crash(self, golden_a):
@@ -323,3 +396,4 @@ class TestFuzz:
                 parse_factorization(mutated)
             except ParseError as exc:
                 assert exc.line >= 1
+                self._assert_points_into(mutated, exc)
