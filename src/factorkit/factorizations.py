@@ -16,6 +16,7 @@ concurrent solves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +103,8 @@ class Factorization:
             if m.shape != (self.n, self.n):
                 raise ShapeError(f"factor {name} must be {self.n}x{self.n}, got {m.rows}x{m.cols}")
             _require_triangular(m, lower=name == "l", unit_diagonal=name == "l", name=f"factor {name}")
+        if len({getattr(self, name).field for name in names}) > 1:  # a factor file has one field
+            raise ValueError(f"{self.kind} factors must be all real or all complex")
         # The solves divide by the last factor's diagonal: u_ii, the pivots, or
         # g_ii, their roots. A recorded threshold judges the pivots themselves,
         # which the diagonal must then match exactly; without one the factor
@@ -121,13 +124,10 @@ class Factorization:
             raise ValueError(f"factor {name} has a negligible diagonal entry")
 
     def rebuild(self) -> DenseMatrix:
-        """Multiply the factors back together."""
+        """Multiply the factors back together; G^T G is exactly symmetric."""
         if self.kind == KIND_LU:
             return DenseMatrix(self.l.data @ self.u.data)
-        # G^T is copied on purpose: on a single buffer numpy computes g.T @ g
-        # with syrk, whose summation order changes the last bits of the
-        # product and so of the reconstruction error that ``factor`` prints.
-        return DenseMatrix(np.array(self.g.data.T) @ self.g.data)
+        return DenseMatrix(self.g.data.T @ self.g.data)
 
 
 def _pivot_roots(pivots: tuple) -> np.ndarray:  # G's diagonal
@@ -185,11 +185,9 @@ def from_record(record: EliminationRecord, kind: str, symmetry_tol: float = DEFA
 
 
 def require_symmetric(a: DenseMatrix, tol: float = DEFAULT_SYMMETRY_TOL) -> None:
-    """Raise ``NotSymmetricError`` unless a_ij == a_ji within tolerance."""
-    deviation, at = a.symmetry_deviation()
-    bound = tol * max(1.0, a.max_abs())
-    if deviation > bound:
-        raise NotSymmetricError(deviation, at, bound)
+    """Raise ``NotSymmetricError`` unless ``a.is_symmetric(tol)``."""
+    if not a.is_symmetric(tol):
+        raise NotSymmetricError(*a.symmetry_deviation(), tol * a.max_abs())
 
 
 def gauss_cholesky(a: DenseMatrix, symmetry_tol: float = DEFAULT_SYMMETRY_TOL) -> Factorization:
@@ -235,10 +233,16 @@ def _require_order(f: Factorization, a: DenseMatrix) -> None:
 
 
 def verify(f: Factorization, a: DenseMatrix) -> float:
-    """Relative Frobenius error of the reconstruction against ``a``."""
+    """Relative Frobenius error of the reconstruction against ``a``.
+
+    Both norms are taken of entries divided by a power of two within a
+    factor 2 of max|A| (an exact division), so they neither overflow nor
+    underflow however large or small A's entries are.
+    """
     _require_order(f, a)
-    diff = float(np.linalg.norm(f.rebuild().data - a.data))
-    denom = float(np.linalg.norm(a.data))
+    scale = math.ldexp(1.0, min(math.frexp(a.max_abs())[1], 1023))
+    diff = float(np.linalg.norm((f.rebuild().data - a.data) / scale))
+    denom = float(np.linalg.norm(a.data / scale))
     if denom == 0.0:
         return 0.0 if diff == 0.0 else float("inf")
     return diff / denom

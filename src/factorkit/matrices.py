@@ -31,7 +31,7 @@ __all__ = [
 
 EPS = float(np.finfo(np.float64).eps)
 
-# Relative symmetry tolerance: max|a_ij - a_ji| <= tol * max(1, max|a_ij|).
+# Relative symmetry tolerance: max|a_ij - a_ji| <= tol * max|a_ij|.
 DEFAULT_SYMMETRY_TOL = 1e-12
 
 #: Name of the scheme ``matrix_hash`` uses, recorded in factor files.
@@ -134,8 +134,9 @@ class DenseMatrix:
         return float(diff[i, j]), (int(i) + 1, int(j) + 1)
 
     def is_symmetric(self, tol: float = DEFAULT_SYMMETRY_TOL) -> bool:
+        """The package's one symmetry rule: max|a_ij - a_ji| <= tol * max|a_ij|."""
         deviation, _ = self.symmetry_deviation()
-        return deviation <= tol * max(1.0, self.max_abs())
+        return deviation <= tol * self.max_abs()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DenseMatrix):

@@ -67,6 +67,12 @@ BACK_OVERFLOW_MESSAGE = "the back substitution overflowed"
 # root, squared, rounds to at or below it: the elimination accepts it, so
 # every path must, including the one that builds G from that root.
 ULP_ABOVE_THRESHOLD_A = [[5.825701929797969e-16, 1.3118314520104855], [1.3118314520104855, 1.3118314520104855]]
+# Asymmetric by 1e-13, half its largest entry: symmetric only if the
+# tolerance were floored at an absolute 1e-12. Both columns of the side
+# have the solution (0.25, 0.5); read as G^T G, A answers (0.375, 0.25).
+TINY_ASYMMETRIC_A = [[2e-13, 1e-13], [0, 2e-13]]
+TINY_ASYMMETRIC_B = [[1e-13, 1e-13], [1e-13, 1e-13]]
+TINY_ASYMMETRIC_MESSAGE = "matrix is not symmetric: |a[1,2] - a[2,1]| = 1.000000e-13 exceeds 2.000000e-25"
 
 
 def _count_calls(monkeypatch, module, name):

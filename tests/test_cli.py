@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import factorkit
-from factorkit import DenseMatrix, render_matrix, save_matrix, vector
+from factorkit import DenseMatrix, load_factorization, load_matrix, render_matrix, save_matrix, vector
 from factorkit.cli import cli_main
 
 from conftest import (
@@ -29,6 +29,9 @@ from conftest import (
     SIDE_OVERFLOW_MESSAGE,
     SUBSTITUTION_OVERFLOW_A,
     SUBSTITUTION_OVERFLOW_B,
+    TINY_ASYMMETRIC_A,
+    TINY_ASYMMETRIC_B,
+    TINY_ASYMMETRIC_MESSAGE,
     ULP_ABOVE_THRESHOLD_A,
     ZERO_PIVOT_A,
 )
@@ -321,6 +324,39 @@ class TestOverflowingElimination:
             assert out.splitlines() == ["method lu" if method == "lu" else "method gauss-cholesky"]
 
 
+class TestRelativeSymmetry:
+    """A matrix far below 1 in magnitude is judged symmetric relative to its own
+    largest entry on every path, so its asymmetry is never factored as G^T G."""
+
+    def test_tiny_asymmetric_matrix_is_solved_by_lu_everywhere(self, capsys, tmp_path):
+        a, b, fact = tmp_path / "a.mat", tmp_path / "b.mat", tmp_path / "a.fact"
+        save_matrix(a, DenseMatrix(TINY_ASYMMETRIC_A))
+        save_matrix(b, DenseMatrix(TINY_ASYMMETRIC_B))
+        assert run(capsys, "check", "--input", a) == (0, (
+            "rows 2\ncols 2\nsquare true\n"
+            "symmetric false (max deviation 1e-13 at (1,2))\n"
+            "pivots 2e-13 2e-13\n"
+        ), "")
+        for method in ("lu", "auto"):
+            assert run(capsys, "factor", "--input", a, "--method", method, "--output", fact) == (0, (
+                "kind lu\nn 2\npivots 2e-13 2e-13\nreconstruction-error 0\n"
+                f"wrote {fact}\n"
+            ), "")
+            assert run(capsys, "solve", "--factor", fact, "--rhs", b) == (0, "method lu\n0.25 0.5\n0.25 0.5\n", "")
+            assert run(capsys, "solve", "--factor", fact, "--rhs", b, "--matrix", a) == (
+                0, "method lu\n0.25 0.5\nresidual 0\n0.25 0.5\nresidual 0\n", ""
+            )
+            assert run(capsys, "solve", "--matrix", a, "--rhs", b, "--method", method) == (0, (
+                "method lu\n0.25 0.5\nresidual 0\n0.25 0.5\nresidual 0\n"
+                "flops first 9\nflops reuse-per-rhs 6\nflops total 15\n"
+            ), "")
+        fact.unlink()
+        refused = (2, "", f"error: {TINY_ASYMMETRIC_MESSAGE}\n")
+        assert run(capsys, "factor", "--input", a, "--method", "gauss-cholesky", "--output", fact) == refused
+        assert not fact.exists()
+        assert run(capsys, "solve", "--matrix", a, "--rhs", b, "--method", "gauss-cholesky") == refused
+
+
 def _failure_paths():
     # (id, kind, steps): a path is the commands a user runs, in order, until
     # one fails; solve --factor reads the file that factor writes.
@@ -336,6 +372,17 @@ def _failure_paths():
 
 _PATH_KINDS = ("check", "factor", "solve-factor", "session")
 
+# Well-conditioned matrices whose entries are near 1e200, 1e160 and 1e-160:
+# the squares in a Frobenius norm of them overflow or underflow.
+MAGNITUDES = (1e200, 1e160, 1e-160)
+
+
+def _scaled_spd(scale):
+    """(M^T M + 5 I) * scale for one fixed 5x5 M."""
+    m = np.random.default_rng(3).standard_normal((5, 5))
+    return (m.T @ m + 5 * np.eye(5)) * scale
+
+
 # fault: (matrix, side, {path kind: (exit code, message or None)})
 FAULTS = {
     "overflowing-pivot": (OVERFLOW_A, [1, 1], dict.fromkeys(_PATH_KINDS, (2, OVERFLOW_MESSAGE))),
@@ -349,6 +396,7 @@ FAULTS = {
         "solve-factor": (2, BACK_OVERFLOW_MESSAGE), "session": (2, BACK_OVERFLOW_MESSAGE),
     }),
     "malformed-token": ("matrix 2 2 real\n1 x\n1 1\n", [1, 1], dict.fromkeys(_PATH_KINDS, (1, "line 2"))),
+    **{f"magnitude-{s:g}": (_scaled_spd(s), [1] * 5, dict.fromkeys(_PATH_KINDS, (0, None))) for s in MAGNITUDES},
 }
 
 
@@ -388,6 +436,19 @@ class TestFailureTable:
         else:
             assert len(err.splitlines()) == 1
             assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("scale", MAGNITUDES)
+    @pytest.mark.parametrize("method", ["lu", "gauss-cholesky"])
+    def test_factor_measures_any_magnitude(self, capsys, tmp_path, method, scale):
+        a, fact = tmp_path / "a.mat", tmp_path / "a.fact"
+        save_matrix(a, DenseMatrix(_scaled_spd(scale)))
+        code, out, err = run(capsys, "factor", "--input", a, "--method", method, "--output", fact)
+        assert (code, err) == (0, "")
+        (line,) = [line for line in out.splitlines() if line.startswith("reconstruction-error ")]
+        error = float(line.split()[1])
+        # 0 only where the product is exact, as LU's is at 1e160
+        exact = np.array_equal(load_factorization(fact).rebuild().data, load_matrix(a).data)
+        assert error == 0.0 if exact else 0.0 < error <= 1e-14
 
     @pytest.mark.parametrize("method", METHODS)
     def test_session_answers_a_side_then_fails_on_an_overflowing_one(self, capsys, tmp_path, method):

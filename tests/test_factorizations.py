@@ -288,6 +288,14 @@ class TestVerifyAndValidation:
         with pytest.raises(ValueError, match="unit diagonal"):
             Factorization(kind=KIND_LU, n=4, provenance=prov, l=DenseMatrix(2 * np.eye(4)), u=lu_from_record(record).u)
 
+    def test_construction_rejects_factors_of_mixed_fields(self, golden_a):
+        # A factor file has one field for all its factors, so such a pair could not be read back.
+        f = lu_from_record(gauss_eliminate(golden_a))
+        with pytest.raises(ValueError, match="lu factors must be all real or all complex"):
+            dataclasses.replace(f, u=DenseMatrix(f.u.data.astype(complex)))
+        with pytest.raises(ValueError, match="lu factors must be all real or all complex"):
+            dataclasses.replace(f, l=DenseMatrix(f.l.data.astype(complex)))
+
     def test_construction_rejects_zero_diagonal_g(self):
         prov = Provenance("0" * 16, (0.0,), 0)
         with pytest.raises(ValueError, match="negligible"):
@@ -297,6 +305,36 @@ class TestVerifyAndValidation:
         f = gauss_cholesky(golden_a)
         assert f.l is None and f.u is None
         assert transpose(f.g) == DenseMatrix(np.array(GOLD_G, dtype=float).T)
+
+
+class TestRebuild:
+    @pytest.mark.parametrize("n", [5, 17, 64])
+    @pytest.mark.parametrize("shape", ["spd", "indefinite", "complex-symmetric"])
+    def test_g_transpose_g_is_exactly_symmetric(self, shape, n):
+        rng = np.random.default_rng(n)
+        if shape == "spd":
+            a = random_spd(rng, n)
+        elif shape == "indefinite":  # diagonally dominant with diagonal signs +, -, +, ...
+            a = random_symmetric(rng, n) + n * np.diag((-1.0) ** np.arange(n))
+        else:
+            a = random_symmetric(rng, n, complex_entries=True) + n * np.eye(n)
+        f = gauss_cholesky(DenseMatrix(a))
+        rebuilt = f.rebuild().data
+        assert_array_equal(rebuilt, rebuilt.T)
+        assert verify(f, DenseMatrix(a)) <= 1e-13
+
+    @pytest.mark.parametrize("scale", [2.0**-1000, 1e-160, 1e160, 1e200, 1e300])
+    @pytest.mark.parametrize("kind", [KIND_LU, KIND_GAUSS_CHOLESKY])
+    def test_verify_is_relative_at_any_magnitude(self, kind, scale):
+        a = DenseMatrix(random_spd(np.random.default_rng(14), 6) * scale)
+        f = from_record(gauss_eliminate(a), kind)
+        error = verify(f, a)
+        assert error == 0.0 if np.array_equal(f.rebuild().data, a.data) else 0.0 < error <= 1e-14
+
+    def test_verify_near_the_largest_double(self):
+        # max|A| >= 2**1023, whose power of two 2**1024 is not a double
+        a = DenseMatrix([[1.7e308, 1e307], [1e307, 1e308]])
+        assert verify(gauss_cholesky(a), a) <= 1e-14
 
 
 class TestOnePivotPolicy:

@@ -27,6 +27,7 @@ from factorkit import (
 from factorkit.matio import stale_factor_check
 
 from conftest import GOLD_A, LEGACY_GOLD_FACTOR_FILE, NEAR_SINGULAR_A
+from oracles import random_spd, random_symmetric
 
 
 def random_matrix(rng, complex_entries=False):
@@ -157,6 +158,26 @@ class TestFactorFiles:
         assert f2.g.is_complex
         assert_array_equal(f2.g.data, f.g.data)
         assert f2.provenance.pivots == (1.0, -3.0)
+
+    @pytest.mark.parametrize("n", [1, 4, 17])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("kind", ["lu", "gauss-cholesky"])
+    def test_parse_inverts_render(self, kind, field, n):
+        rng = np.random.default_rng(n)
+        if kind == "lu":
+            a = rng.standard_normal((n, n)) + n * np.eye(n)
+            if field == "complex":
+                a = a + 1j * rng.standard_normal((n, n))
+            f = lu_from_record(gauss_eliminate(DenseMatrix(a)))
+        elif field == "real":
+            f = gauss_cholesky(DenseMatrix(random_spd(rng, n)))
+        else:
+            f = gauss_cholesky(DenseMatrix(random_symmetric(rng, n, complex_entries=True) + n * np.eye(n)))
+        assert getattr(f, "u" if kind == "lu" else "g").field == field
+        text = render_factorization(f)
+        parsed = parse_factorization(text)
+        assert parsed == f
+        assert render_factorization(parsed) == text
 
     def test_file_round_trip(self, tmp_path, golden_a):
         path = tmp_path / "a.fact"

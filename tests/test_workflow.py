@@ -34,6 +34,8 @@ from factorkit import (
 import factorkit.matio
 import factorkit.workflow
 from factorkit.elimination import elimination_flops, scaling_flops, substitution_flops
+from factorkit.factorizations import require_symmetric
+from factorkit.matrices import DEFAULT_SYMMETRY_TOL
 from factorkit.workflow import resolve_method
 
 from conftest import (
@@ -108,6 +110,38 @@ class TestResolveMethod:
     def test_non_square_fails_whatever_the_method(self, method):
         with pytest.raises(NonSquareError):
             resolve_method(DenseMatrix([[1, 2, 3], [4, 5, 6]]), method)
+
+
+def _symmetry_verdicts(a, tol):
+    try:
+        require_symmetric(a, tol)
+        raises = False
+    except NotSymmetricError:
+        raises = True
+    return a.is_symmetric(tol), raises, resolve_method(a, "auto", tol)
+
+
+class TestOneSymmetryRule:
+    """Symmetry is judged relative to max|a_ij| alone, so scaling A by a power
+    of two, which scales every |a_ij - a_ji| and max|a_ij| exactly, changes no
+    verdict; and require_symmetric raises exactly when is_symmetric is false."""
+
+    @pytest.mark.parametrize("tol", [DEFAULT_SYMMETRY_TOL, 1e-15, 0.0])
+    @pytest.mark.parametrize("shape", ["symmetric", "complex-symmetric", "nonsymmetric", "near-symmetric"])
+    def test_verdicts_are_scale_invariant(self, shape, tol):
+        rng = np.random.default_rng(80)
+        for n in (1, 2, 5, 17):
+            if shape == "nonsymmetric":
+                base = rng.uniform(-1, 1, (n, n))
+            else:
+                base = random_symmetric(rng, n, complex_entries=shape == "complex-symmetric")
+            if shape == "near-symmetric":
+                base[-1, 0] += 1e-14 * np.max(np.abs(base))
+            verdicts = {k: _symmetry_verdicts(DenseMatrix(base * 2.0**k), tol) for k in (-600, -40, 0, 40, 600)}
+            assert set(verdicts.values()) == {verdicts[0]}, (n, verdicts)
+            symmetric, raises, method = verdicts[0]
+            assert raises is not symmetric
+            assert method == (KIND_GAUSS_CHOLESKY if symmetric else KIND_LU)
 
 
 class TestSessionPivotVerdict:
