@@ -11,18 +11,23 @@ Two kinds are supported:
   G complex. No positive-definiteness proof is attempted or required.
 
 Both kinds are immutable once constructed and may serve any number of
-concurrent solves.
+concurrent solves. The first solve of a factorization larger than one
+substitution block inverts the diagonal blocks of its triangular factors
+(one set for G, whose transposes serve G^T; one each for L and U) and
+caches them, so every solve substitutes block by block. The inverses are
+derived state: never a constructor argument, never written to factor files.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .elimination import EliminationRecord, _pivot_threshold, _require_triangular, gauss_eliminate, scaling_flops
-from .elimination import _solve_lower, _solve_upper
+from .elimination import _block_inverses, _solve_lower, _solve_upper
 from .errors import NotSymmetricError, ShapeError
 from .matrices import (
     DEFAULT_SYMMETRY_TOL,
@@ -123,6 +128,14 @@ class Factorization:
         if not ok:
             raise ValueError(f"factor {name} has a negligible diagonal entry")
 
+    @functools.cached_property
+    def _inverses(self) -> tuple:
+        """(forward, back) diagonal-block inverses for ``solve``, made on first use, never saved."""
+        if self.kind == KIND_LU:
+            return _block_inverses(self.l.data, True, unit_diagonal=True), _block_inverses(self.u.data, False)
+        back = _block_inverses(self.g.data, False)  # G^T's blocks are G's transposed
+        return back and tuple(v if v is None else v.T for v in back), back
+
     def rebuild(self) -> DenseMatrix:
         """Multiply the factors back together; G^T G is exactly symmetric."""
         if self.kind == KIND_LU:
@@ -212,8 +225,9 @@ def solve(f: Factorization, b: DenseMatrix) -> SolveReport:
     if b.rows != f.n:
         raise ShapeError(f"right-hand side has {b.rows} rows, factorization is for n = {f.n}")
     lu = f.kind == KIND_LU
-    y, fl_forward = _solve_lower(f.l.data if lu else f.g.data.T, b.data, unit_diagonal=lu)
-    x, fl_back = _solve_upper(f.u.data if lu else f.g.data, y)
+    forward, back = f._inverses
+    y, fl_forward = _solve_lower(f.l.data if lu else f.g.data.T, b.data, unit_diagonal=lu, inverses=forward)
+    x, fl_back = _solve_upper(f.u.data if lu else f.g.data, y, inverses=back)
     solutions = DenseMatrix(x)
     rebuilt = f.rebuild()
     residuals = tuple(

@@ -56,11 +56,11 @@ class DenseMatrix:
 
     Construction rejects non-finite entries (NaN/Inf) outright so that a
     bad value is reported at its source rather than deep inside a solve.
-    Because the entries never change, the content hash and the largest
-    magnitude are computed at most once and cached.
+    Because the entries never change, the content hash, the largest
+    magnitude and the symmetry deviation are computed at most once and cached.
     """
 
-    __slots__ = ("_data", "_hash", "_max_abs")
+    __slots__ = ("_data", "_hash", "_max_abs", "_symmetry")
 
     def __init__(self, entries):
         if isinstance(entries, DenseMatrix):
@@ -77,6 +77,7 @@ class DenseMatrix:
         self._data = arr
         self._hash = None
         self._max_abs = None
+        self._symmetry = None
 
     @property
     def data(self) -> np.ndarray:
@@ -129,9 +130,11 @@ class DenseMatrix:
         """Largest |a_ij - a_ji| and its 1-based location."""
         if not self.is_square:
             raise NonSquareError(self.rows, self.cols)
-        diff = np.abs(self._data - self._data.T)
-        i, j = np.unravel_index(np.argmax(diff), diff.shape)
-        return float(diff[i, j]), (int(i) + 1, int(j) + 1)
+        if self._symmetry is None:
+            diff = np.abs(self._data - self._data.T)
+            i, j = np.unravel_index(np.argmax(diff), diff.shape)
+            self._symmetry = float(diff[i, j]), (int(i) + 1, int(j) + 1)
+        return self._symmetry
 
     def is_symmetric(self, tol: float = DEFAULT_SYMMETRY_TOL) -> bool:
         """The package's one symmetry rule: max|a_ij - a_ji| <= tol * max|a_ij|."""

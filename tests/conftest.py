@@ -109,6 +109,21 @@ def matrix_hash_calls(monkeypatch):
 
 
 @pytest.fixture
+def symmetry_scans(monkeypatch):
+    """Every ``DenseMatrix.symmetry_deviation`` call that had to scan its matrix (nothing cached yet)."""
+    scans = []
+    original = factorkit.matrices.DenseMatrix.symmetry_deviation
+
+    def counting(m):
+        if getattr(m, "_symmetry", None) is None:
+            scans.append(m)
+        return original(m)
+
+    monkeypatch.setattr(factorkit.matrices.DenseMatrix, "symmetry_deviation", counting)
+    return scans
+
+
+@pytest.fixture
 def golden_a():
     return DenseMatrix(GOLD_A)
 

@@ -328,6 +328,14 @@ class TestRelativeSymmetry:
     """A matrix far below 1 in magnitude is judged symmetric relative to its own
     largest entry on every path, so its asymmetry is never factored as G^T G."""
 
+    def test_check_scans_the_matrix_once(self, capsys, files, symmetry_scans):
+        assert run(capsys, "check", "--input", files["skew"]) == (0, (
+            "rows 2\ncols 2\nsquare true\n"
+            "symmetric false (max deviation 1 at (1,2))\n"
+            "pivots 1 -2\n"
+        ), "")
+        assert len(symmetry_scans) == 1
+
     def test_tiny_asymmetric_matrix_is_solved_by_lu_everywhere(self, capsys, tmp_path):
         a, b, fact = tmp_path / "a.mat", tmp_path / "b.mat", tmp_path / "a.fact"
         save_matrix(a, DenseMatrix(TINY_ASYMMETRIC_A))

@@ -28,6 +28,7 @@ from factorkit import (
     verify,
 )
 
+from factorkit.elimination import _SUBSTITUTION_BLOCK as NB
 from factorkit.factorizations import from_record
 from factorkit.matrices import EPS
 
@@ -48,11 +49,53 @@ from conftest import (
     ULP_ABOVE_THRESHOLD_A,
     ZERO_PIVOT_A,
 )
-from oracles import classical_upper_cholesky, random_spd, random_symmetric
+from oracles import (
+    classical_upper_cholesky,
+    random_spd,
+    random_symmetric,
+    row_back_substitute,
+    row_forward_substitute,
+)
 
 
 def _rel_fro(x, y):
     return np.linalg.norm(x - y) / np.linalg.norm(y)
+
+
+def _eta(a, x, b):
+    """Largest normwise backward error ||A x - b|| / (||A|| ||x|| + ||b||) over the columns, in the inf-norm."""
+    r = np.max(np.abs(a @ x - b), axis=0)
+    return float(np.max(r / (np.linalg.norm(a, np.inf) * np.max(np.abs(x), axis=0) + np.max(np.abs(b), axis=0))))
+
+
+def _row_loop_solve(f, b):
+    """solve() as the reference row loops do it: (solutions, flops)."""
+    if f.kind == KIND_LU:
+        y, forward = row_forward_substitute(f.l.data, b, True)
+        x, back = row_back_substitute(f.u.data, y)
+    else:
+        y, forward = row_forward_substitute(f.g.data.T, b, False)
+        x, back = row_back_substitute(f.g.data, y)
+    return x, forward + back
+
+
+def _blocked_case(kind, n, sides, seed):
+    """(A, B, a function that factors A afresh) for one of ``BLOCKED_KINDS``."""
+    rng = np.random.default_rng(seed)
+    if kind == "spd":
+        a = random_spd(rng, n)
+    elif kind == "complex-symmetric":
+        a = random_symmetric(rng, n, complex_entries=True) + n * np.eye(n)
+    elif kind == "indefinite":  # negative pivots: G is complex
+        a = random_symmetric(rng, n) + np.diag(n * (-1.0) ** np.arange(n))
+    else:
+        a = rng.standard_normal((n, n)) + n * np.eye(n)
+    b = rng.standard_normal((n, sides))
+    am = DenseMatrix(a)
+    return a, b, lambda: lu_from_record(gauss_eliminate(am)) if kind == "lu" else gauss_cholesky(am)
+
+
+BLOCKED_KINDS = ["spd", "complex-symmetric", "indefinite", "lu"]
 
 
 class TestFromRecord:
@@ -123,6 +166,13 @@ class TestGaussCholesky:
             gauss_cholesky(DenseMatrix([[1, 2], [3, 4]]))
         assert exc.value.deviation == 1.0
         assert set(exc.value.at) == {1, 2}
+
+    def test_rejection_scans_the_matrix_once(self, symmetry_scans):
+        # once for the verdict, not again for the message
+        with pytest.raises(NotSymmetricError) as exc:
+            gauss_cholesky(DenseMatrix([[1, 2], [3, 4]]))
+        assert str(exc.value) == "matrix is not symmetric: |a[1,2] - a[2,1]| = 1.000000e+00 exceeds 4.000000e-12"
+        assert len(symmetry_scans) == 1
 
     def test_rejects_hermitian_that_is_not_symmetric(self):
         a = DenseMatrix(np.array([[1, 1j], [-1j, 1]], dtype=complex))
@@ -249,6 +299,53 @@ class TestSolve:
             except ZeroPivotError:
                 continue
             assert np.linalg.norm(x_lu - x_gc) <= 1e-9 * np.linalg.norm(x_lu)
+
+
+class TestBlockedSolve:
+    """Above NB rows, solve() substitutes block by block through the cached
+    inverses of the factors' diagonal blocks; at most NB rows, by the row loop."""
+
+    @pytest.mark.parametrize("sides", [1, 3])
+    @pytest.mark.parametrize("kind", BLOCKED_KINDS)
+    @pytest.mark.parametrize("n", [1, 17, NB])
+    def test_one_block_is_bitwise_the_row_loops(self, n, kind, sides):
+        a, b, factor = _blocked_case(kind, n, sides, seed=n + sides)
+        f = factor()
+        report = solve(f, DenseMatrix(b))
+        x, flops = _row_loop_solve(f, b)
+        assert f._inverses == (None, None)
+        assert report.solutions.data.tobytes() == x.tobytes()
+        assert report.flops == flops
+
+    @pytest.mark.parametrize("sides", [1, 3])
+    @pytest.mark.parametrize("kind", BLOCKED_KINDS)
+    @pytest.mark.parametrize("n", [NB + 1, 200])
+    def test_blocks_are_backward_stable_and_deterministic(self, n, kind, sides):
+        a, b, factor = _blocked_case(kind, n, sides, seed=n + sides)
+        f = factor()
+        if kind == "indefinite":
+            assert f.g.is_complex
+        report = solve(f, DenseMatrix(b))
+        assert all(inverse is not None for inverses in f._inverses for inverse in inverses)
+        assert report.flops == _row_loop_solve(f, b)[1]
+        assert _eta(a, report.solutions.data, b) <= 1e-14
+        assert solve(factor(), DenseMatrix(b)).solutions.data.tobytes() == report.solutions.data.tobytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ill_conditioned_block_keeps_the_row_loop(self, seed):
+        # a_11 = 1e-6 makes the first column's multipliers about 1e6, so the
+        # first diagonal block of L has ||T|| ||T^-1|| near 1e12.
+        rng = np.random.default_rng(seed)
+        n = 200
+        a = rng.standard_normal((n, n)) + n * np.eye(n)
+        a[0, 0] = 1e-6
+        b = rng.standard_normal((n, 1))
+        f = lu_from_record(gauss_eliminate(DenseMatrix(a)))
+        report = solve(f, DenseMatrix(b))
+        forward, back = f._inverses
+        assert forward[0] is None and back[0] is None
+        assert forward[-1] is not None and back[-1] is not None
+        assert _eta(a, report.solutions.data, b) <= 4 * _eta(a, _row_loop_solve(f, b)[0], b)
 
 
 class TestVerifyAndValidation:

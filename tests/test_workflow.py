@@ -22,15 +22,18 @@ from factorkit import (
     ZeroPivotError,
     back_substitute,
     cost_report,
+    gauss_cholesky,
     gauss_eliminate,
     lu_from_record,
     matrix_hash,
     open_session,
     run_bench,
     session_solve,
+    solve,
     vector,
 )
 
+import factorkit.factorizations
 import factorkit.matio
 import factorkit.workflow
 from factorkit.elimination import elimination_flops, scaling_flops, substitution_flops
@@ -449,6 +452,31 @@ class TestConcurrency:
         assert errors == []
         assert s.reuse_count == workers * solves
         assert all(x == GOLD_X2 for x in answers)
+
+    @pytest.mark.parametrize("kind", [KIND_LU, KIND_GAUSS_CHOLESKY])
+    def test_threads_sharing_a_fresh_factorization_get_identical_bytes(self, monkeypatch, kind):
+        # Every thread's first solve finds the block inverses missing; slowed
+        # down, their computation overlaps wherever cached_property takes no lock.
+        inverses = factorkit.factorizations._block_inverses
+
+        def slow_inverses(*args, **kwargs):
+            time.sleep(0.05)
+            return inverses(*args, **kwargs)
+
+        monkeypatch.setattr(factorkit.factorizations, "_block_inverses", slow_inverses)
+        rng = np.random.default_rng(8)
+        n, workers = 150, 8
+        a = DenseMatrix(random_spd(rng, n))
+        b = DenseMatrix(rng.standard_normal((n, 2)))
+        factor = (lambda: lu_from_record(gauss_eliminate(a))) if kind == KIND_LU else (lambda: gauss_cholesky(a))
+        f = factor()
+        answers = [None] * workers
+
+        def solve_one(j):
+            answers[j] = solve(f, b).solutions.data.tobytes()
+
+        assert _run_together(workers, solve_one) == []
+        assert set(answers) == {solve(factor(), b).solutions.data.tobytes()}
 
 
 class TestCostReport:
