@@ -63,7 +63,7 @@ def _cmd_factor(args) -> int:
     symmetry_tol, _ = _tolerances()
     a = load_matrix(args.input)
     method = resolve_method(a, args.method, symmetry_tol)
-    f = from_record(gauss_eliminate(a), method, symmetry_tol)
+    f = from_record(gauss_eliminate(a, symmetric=method == KIND_GAUSS_CHOLESKY), method, symmetry_tol)
     print(f"kind {f.kind}")
     print(f"n {f.n}")
     print("pivots " + " ".join(_display(p, args.digits) for p in f.provenance.pivots))
@@ -125,7 +125,7 @@ def _cmd_check(args) -> int:
     symmetric = a.is_symmetric(symmetry_tol)
     print(f"symmetric {'true' if symmetric else 'false'} (max deviation {_display(deviation)} at ({i},{j}))")
     try:
-        record = gauss_eliminate(a)
+        record = gauss_eliminate(a, symmetric=symmetric)
     except ZeroPivotError as exc:
         print(f"elimination fails in column {exc.index}: {exc}")
         return 2

@@ -23,6 +23,14 @@ LAPACK's ``getrf`` returns it. For n <= ``_PANEL_WIDTH`` there is one
 panel, so every entry is computed by exactly the operations, in exactly the
 order, of a plain column-by-column elimination.
 
+For a symmetric matrix the paper's theorem gives every multiplier from U:
+m_il = u_li / u_ll. Asked to, the eliminator uses it above one panel, as
+LAPACK's ``xPOTRF`` and ``xSYTRF`` do: it reads only A's upper triangle,
+takes each panel's multipliers from its pivot rows, and updates only the
+block upper triangle of the trailing matrix, about half the work. The
+pivot test and the sides are as in the general loop, and the record is
+packed the same way.
+
 The substitution kernel solves one row at a time. Given the inverses of a
 triangle's diagonal blocks of ``_SUBSTITUTION_BLOCK`` rows, which a
 factorization computes once for all its solves, it goes a block at a time
@@ -60,7 +68,9 @@ class EliminationRecord:
 
     ``lu`` is the packed elimination: U on and above the diagonal, the
     multipliers m_il strictly below it; the identity plus that lower part
-    is the unit lower-triangular L with L @ U == source matrix.
+    is the unit lower-triangular L with L @ U == source matrix. A symmetric
+    elimination of more than one panel takes them from U, m_il = u_li / u_ll,
+    so then L @ U is the matrix that A's upper triangle mirrors.
     ``transformed_rhs`` holds the right-hand sides after the same row
     operations, when any were supplied. ``pivot_threshold`` is the bound
     every pivot exceeded in magnitude.
@@ -82,6 +92,12 @@ class EliminationRecord:
 # 600 (one BLAS thread): narrower panels make more and thinner matrix
 # products, wider ones leave more of the work in the per-column updates.
 _PANEL_WIDTH = 16
+
+# Columns per block of the one-triangle trailing update. Each block updates
+# the rows down to its last column, so narrower blocks spend less on the
+# lower half but make more matrix products; 32 to 128 timed alike at n = 200
+# and 600 (one BLAS thread), and 32 spends least.
+_TRAILING_BLOCK = 32
 
 
 def _pivot_threshold(n: int, max_abs: float) -> float:
@@ -125,8 +141,14 @@ def _require_finite(x: np.ndarray, what: str) -> None:
 
 
 @_overflow_is_checked
-def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None) -> EliminationRecord:
+def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None, *, symmetric: bool = False) -> EliminationRecord:
     """Eliminate ``a`` (and optionally right-hand sides ``b``) without pivoting.
+
+    With ``symmetric``, the caller vouches that ``a`` is symmetric (no
+    conjugation), and above ``_PANEL_WIDTH`` unknowns only its upper
+    triangle is read: each multiplier is m_il = u_li / u_ll, as the
+    theorem gives, and the trailing updates touch only the block upper
+    triangle.
 
     Raises ``NonSquareError`` for a non-square matrix, ``ZeroPivotError``
     naming the failing column when a pivot is negligible or not finite, and
@@ -145,6 +167,7 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None) -> Elimination
     work = np.array(a.data, order="C")
     rhs = np.array(b.data, dtype=np.result_type(a.data, b.data), order="C") if b is not None else None
     threshold = _pivot_threshold(n, a.max_abs())
+    one_triangle = symmetric and n > _PANEL_WIDTH
 
     for k0 in range(0, n, _PANEL_WIDTH):
         k1 = min(k0 + _PANEL_WIDTH, n)
@@ -156,18 +179,37 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None) -> Elimination
             # as m[:, None] * v[None, :], which is what np.outer computes
             # without its wrapper; m[:, None] * v with a 1-D v can round
             # complex products differently.
-            m = work[col + 1 :, col]
-            m /= pivot
-            work[col + 1 :, col + 1 : k1] -= m[:, None] * work[col, col + 1 : k1][None, :]
-            m_panel = m[: k1 - col - 1, None]
-            work[col + 1 : k1, k1:] -= m_panel * work[col, k1:][None, :]
+            if one_triangle:
+                # The panel's own multipliers come from the pivot row, and one
+                # rank-1 update covers their rows across the full width; the
+                # multipliers below the panel wait for the panel's end.
+                m = work[col + 1 : k1, col]
+                np.divide(work[col, col + 1 : k1], pivot, out=m)
+                m_panel = m[:, None]
+                work[col + 1 : k1, col + 1 :] -= m_panel * work[col, col + 1 :][None, :]
+            else:
+                m = work[col + 1 :, col]
+                m /= pivot
+                work[col + 1 :, col + 1 : k1] -= m[:, None] * work[col, col + 1 : k1][None, :]
+                m_panel = m[: k1 - col - 1, None]
+                work[col + 1 : k1, k1:] -= m_panel * work[col, k1:][None, :]
             if rhs is not None:
                 rhs[col + 1 : k1] -= m_panel * rhs[col][None, :]
         if k1 < n:
             # The panel's rank-(k1 - k0) update of everything below and right
             # of it: L21 @ U12, and L21 applied to the sides.
+            u12 = work[k0:k1, k1:]
             l21 = work[k1:, k0:k1]
-            work[k1:, k1:] -= l21 @ work[k0:k1, k1:]
+            if one_triangle:
+                # The theorem: L21 = (D^-1 U12)^T. The trailing matrix stays
+                # symmetric, so only its block upper triangle is updated, one
+                # column block at a time; what lands below it is never read.
+                l21[...] = (u12 / np.diagonal(work)[k0:k1, None]).T
+                for j0 in range(k1, n, _TRAILING_BLOCK):
+                    j1 = min(j0 + _TRAILING_BLOCK, n)
+                    work[k1:j1, j0:j1] -= l21[: j1 - k1] @ work[k0:k1, j0:j1]
+            else:
+                work[k1:, k1:] -= l21 @ u12
             if rhs is not None:
                 rhs[k1:] -= l21 @ rhs[k0:k1]
 

@@ -143,8 +143,14 @@ class Factorization:
         return DenseMatrix(self.g.data.T @ self.g.data)
 
 
-def _pivot_roots(pivots: tuple) -> np.ndarray:  # G's diagonal
-    return np.array([principal_sqrt(p) for p in pivots])
+def _pivot_roots(pivots: tuple) -> np.ndarray:
+    """G's diagonal: the principal square root of each pivot, as ``principal_sqrt`` gives it."""
+    p = np.array(pivots)
+    if p.dtype.kind == "c":
+        return np.array([principal_sqrt(z) for z in pivots])
+    negative = p < 0
+    roots = np.sqrt(np.where(negative, -p, p))  # -0.0 keeps its sign, as in math.sqrt
+    return np.where(negative, 1j * roots, roots) if negative.any() else roots
 
 
 def _provenance(record: EliminationRecord, flops: int, symmetry_tol: float | None = None) -> Provenance:
@@ -212,7 +218,7 @@ def gauss_cholesky(a: DenseMatrix, symmetry_tol: float = DEFAULT_SYMMETRY_TOL) -
     success, every leading pivot must be nonzero.
     """
     require_symmetric(a, symmetry_tol)
-    return gauss_cholesky_from_record(gauss_eliminate(a), symmetry_tol)
+    return gauss_cholesky_from_record(gauss_eliminate(a, symmetric=True), symmetry_tol)
 
 
 def solve(f: Factorization, b: DenseMatrix) -> SolveReport:

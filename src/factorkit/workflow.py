@@ -140,7 +140,7 @@ def session_solve(s: SolveSession, b: DenseMatrix) -> SolveReport:
         f, record = s.factorization, None
         if f is None:
             try:
-                record = gauss_eliminate(s.matrix, b)
+                record = gauss_eliminate(s.matrix, b, symmetric=s.method == KIND_GAUSS_CHOLESKY)
             except ZeroPivotError as exc:
                 # A copy: the raised one's traceback would keep the elimination's frames alive.
                 s._failure = copy.copy(exc)

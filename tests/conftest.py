@@ -80,9 +80,9 @@ def _count_calls(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     for module_name, loaded in list(sys.modules.items()):
         if module_name.startswith("factorkit.") and getattr(loaded, name, None) is original:

@@ -11,7 +11,15 @@ import numpy as np
 import pytest
 
 import factorkit
-from factorkit import DenseMatrix, load_factorization, load_matrix, render_matrix, save_matrix, vector
+from factorkit import (
+    DenseMatrix,
+    gauss_eliminate,
+    load_factorization,
+    load_matrix,
+    render_matrix,
+    save_matrix,
+    vector,
+)
 from factorkit.cli import cli_main
 
 from conftest import (
@@ -35,6 +43,7 @@ from conftest import (
     ULP_ABOVE_THRESHOLD_A,
     ZERO_PIVOT_A,
 )
+from oracles import random_spd
 
 
 @pytest.fixture
@@ -486,6 +495,23 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--input", files["rect"])
         assert code == 2
         assert "square false" in out.splitlines()
+
+
+    @pytest.mark.parametrize("method", ["gauss-cholesky", "auto", "lu"])
+    def test_symmetric_input_is_eliminated_in_one_triangle(self, capsys, tmp_path, method):
+        # Above one panel the two eliminations round differently, so U tells them apart.
+        a = DenseMatrix(random_spd(np.random.default_rng(33), 100))
+        record = gauss_eliminate(a, symmetric=method != "lu")
+        assert record.pivots != gauss_eliminate(a, symmetric=method == "lu").pivots
+        path, fact = tmp_path / "a.mat", tmp_path / "a.fact"
+        save_matrix(path, a)
+        assert run(capsys, "factor", "--input", path, "--method", method, "--output", fact)[0] == 0
+        assert load_factorization(fact).provenance.pivots == record.pivots
+        if method != "lu":  # check eliminates what it has just called symmetric
+            code, out, _ = run(capsys, "check", "--input", path)
+            assert code == 0
+            keyword, *pivots = out.splitlines()[-1].split()
+            assert (keyword, tuple(map(float, pivots))) == ("pivots", record.pivots)
 
 
 class TestBench:

@@ -239,6 +239,12 @@ def _dominant(rng, n, *, complex_entries=False, signs=None):
     return a + np.diag(n * (np.ones(n) if signs is None else signs))
 
 
+def _symmetric_kind(rng, n, kind):
+    if kind == "indefinite":
+        return _dominant(rng, n, signs=rng.choice([-1.0, 1.0], n))
+    return _dominant(rng, n, complex_entries=kind == "complex")
+
+
 class TestBlockedElimination:
     """The eliminator works in panels of NB columns; these cases sit on
     both sides of the panel edges."""
@@ -300,15 +306,19 @@ class TestBlockedElimination:
         assert all(type(p) is scalar for p in record.pivots)
         assert_array_equal(np.array(record.pivots), np.diagonal(record.lu.data))
 
-    @pytest.mark.parametrize("c", [1, NB, NB + 1, 2 * NB + 1, 3 * NB + 5])
+    @pytest.mark.parametrize("c", [1, NB, NB + 1, NB + 2, 2 * NB + 1, 3 * NB + 5])
     def test_zero_pivot_names_its_column_across_panel_edges(self, c):
         n = 3 * NB + 5
         a = _dominant(np.random.default_rng(c), n)
         a[c - 1, :] = 0.0
         a[:, c - 1] = 0.0
-        with pytest.raises(ZeroPivotError) as exc:
-            gauss_eliminate(DenseMatrix(a), vector(np.ones(n)))
-        assert exc.value.column == c
+        messages = set()
+        for symmetric in (False, True):
+            with pytest.raises(ZeroPivotError) as exc:
+                gauss_eliminate(DenseMatrix(a), vector(np.ones(n)), symmetric=symmetric)
+            assert exc.value.column == c
+            messages.add(str(exc.value))
+        assert len(messages) == 1  # the same pivot and threshold either way
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("complex_entries", [False, True])
@@ -319,10 +329,11 @@ class TestBlockedElimination:
         n = 3 * NB + 5
         a = np.diag(np.full(n, 1e290, dtype=complex if complex_entries else float))
         a[c - 2 : c, c - 2 : c] = [[1e290, 1e300], [1e300, 1]]
-        with pytest.raises(ZeroPivotError) as exc:
-            gauss_eliminate(DenseMatrix(a), vector(np.ones(n)))
-        assert exc.value.column == c
-        assert str(exc.value) == f"non-finite pivot in column {c}: the elimination overflowed"
+        for symmetric in (False, True):
+            with pytest.raises(ZeroPivotError) as exc:
+                gauss_eliminate(DenseMatrix(a), vector(np.ones(n)), symmetric=symmetric)
+            assert exc.value.column == c
+            assert str(exc.value) == f"non-finite pivot in column {c}: the elimination overflowed"
 
     @pytest.mark.parametrize("case", ["real-spd", "real-indefinite", "complex"])
     def test_proof_identity_and_cholesky_across_panels(self, case):
@@ -339,6 +350,88 @@ class TestBlockedElimination:
         assert np.linalg.norm(lhs - rhs) <= 1e-11 * np.linalg.norm(rhs)
         g = gauss_cholesky(DenseMatrix(a)).g.data
         assert np.linalg.norm(g.T @ g - a) <= 1e-9 * np.linalg.norm(a)
+
+
+class TestOneTriangleElimination:
+    """``symmetric=True`` reads A's upper triangle only and takes every
+    multiplier from U, m_il = u_li / u_ll, once there is more than one panel."""
+
+    KINDS = ("real", "complex", "indefinite")
+
+    @staticmethod
+    def _record_bytes(record):
+        """Every field but the source hash, arrays as bytes so that the sign of every zero counts."""
+        rhs = record.transformed_rhs.data
+        lu = record.lu.data
+        return lu.tobytes(), lu.dtype, rhs.tobytes(), rhs.dtype, record.pivots, record.pivot_threshold, record.flops
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_panel_is_bitwise_the_general_loop(self, kind):
+        rng = np.random.default_rng(30)
+        for n in range(1, NB + 1):
+            a = DenseMatrix(_symmetric_kind(rng, n, kind))
+            b = DenseMatrix(rng.standard_normal((n, 2)))
+            general = gauss_eliminate(a, b)
+            assert self._record_bytes(gauss_eliminate(a, b, symmetric=True)) == self._record_bytes(general)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [NB + 1, 40, 3 * NB + 5, 200])
+    def test_agrees_with_the_general_loop_and_the_theorem(self, n, kind):
+        rng = np.random.default_rng(n)
+        a = _symmetric_kind(rng, n, kind)
+        b = DenseMatrix(rng.standard_normal((n, 2)))
+        general = gauss_eliminate(DenseMatrix(a), b)
+        record = gauss_eliminate(DenseMatrix(a), b, symmetric=True)
+        lu, u = record.lu.data, np.triu(record.lu.data)
+        u_general = np.triu(general.lu.data)
+        assert np.max(np.abs(u - u_general)) <= 1e-14 * np.max(np.abs(u_general))
+        rhs, rhs_general = record.transformed_rhs.data, general.transformed_rhs.data
+        assert np.max(np.abs(rhs - rhs_general)) <= 1e-14 * np.max(np.abs(rhs_general))
+        # A packed getrf LU: unit L from the strict lower part, U above.
+        l = np.eye(n) + np.tril(lu, -1)
+        assert np.linalg.norm(l @ u - a) <= 1e-14 * np.linalg.norm(a)
+        # The multipliers are the theorem's, bit for bit.
+        assert_array_equal(np.tril(lu, -1), np.tril((np.triu(lu, 1) / np.diagonal(lu)[:, None]).T, -1))
+        assert record.pivots == tuple(np.diagonal(lu).tolist())
+        assert record.flops == elimination_flops(n, 2)
+        assert record.pivot_threshold == general.pivot_threshold
+        assert record.source_hash == general.source_hash
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_side_raises_overflow_error(self):
+        n = 2 * NB + 1
+        a = np.eye(n)
+        a[0, 0] = 1e-3
+        a[0, NB + 3] = a[NB + 3, 0] = 1.0
+        b = np.ones((n, 1))
+        b[0] = 1e306
+        with pytest.raises(OverflowError, match=SIDE_OVERFLOW_MESSAGE):
+            gauss_eliminate(DenseMatrix(a), DenseMatrix(b), symmetric=True)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [NB + 1, 3 * NB + 5, 200])
+    def test_reads_only_the_upper_triangle(self, n, kind):
+        rng = np.random.default_rng(31)
+        a = _symmetric_kind(rng, n, kind)
+        # Within the symmetry tolerance, and max|A| stays on the diagonal.
+        lower = np.tril(np.ones((n, n), dtype=bool), -1)
+        nudged = a + np.where(lower, 1e-13 * rng.uniform(-1, 1, (n, n)), 0.0)
+        assert DenseMatrix(nudged).is_symmetric() and not np.array_equal(nudged, a)
+        b = DenseMatrix(rng.standard_normal((n, 1)))
+        record = gauss_eliminate(DenseMatrix(a), b, symmetric=True)
+        moved = gauss_eliminate(DenseMatrix(nudged), b, symmetric=True)
+        assert self._record_bytes(moved) == self._record_bytes(record)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_repeated_runs_and_memory_layouts_are_bitwise_equal(self, kind):
+        rng = np.random.default_rng(32)
+        n = 200
+        a = _symmetric_kind(rng, n, kind)
+        b = rng.standard_normal((n, 3))
+        first = gauss_eliminate(DenseMatrix(a), DenseMatrix(b), symmetric=True)
+        for a_again, b_again in ((a.copy(), b.copy()), (np.asfortranarray(a), np.asfortranarray(b))):
+            again = gauss_eliminate(DenseMatrix(a_again), DenseMatrix(b_again), symmetric=True)
+            assert self._record_bytes(again) == self._record_bytes(first)
 
 
 class TestFlopLedger:

@@ -29,7 +29,7 @@ from factorkit import (
 )
 
 from factorkit.elimination import _SUBSTITUTION_BLOCK as NB
-from factorkit.factorizations import from_record
+from factorkit.factorizations import _pivot_roots, from_record
 from factorkit.matrices import EPS
 
 from conftest import (
@@ -221,6 +221,32 @@ class TestGaussCholesky:
                 continue
             for i, p in enumerate(f.provenance.pivots):
                 assert f.g[i, i] == principal_sqrt(p)
+
+    def test_eliminates_one_triangle(self):
+        # Above one panel the two eliminations round differently, so U tells them apart.
+        a = DenseMatrix(random_spd(np.random.default_rng(33), 100))
+        one_triangle, general = gauss_eliminate(a, symmetric=True), gauss_eliminate(a)
+        assert not np.array_equal(np.triu(one_triangle.lu.data), np.triu(general.lu.data))
+        f = gauss_cholesky(a)
+        assert f.g.data.tobytes() == gauss_cholesky_from_record(one_triangle).g.data.tobytes()
+        assert f.provenance == gauss_cholesky_from_record(one_triangle).provenance
+
+    def test_pivot_roots_are_bitwise_the_per_pivot_principal_sqrt(self):
+        rng = np.random.default_rng(34)
+        cases = [(-0.0, 0.0, -1.0, 1.0), (5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308)]
+        for i in range(2000):
+            n = int(rng.integers(1, 12))
+            magnitudes = 10.0 ** rng.uniform(-300, 300, n)
+            signs = rng.choice([-1.0, 1.0], n) if i % 3 else np.ones(n)  # a third stay real
+            pivots = magnitudes * signs
+            if i % 5 == 0:
+                pivots = pivots * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+            cases.append(tuple(pivots.tolist()))
+        for pivots in cases:
+            roots = _pivot_roots(pivots)
+            expected = np.array([principal_sqrt(p) for p in pivots])
+            assert roots.dtype == expected.dtype
+            assert roots.tobytes() == expected.tobytes(), pivots
 
     def test_row_scaling_identity_from_the_construction(self):
         # L(A) diag(sqrt(u_ii)) must equal transpose(diag(1/sqrt(u_ii)) U(A))

@@ -123,6 +123,18 @@ class TestSymmetry:
     def test_symmetry_needs_square(self):
         with pytest.raises(ShapeError):
             DenseMatrix([[1, 2, 3], [4, 5, 6]]).symmetry_deviation()
+        with pytest.raises(ShapeError):
+            DenseMatrix([[1, 2, 3], [4, 5, 6]]).is_symmetric()
+
+    def test_exact_symmetry_needs_no_deviation_scan(self, symmetry_scans):
+        m = DenseMatrix([[1.0, -0.0, 2j], [0.0, 3.0, 4.0], [2j, 4.0, 5.0]])
+        assert m.is_symmetric(tol=0.0)
+        assert symmetry_scans == []
+
+    def test_inexact_symmetry_is_judged_by_one_deviation_scan(self, symmetry_scans):
+        m = DenseMatrix([[4.0, 1.0], [1.0 + 1e-15, 4.0]])
+        assert m.is_symmetric() and not m.is_symmetric(tol=1e-17)
+        assert symmetry_scans == [m]
 
 
 class TestPrincipalSqrt:

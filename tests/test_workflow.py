@@ -334,6 +334,22 @@ class TestSessionSolve:
             session_solve(s, DenseMatrix(np.hstack([golden_b1.data, golden_b2.data])))
 
 
+    @pytest.mark.parametrize("method", ["gauss-cholesky", "auto", "lu"])
+    def test_first_solve_eliminates_one_triangle_for_gauss_cholesky(self, method):
+        # Above one panel the two eliminations round differently, so U tells them apart.
+        rng = np.random.default_rng(33)
+        a = DenseMatrix(random_spd(rng, 100))
+        b = vector(rng.standard_normal(100))
+        record = gauss_eliminate(a, b, symmetric=method != "lu")
+        other = gauss_eliminate(a, b, symmetric=method == "lu")
+        assert not np.array_equal(np.triu(record.lu.data), np.triu(other.lu.data))
+        s = open_session(a, method)
+        report = session_solve(s, b)
+        assert s.factorization.provenance.pivots == record.pivots
+        u = DenseMatrix(np.triu(record.lu.data))
+        assert_array_equal(report.solutions.data, back_substitute(u, record.transformed_rhs).data)
+
+
 class TestSessionState:
     def test_fields_are_what_cannot_be_derived(self, golden_a, golden_b1, golden_b2):
         names = [f.name for f in dataclasses.fields(SolveSession) if f.init]
@@ -395,10 +411,10 @@ class TestConcurrency:
         eliminate = factorkit.workflow.gauss_eliminate
         calls = []
 
-        def slow_eliminate(*args):
+        def slow_eliminate(*args, **kwargs):
             calls.append(args)
             time.sleep(0.05)  # hold the window in which a second caller could find no factorization
-            return eliminate(*args)
+            return eliminate(*args, **kwargs)
 
         monkeypatch.setattr(factorkit.workflow, "gauss_eliminate", slow_eliminate)
         rng = np.random.default_rng(24)
