@@ -73,19 +73,25 @@ class EliminationRecord:
     so then L @ U is the matrix that A's upper triangle mirrors.
     ``transformed_rhs`` holds the right-hand sides after the same row
     operations, when any were supplied. ``pivot_threshold`` is the bound
-    every pivot exceeded in magnitude.
+    every pivot exceeded in magnitude. ``source`` is the eliminated matrix
+    itself, not a copy; it is hashed only when ``source_hash`` is read.
     """
 
     lu: DenseMatrix
     pivots: tuple
     transformed_rhs: DenseMatrix | None
     flops: int
-    source_hash: str
+    source: DenseMatrix
     pivot_threshold: float
 
     @property
     def n(self) -> int:
         return self.lu.rows
+
+    @property
+    def source_hash(self) -> str:
+        """``matrix_hash`` of the source, computed on first read and cached on the matrix."""
+        return matrix_hash(self.source)
 
 
 # Columns per panel, the fastest in a sweep of 8 to 48 at n = 128, 200 and
@@ -220,7 +226,7 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None, *, symmetric: 
         pivots=tuple(np.diagonal(work).tolist()),
         transformed_rhs=DenseMatrix(rhs) if rhs is not None else None,
         flops=elimination_flops(n, rhs.shape[1] if rhs is not None else 0),
-        source_hash=matrix_hash(a),
+        source=a,
         pivot_threshold=threshold,
     )
 
@@ -240,13 +246,16 @@ _BLOCK_CONDITION_BOUND = 1e3
 
 
 def _rows(t: np.ndarray, c: np.ndarray, lower: bool, unit_diagonal: bool) -> np.ndarray:
-    # Row i takes its known unknowns as one dot product, then its divisor.
-    n, k = t.shape[0], c.shape[1]
-    x = np.zeros((n, k), dtype=np.result_type(t, c))
+    # Row i takes its known unknowns as one dot product, then its divisor. A
+    # single side runs the same loop as a vector, one scalar per row, which
+    # spares every row the overhead of a matrix product.
+    n = t.shape[0]
+    x = np.zeros(c.shape, dtype=np.result_type(t, c))
+    xs, cs = (x[:, 0], c[:, 0]) if c.shape[1] == 1 else (x, c)
     for i in range(n) if lower else range(n - 1, -1, -1):
         lo, hi = (0, i) if lower else (i + 1, n)  # the rows of x already solved
-        r = c[i, :] - t[i, lo:hi] @ x[lo:hi, :]
-        x[i, :] = r if unit_diagonal else r / t[i, i]
+        r = cs[i] - t[i, lo:hi] @ xs[lo:hi]
+        xs[i] = r if unit_diagonal else r / t[i, i]
     return x
 
 

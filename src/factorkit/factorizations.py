@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .matrices import (
     DEFAULT_SYMMETRY_TOL,
     HASH_SCHEME,
     DenseMatrix,
+    matrix_hash,
     principal_sqrt,
     residual_norm,
 )
@@ -62,6 +63,10 @@ FACTOR_NAMES = {KIND_LU: ("l", "u"), KIND_GAUSS_CHOLESKY: ("g",)}
 class Provenance:
     """Where a factorization came from: source hash, pivot sequence, cost.
 
+    ``matrix_hash`` may be given as the source ``DenseMatrix`` itself, as a
+    factorization built from an elimination record gives it: the matrix is
+    then referenced, not copied, until ``matrix_hash`` is first read, which
+    hashes it. Equality, ``repr``, copies and pickles go by the hash value.
     ``hash_scheme`` names how ``matrix_hash`` was computed; factor files
     written before schemes were recorded carry the legacy ``"text"`` one.
     ``pivot_threshold`` is the elimination's bound on |pivot|; ``None`` if
@@ -74,6 +79,26 @@ class Provenance:
     symmetry_tol: float | None = None
     hash_scheme: str = HASH_SCHEME
     pivot_threshold: float | None = None
+
+    def __post_init__(self):
+        if isinstance(self.matrix_hash, DenseMatrix):  # hashed by __getattr__ on first read
+            self.__dict__["_source"] = self.__dict__.pop("matrix_hash")
+
+    def __getattr__(self, name):
+        # Called when lookup misses: for matrix_hash, until a first read has
+        # stored the hash and dropped the matrix, which another thread may
+        # finish in between.
+        d = self.__dict__
+        source = d.get("_source")
+        if name != "matrix_hash" or source is None and name not in d:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        if source is not None:
+            d.setdefault(name, matrix_hash(source))  # racing first reads store the same value
+            d.pop("_source", None)
+        return d[name]
+
+    def __reduce__(self):  # copies and pickles carry the hash, not the matrix
+        return Provenance, astuple(self)
 
 
 @dataclass(frozen=True)
@@ -154,9 +179,7 @@ def _pivot_roots(pivots: tuple) -> np.ndarray:
 
 
 def _provenance(record: EliminationRecord, flops: int, symmetry_tol: float | None = None) -> Provenance:
-    return Provenance(
-        record.source_hash, record.pivots, flops, symmetry_tol, pivot_threshold=record.pivot_threshold
-    )
+    return Provenance(record.source, record.pivots, flops, symmetry_tol, pivot_threshold=record.pivot_threshold)
 
 
 def lu_from_record(record: EliminationRecord) -> Factorization:

@@ -212,7 +212,10 @@ def matrix_hash(m: DenseMatrix) -> str:
     or ``<c16``). Since files use the shortest decimal that round-trips
     exactly, two matrices hash alike exactly when their matrix files
     (``matio.render_matrix``) are equal (``-0.0`` and ``0.0`` differ in
-    both). Computed once per matrix, then cached.
+    both). Computed once per matrix, then cached. The package calls it only
+    to write a factor file and to check one against a matrix: elimination
+    records and factorizations reference their source matrix and hash it
+    when their hash is first read.
     """
     if m._hash is None:
         h = hashlib.blake2b(f"matrix {m.rows} {m.cols} {m.field}\n".encode("ascii"), digest_size=8)

@@ -19,7 +19,7 @@ from factorkit import (
     vector,
 )
 from factorkit.elimination import _PANEL_WIDTH as NB
-from factorkit.elimination import _solve_lower, _solve_upper
+from factorkit.elimination import _SUBSTITUTION_BLOCK, _block_inverses, _solve_lower, _solve_upper, _substitute_rows
 from factorkit.elimination import elimination_flops, scaling_flops, substitution_flops
 from factorkit.matrices import EPS
 
@@ -453,14 +453,16 @@ class TestSubstitutionKernel:
     row loops bit for bit, flops included, reading only its own triangle."""
 
     @pytest.mark.parametrize("sides", [1, 3])
-    @pytest.mark.parametrize("kind", ["real", "complex", "real-t-complex-c"])
+    @pytest.mark.parametrize("kind", ["real", "complex", "real-t-complex-c", "complex-t-real-c"])
     @pytest.mark.parametrize("n", [1, 2, NB - 1, NB, NB + 1, 64])
     def test_bitwise_the_reference_row_loops(self, n, kind, sides):
+        # complex-t-real-c is what solve() hands the kernel for a complex G and a real b.
         rng = np.random.default_rng(n * 10 + sides)
-        a = _dominant(rng, n, complex_entries=kind == "complex")
+        a = _dominant(rng, n, complex_entries=kind in ("complex", "complex-t-real-c"))
         c = rng.standard_normal((n, sides))
-        if kind != "real":
+        if kind in ("complex", "real-t-complex-c"):
             c = c + 1j * rng.standard_normal(c.shape)
+        c[1::3] = complex(-0.0, -0.0) if np.iscomplexobj(c) else -0.0  # every zero's sign must match
         record = gauss_eliminate(DenseMatrix(a))
         lu = record.lu.data  # packed: the multipliers lie below U's diagonal
         g = gauss_cholesky_from_record(record).g.data
@@ -476,6 +478,32 @@ class TestSubstitutionKernel:
             # bytes, so that the sign of every zero matches too
             assert x.tobytes() == want.tobytes()
             assert flops == want_flops
+
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_blocks_without_an_inverse_run_the_row_loop_on_one_side(self, lower):
+        # a_11 = 1e-6 makes the first column's multipliers about 1e6, so the
+        # first diagonal block of L, and of U, keeps the row loop; a single
+        # side then runs it as a vector, inside the blocked path.
+        rng = np.random.default_rng(5)
+        n, sb = 150, _SUBSTITUTION_BLOCK
+        a = rng.standard_normal((n, n)) + n * np.eye(n)
+        a[0, 0] = 1e-6
+        f = lu_from_record(gauss_eliminate(DenseMatrix(a)))
+        t = f.l.data if lower else f.u.data
+        inverses = _block_inverses(t, lower, unit_diagonal=lower)
+        assert inverses[0] is None and inverses[-1] is not None
+        c = rng.standard_normal((n, 3))
+        c[1::3] = -0.0
+        batch, _ = _substitute_rows(t, c, lower, lower, inverses)
+        for j in range(3):
+            x, _ = _substitute_rows(t, c[:, j : j + 1], lower, lower, inverses)
+            # The first block is solved last going up, after the update by the rows below it.
+            r = c[:sb, j : j + 1] if lower else c[:sb, j : j + 1] - t[:sb, sb:] @ x[sb:]
+            block = t[:sb, :sb]
+            want, _ = row_forward_substitute(block, r, True) if lower else row_back_substitute(block, r)
+            assert x[:sb].tobytes() == want.tobytes()
+            # One side sums each row in another order than three do, so the batch agrees to rounding only.
+            assert np.max(np.abs(x[:, 0] - batch[:, j])) <= 1e-12 * np.max(np.abs(batch[:, j]))
 
 
 class TestBackSubstitute:

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -107,6 +109,59 @@ class TestFromRecord:
     def test_unknown_kind(self, golden_a):
         with pytest.raises(ValueError, match="unknown factorization kind 'qr'"):
             from_record(gauss_eliminate(golden_a), "qr")
+
+
+class TestProvenanceIdentity:
+    """A provenance built from an elimination record references its source
+    matrix until the hash is read; it is still equal, printed, copied and
+    pickled by the hash value."""
+
+    @pytest.fixture(params=[(KIND_LU, 4), (KIND_LU, 100), (KIND_GAUSS_CHOLESKY, 4), (KIND_GAUSS_CHOLESKY, 100)])
+    def fresh(self, request):
+        """A factorization of a fresh matrix, whose hash nothing has read yet, and that matrix."""
+        kind, n = request.param
+        a = DenseMatrix(random_spd(np.random.default_rng(n), n))
+        return from_record(gauss_eliminate(a, symmetric=kind == KIND_GAUSS_CHOLESKY), kind), a
+
+    def test_render_parse_round_trip(self, fresh):
+        f, _ = fresh
+        assert parse_factorization(render_factorization(f)) == f
+
+    def test_repr_shows_the_hash_not_the_matrix(self, fresh):
+        f, a = fresh
+        p = f.provenance
+        text = repr(p)
+        assert text == (
+            f"Provenance(matrix_hash={matrix_hash(a)!r}, pivots={p.pivots!r}, flops={p.flops!r}, "
+            f"symmetry_tol={p.symmetry_tol!r}, hash_scheme='bytes', pivot_threshold={p.pivot_threshold!r})"
+        )
+        assert "DenseMatrix" not in text
+
+    def test_copies_and_pickles_compare_equal(self, fresh):
+        f, a = fresh
+        for p in (copy.copy(f.provenance), pickle.loads(pickle.dumps(f.provenance))):
+            assert p == f.provenance and p.matrix_hash == matrix_hash(a)
+        assert pickle.loads(pickle.dumps(f)) == f
+
+    def test_copies_and_pickles_carry_the_hash_not_the_matrix(self, fresh):
+        f, _ = fresh
+        assert b"DenseMatrix" not in pickle.dumps(f.provenance)
+        assert "_source" not in vars(copy.copy(f.provenance))
+
+    def test_built_from_a_hash_string_equals_the_record_built_one(self, fresh):
+        f, a = fresh
+        p = f.provenance
+        positional = Provenance(matrix_hash(a), p.pivots, p.flops, p.symmetry_tol, "bytes", p.pivot_threshold)
+        assert positional == p and p == positional
+
+    def test_hashes_on_first_read_then_drops_the_matrix(self, fresh, matrix_hash_calls):
+        f, a = fresh
+        assert "_source" in vars(f.provenance)
+        assert f.provenance.matrix_hash == f.provenance.matrix_hash == matrix_hash(a)
+        assert len(matrix_hash_calls) == 1
+        assert "_source" not in vars(f.provenance)
+        with pytest.raises(AttributeError, match="'Provenance' object has no attribute 'source'"):
+            f.provenance.source
 
 
 class TestLuFromRecord:

@@ -28,6 +28,7 @@ from factorkit import (
     matrix_hash,
     open_session,
     run_bench,
+    save_matrix,
     session_solve,
     solve,
     vector,
@@ -36,6 +37,7 @@ from factorkit import (
 import factorkit.factorizations
 import factorkit.matio
 import factorkit.workflow
+from factorkit.cli import cli_main
 from factorkit.elimination import elimination_flops, scaling_flops, substitution_flops
 from factorkit.factorizations import require_symmetric
 from factorkit.matrices import DEFAULT_SYMMETRY_TOL
@@ -45,6 +47,8 @@ from conftest import (
     BACK_OVERFLOW_MESSAGE,
     FORWARD_OVERFLOW_MESSAGE,
     GOLD_A,
+    GOLD_B1,
+    GOLD_B2,
     GOLD_X1,
     GOLD_X2,
     NEAR_SINGULAR_A,
@@ -362,12 +366,34 @@ class TestSessionState:
         assert "lock" not in repr(s)
         assert s == dataclasses.replace(s)  # a fresh lock, equal otherwise
 
-    def test_matrix_hashed_once_per_session(self, matrix_hash_calls, golden_b1, golden_b2):
+    def test_matrix_hashed_only_when_its_hash_is_read(self, matrix_hash_calls, golden_b1, golden_b2):
         s = open_session(DenseMatrix(GOLD_A), "auto")
         for b in (golden_b1, golden_b2, golden_b1, golden_b2):
             session_solve(s, b)
+        assert len(matrix_hash_calls) == 0
+        assert s.factorization.provenance.matrix_hash == "2845401addaf482d"
         assert len(matrix_hash_calls) == 1
-        assert s.factorization.provenance.matrix_hash == matrix_hash(s.matrix)
+        assert s.factorization.provenance.matrix_hash == "2845401addaf482d"
+        assert len(matrix_hash_calls) == 1
+        assert matrix_hash(s.matrix) == "2845401addaf482d"  # cached on the matrix by the first read
+
+    def test_cli_hashes_only_to_write_or_check_a_factor_file(self, matrix_hash_calls, capsys, tmp_path):
+        a, b, fact = tmp_path / "a.mat", tmp_path / "b.mat", tmp_path / "a.fact"
+        save_matrix(a, DenseMatrix(GOLD_A))
+        save_matrix(b, DenseMatrix(np.array([GOLD_B1, GOLD_B2], dtype=float).T))
+        hashes = []
+        for argv in (
+            ["factor", "--input", a, "--output", fact],
+            ["solve", "--factor", fact, "--matrix", a, "--rhs", b],
+            ["solve", "--matrix", a, "--rhs", b],
+            ["solve", "--factor", fact, "--rhs", b],
+            ["check", "--input", a],
+        ):
+            start = len(matrix_hash_calls)
+            assert cli_main([str(arg) for arg in argv]) == 0
+            hashes.append(len(matrix_hash_calls) - start)
+        capsys.readouterr()
+        assert hashes == [1, 1, 0, 0, 0]
 
     @pytest.mark.parametrize("method", [KIND_LU, KIND_GAUSS_CHOLESKY])
     def test_cost_report_is_the_closed_forms(self, method):
@@ -468,6 +494,31 @@ class TestConcurrency:
         assert errors == []
         assert s.reuse_count == workers * solves
         assert all(x == GOLD_X2 for x in answers)
+
+    def test_racing_first_reads_of_the_matrix_hash_agree(self, golden_a):
+        # More threads than cores and a short switch interval, so first reads
+        # interleave with the one that hashes and drops the source matrix.
+        workers, rounds = 8, 200
+        want = matrix_hash(golden_a)
+        provenances = [gauss_cholesky(DenseMatrix(GOLD_A)).provenance for _ in range(rounds)]
+        seen = []
+
+        def read(j):
+            for p in provenances:
+                seen.append(p.matrix_hash)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            errors = _run_together(workers, read)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert seen == [want] * (workers * rounds)
+        assert not any("_source" in vars(p) for p in provenances)
+        # The rarest interleaving, made certain: a lookup that missed before
+        # another thread stored the hash and dropped the matrix.
+        assert provenances[0].__getattr__("matrix_hash") == want
 
     @pytest.mark.parametrize("kind", [KIND_LU, KIND_GAUSS_CHOLESKY])
     def test_threads_sharing_a_fresh_factorization_get_identical_bytes(self, monkeypatch, kind):
