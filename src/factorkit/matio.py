@@ -6,9 +6,20 @@ anywhere):
     matrix <rows> <cols> <field>      field: real | complex
     <rows lines of <cols> whitespace-separated entries>
 
-Real entries are decimal literals; complex entries are pairs ``re,im``
-with no spaces inside the pair. Rendering uses the shortest decimal that
-round-trips exactly, so parse(render(M)) == M for every finite matrix.
+Real entries are what ``float()`` accepts and finite; complex entries are
+pairs ``re,im`` of such numbers with no spaces inside the pair. ``float()``
+is the whole number grammar, so ``1_0`` reads as 10.0 and ``١٢`` (Arabic-Indic
+digits) as 12.0. Entries are separated by ``str.split()``'s whitespace.
+Rendering uses the shortest decimal that round-trips exactly, so
+parse(render(M)) == M for every finite matrix. Files are UTF-8; ``load_*``
+skip a leading byte-order mark.
+
+Each data row is read first as one ``float()`` call per entry and one
+finiteness test of the row's sum. A row that misses (wrong entry count, a
+token ``float()`` refuses, a comma in a real file, a pair without exactly one
+comma, a non-finite sum) is re-read token by token, which raises that row's
+``ParseError`` or, when only the sum overflowed, returns the same entries.
+Rows are read in file order, so the first bad row is the one reported.
 
 Factor files persist a factorization the same way:
 
@@ -40,6 +51,7 @@ n * eps * max|factor| as then.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import math
 import re
@@ -146,18 +158,34 @@ def _expect_keyword(
     return line, toks
 
 
+def _real_row(raw: str) -> list[float]:
+    return list(map(float, raw.split()))
+
+
+def _complex_row(raw: str) -> list[complex]:
+    return [complex(float(re_part), float(im_part)) for re_part, im_part in [tok.split(",") for tok in raw.split()]]
+
+
 def _read_rows(cur: _Lines, rows: int, cols: int, field: str, what: str) -> np.ndarray:
+    """The next ``rows`` content lines as an array; each line that misses the fast path is re-read token by token."""
     collected = []
-    parse = _parse_complex if field == "complex" else _parse_real
+    fast, parse = (_complex_row, _parse_complex) if field == "complex" else (_real_row, _parse_real)
     for r in range(rows):
         item = cur.next_content()
         if item is None:
             raise ParseError(cur.end_line, f"{rows} {what} rows, found {r}")
         line, raw = item
-        toks = _tokens(raw)
-        if len(toks) != cols:
-            raise ParseError(line, f"{cols} entries, found {len(toks)}", toks[0][1])
-        collected.append([parse(tok, line, col) for tok, col in toks])
+        try:
+            row = fast(raw)
+        except ValueError:
+            row = None
+        # any inf or nan entry makes the sum non-finite
+        if row is None or len(row) != cols or not cmath.isfinite(sum(row)):
+            toks = _tokens(raw)
+            if len(toks) != cols:
+                raise ParseError(line, f"{cols} entries, found {len(toks)}", toks[0][1])
+            row = [parse(tok, line, col) for tok, col in toks]
+        collected.append(row)
     dtype = np.complex128 if field == "complex" else np.float64
     return np.array(collected, dtype=dtype)
 
@@ -186,7 +214,10 @@ def format_entry(value: float | complex) -> str:
 
 
 def _render_rows(m: DenseMatrix) -> list[str]:
-    return [" ".join(format_entry(v) for v in row) for row in m.data]
+    """Each row's entries as ``format_entry`` writes them, from Python scalars."""
+    if m.is_complex:
+        return [" ".join([f"{v.real!r},{v.imag!r}" for v in row]) for row in m.data.tolist()]
+    return [" ".join(map(repr, row)) for row in m.data.tolist()]
 
 
 def render_matrix(m: DenseMatrix) -> str:
@@ -195,7 +226,7 @@ def render_matrix(m: DenseMatrix) -> str:
 
 
 def load_matrix(path) -> DenseMatrix:
-    return parse_matrix(Path(path).read_text(encoding="utf-8"))
+    return parse_matrix(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def save_matrix(path, m: DenseMatrix) -> None:
@@ -278,7 +309,7 @@ def parse_factorization(text: str) -> Factorization:
 
 
 def load_factorization(path) -> Factorization:
-    return parse_factorization(Path(path).read_text(encoding="utf-8"))
+    return parse_factorization(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def save_factorization(path, f: Factorization) -> None:

@@ -4,12 +4,16 @@ Nothing here calls into factorkit's solvers: the Cholesky factor is the
 classical textbook recursion, determinants come from cofactor expansion,
 and linear systems are solved by Cramer's rule. These stay deliberately
 naive so that agreement with the fast paths is meaningful. The row
-substitutions are kept as the reference for the library's kernel.
+substitutions are kept as the reference for the library's kernel, and the
+token-by-token matrix-body reader as the reference for ``matio``'s.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from factorkit.errors import ParseError
+from factorkit.matio import _parse_complex, _parse_real, _tokens
 
 
 def classical_upper_cholesky(a: np.ndarray) -> np.ndarray:
@@ -148,3 +152,21 @@ def random_spd(rng: np.random.Generator, n: int) -> np.ndarray:
     """Symmetric positive definite: M^T M + n I."""
     m = rng.standard_normal((n, n))
     return m.T @ m + n * np.eye(n)
+
+
+def token_read_rows(cur, rows: int, cols: int, field: str, what: str) -> np.ndarray:
+    """``matio._read_rows`` as it was before rows went through ``float()`` whole:
+    every token parsed and checked on its own, in file order."""
+    collected = []
+    parse = _parse_complex if field == "complex" else _parse_real
+    for r in range(rows):
+        item = cur.next_content()
+        if item is None:
+            raise ParseError(cur.end_line, f"{rows} {what} rows, found {r}")
+        line, raw = item
+        toks = _tokens(raw)
+        if len(toks) != cols:
+            raise ParseError(line, f"{cols} entries, found {len(toks)}", toks[0][1])
+        collected.append([parse(tok, line, col) for tok, col in toks])
+    dtype = np.complex128 if field == "complex" else np.float64
+    return np.array(collected, dtype=dtype)

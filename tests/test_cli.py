@@ -165,6 +165,13 @@ class TestFactorThenSolve:
         assert "3.75 1.75 -0.5 1" in out.splitlines()
         assert "residual" not in out  # needs --matrix
 
+    def test_factor_file_with_byte_order_mark_loads(self, capsys, files):
+        run(capsys, "factor", "--input", files["a"], "--output", files["fact"])
+        want = run(capsys, "solve", "--factor", files["fact"], "--rhs", files["b2"], "--matrix", files["a"])
+        files["fact"].write_bytes(b"\xef\xbb\xbf" + files["fact"].read_bytes())
+        assert run(capsys, "solve", "--factor", files["fact"], "--rhs", files["b2"], "--matrix", files["a"]) == want
+        assert want[0] == 0
+
     def test_residual_requires_matrix(self, capsys, files):
         run(capsys, "factor", "--input", files["a"], "--output", files["fact"])
         code, out, _ = run(
@@ -495,6 +502,13 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--input", files["rect"])
         assert code == 2
         assert "square false" in out.splitlines()
+
+    def test_byte_order_mark_is_skipped(self, capsys, files, tmp_path):
+        bom = tmp_path / "bom.mat"
+        bom.write_text("\ufeff" + render_matrix(DenseMatrix(GOLD_A)), encoding="utf-8")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert run(capsys, "check", "--input", bom) == run(capsys, "check", "--input", files["a"])
+        assert run(capsys, "check", "--input", bom)[0] == 0
 
 
     @pytest.mark.parametrize("method", ["gauss-cholesky", "auto", "lu"])

@@ -24,10 +24,12 @@ from factorkit import (
     save_factorization,
     save_matrix,
 )
-from factorkit.matio import stale_factor_check
+import factorkit.matio
+from factorkit.factorizations import FACTOR_NAMES
+from factorkit.matio import _render_rows, format_entry, stale_factor_check
 
 from conftest import GOLD_A, LEGACY_GOLD_FACTOR_FILE, NEAR_SINGULAR_A
-from oracles import random_spd, random_symmetric
+from oracles import random_spd, random_symmetric, token_read_rows
 
 
 def random_matrix(rng, complex_entries=False):
@@ -418,3 +420,132 @@ class TestFuzz:
             except ParseError as exc:
                 assert exc.line >= 1
                 self._assert_points_into(mutated, exc)
+
+
+def _outcome(parse, text):
+    """What ``parse`` makes of ``text``: its ParseError whole, or every array's bytes."""
+    try:
+        result = parse(text)
+    except ParseError as exc:
+        return "rejected", str(exc), exc.line, exc.column
+    if isinstance(result, DenseMatrix):
+        return "accepted", result.data.dtype.str, result.data.shape, result.data.tobytes()
+    arrays = [getattr(result, name).data for name in FACTOR_NAMES[result.kind]]
+    return "accepted", [(a.dtype.str, a.shape, a.tobytes()) for a in arrays], result.provenance
+
+
+def _special_matrix(rng, n, complex_entries):
+    """Entries over 600 decades, with -0.0, subnormals and +-1.7e308 planted."""
+    def draw():
+        return rng.standard_normal((n, n)) * 10.0 ** rng.integers(-300, 300, (n, n))
+
+    a = draw() + 1j * draw() if complex_entries else draw()
+    specials = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308 / 3, 1.7e308, -1.7e308]
+    for k, v in enumerate(specials):
+        a[k % n, (3 * k) % n] = complex(v, specials[-1 - k]) if complex_entries else v
+    return DenseMatrix(a)
+
+
+class TestRowReader:
+    """The per-line ``float()`` reader against the token-by-token reference (``oracles.token_read_rows``)."""
+
+    ALPHABET = TestFuzz.ALPHABET + "_inf\xa0١,"
+    _mutate = TestFuzz._mutate
+
+    @staticmethod
+    def _reference(monkeypatch, parse, text):
+        with monkeypatch.context() as m:
+            m.setattr(factorkit.matio, "_read_rows", token_read_rows)
+            return _outcome(parse, text)
+
+    def _assert_same(self, monkeypatch, parse, text):
+        got = _outcome(parse, text)
+        assert got == self._reference(monkeypatch, parse, text), text
+        return got
+
+    @pytest.mark.parametrize(
+        "parse, base",
+        [
+            (parse_matrix, render_matrix(DenseMatrix(GOLD_A))),
+            (parse_matrix, render_matrix(DenseMatrix(np.array(GOLD_A) * (1.5 - 2.25e-3j)))),
+            (parse_factorization, render_factorization(lu_from_record(gauss_eliminate(DenseMatrix(GOLD_A))))),
+            (parse_factorization, render_factorization(gauss_cholesky(DenseMatrix([[1, 2], [2, 1]])))),
+        ],
+        ids=["real-matrix", "complex-matrix", "lu-factor", "complex-g-factor"],
+    )
+    def test_mutated_files_read_as_the_reference_reads_them(self, monkeypatch, parse, base):
+        rng = np.random.default_rng(34)
+        verdicts = {"accepted": 0, "rejected": 0}
+        for _ in range(400):
+            verdicts[self._assert_same(monkeypatch, parse, self._mutate(rng, base))[0]] += 1
+        assert min(verdicts.values()) > 0
+
+    @pytest.mark.parametrize(
+        "text, message, line, column",
+        [
+            ("matrix 1 2 complex\n1,2,3 4,5\n", "line 2, column 1: expected a complex pair re,im, got '1,2,3'", 2, 1),
+            ("matrix 1 2 complex\n4,5 1\n", "line 2, column 5: expected a complex pair re,im, got '1'", 2, 5),
+            ("matrix 1 2 complex\n4,5 1,,2\n", "line 2, column 5: expected a complex pair re,im, got '1,,2'", 2, 5),
+            ("matrix 1 2 real\n3 1,2\n", "line 2, column 3: expected a real number, got complex pair '1,2'", 2, 3),
+            ("matrix 1 2 real\n3 inf\n", "line 2, column 3: expected a finite number, got 'inf'", 2, 3),
+            ("matrix 1 2 real\nnan 3\n", "line 2, column 1: expected a finite number, got 'nan'", 2, 1),
+            ("matrix 1 2 real\n3 1e999\n", "line 2, column 3: expected a finite number, got '1e999'", 2, 3),
+            ("matrix 1 2 real\n-inf inf\n", "line 2, column 1: expected a finite number, got '-inf'", 2, 1),
+            ("matrix 1 2 complex\n1,2 nan,0\n", "line 2, column 5: expected finite components, got 'nan,0'", 2, 5),
+            ("matrix 1 1 complex\n0,1e999\n", "line 2, column 1: expected finite components, got '0,1e999'", 2, 1),
+            # a non-finite entry on row r is reported, not the bad token on row r + 2
+            ("matrix 4 2 real\n1 2\n3 nan\n5 6\nx 8\n", "line 3, column 3: expected a finite number, got 'nan'",
+             3, 3),
+            ("matrix 4 1 complex\n1,2\ninf,0\n# c\n5,6\n7\n",
+             "line 3, column 1: expected finite components, got 'inf,0'", 3, 1),
+            ("matrix 2 2 real\n1 2 3\n4 5\n", "line 2, column 1: expected 2 entries, found 3", 2, 1),
+            ("matrix 2 2 real\n1 2\n  x\n", "line 3, column 3: expected 2 entries, found 1", 3, 3),
+        ],
+    )
+    def test_rejected_rows_are_pinned(self, monkeypatch, text, message, line, column):
+        assert self._assert_same(monkeypatch, parse_matrix, text) == ("rejected", message, line, column)
+
+    @pytest.mark.parametrize(
+        "text, values",
+        [
+            ("matrix 1 2 real\n1e308 1e308\n", [1e308, 1e308]),
+            ("matrix 2 2 real\n1.7e308 -1.7e308\n-1.7e308 -1.7e308\n", [1.7e308, -1.7e308, -1.7e308, -1.7e308]),
+            ("matrix 1 2 complex\n1.7e308,0 0,1.7e308\n", [1.7e308, 1.7e308j]),
+            ("matrix 1 1 complex\n1.7e308,1.7e308\n", [complex(1.7e308, 1.7e308)]),
+            ("matrix 1 2 complex\n1,-1e308 2,-1e308\n", [1 - 1e308j, 2 - 1e308j]),
+        ],
+    )
+    def test_rows_whose_sum_overflows_are_accepted(self, monkeypatch, text, values):
+        accepted = self._assert_same(monkeypatch, parse_matrix, text)
+        assert accepted[0] == "accepted"
+        assert_array_equal(parse_matrix(text).data.ravel(), values)
+
+    @pytest.mark.parametrize(
+        "text, values, token_path",
+        [
+            ("matrix 1 2 real\n1_0 ١٢\n", [10.0, 12.0], False),
+            ("matrix 1 4 real\n1_0 ١٢ 1e308 1e308\n", [10.0, 12.0, 1e308, 1e308], True),
+            ("matrix 1 1 complex\n1_0,١٢\n", [10 + 12j], False),
+            ("matrix 1 3 complex\n1_0,١٢ 1e308,0 1e308,0\n", [10 + 12j, 1e308, 1e308], True),
+        ],
+        ids=["real", "real-token-path", "complex", "complex-token-path"],
+    )
+    def test_float_is_the_number_grammar(self, monkeypatch, text, values, token_path):
+        # digit-group underscores and non-ASCII decimal digits read as float() reads them, on either path
+        calls = []
+        for name in ("_parse_real", "_parse_complex"):
+            original = getattr(factorkit.matio, name)
+            monkeypatch.setattr(factorkit.matio, name, lambda *a, _f=original: calls.append(a) or _f(*a))
+        assert_array_equal(parse_matrix(text).data.ravel(), values)
+        assert bool(calls) == token_path
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_parse_inverts_render_at_n_600(self, field):
+        m = _special_matrix(np.random.default_rng(35), 600, field == "complex")
+        out = parse_matrix(render_matrix(m))
+        assert (out.data.dtype, out.data.tobytes()) == (m.data.dtype, m.data.tobytes())
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_rows_render_as_format_entry_writes_entries(self, field):
+        m = _special_matrix(np.random.default_rng(36), 12, field == "complex")
+        assert _render_rows(m) == [" ".join(format_entry(v) for v in row) for row in m.data]

@@ -312,9 +312,8 @@ class TestSessionSolve:
         def refuse(*args):
             raise AssertionError("text rendering reached the solve path")
 
-        for module in (factorkit.matio,):
-            monkeypatch.setattr(module, "render_matrix", refuse)
-            monkeypatch.setattr(module, "format_entry", refuse)
+        for name in ("render_matrix", "render_factorization", "_render_rows", "format_entry"):
+            monkeypatch.setattr(factorkit.matio, name, refuse)
         s = open_session(DenseMatrix(GOLD_A), method)
         for b in (golden_b1, golden_b2, golden_b1):
             session_solve(s, b)
