@@ -10,6 +10,13 @@ Two kinds are supported:
   stays entirely real on the same code path; a negative pivot simply makes
   G complex. No positive-definiteness proof is attempted or required.
 
+A factorization packaged from an elimination record keeps the record's
+packed array, with no copy, and forms its factors from it on first read: L
+and U, or G, then replace the packed array. Those factors are not
+validated, since the elimination guaranteed what the constructor checks of
+factors from outside: triangular, a unit diagonal for L, one field, and the
+recorded pivots on the diagonal. A session answered once never forms them.
+
 Both kinds are immutable once constructed and may serve any number of
 concurrent solves. The first solve of a factorization larger than one
 substitution block inverts the diagonal blocks of its triangular factors
@@ -27,12 +34,14 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .elimination import EliminationRecord, _pivot_threshold, _require_triangular, gauss_eliminate, scaling_flops
-from .elimination import _block_inverses, _solve_lower, _solve_upper
+from .elimination import _block_inverses, _overflow_is_checked, _solve_lower, _solve_upper
 from .errors import NotSymmetricError, ShapeError
 from .matrices import (
     DEFAULT_SYMMETRY_TOL,
     HASH_SCHEME,
     DenseMatrix,
+    _require_finite_entries,
+    _wrap,
     matrix_hash,
     principal_sqrt,
     residual_norm,
@@ -113,7 +122,14 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class Factorization:
-    """A tagged factorization: LU factors, or the single G of A = G^T G."""
+    """A tagged factorization: LU factors, or the single G of A = G^T G.
+
+    One built from an elimination record forms its factors on first read,
+    as the module docstring says. Copies and pickles carry what it holds,
+    the packed array or the factors; equality, ``repr`` and factor files
+    read the factors, so either way they agree with a factorization
+    constructed from the same factors.
+    """
 
     kind: str
     n: int
@@ -153,6 +169,21 @@ class Factorization:
         if not ok:
             raise ValueError(f"factor {name} has a negligible diagonal entry")
 
+    def __getattr__(self, name):
+        # Called when lookup misses: for a factor of a record-built
+        # factorization, until a first read has stored its kind's factors and
+        # dropped the packed array, which another thread may finish in between.
+        d = self.__dict__
+        lu = d.get("_lu")
+        if name not in ("l", "u", "g") or lu is None and name not in d:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        if lu is not None:
+            pivots = self.provenance.pivots if self.kind == KIND_GAUSS_CHOLESKY else None
+            for key, factor in zip(FACTOR_NAMES[self.kind], _factors(lu, pivots)):
+                d.setdefault(key, factor)  # racing first reads store one set
+            d.pop("_lu", None)
+        return d[name]
+
     @functools.cached_property
     def _inverses(self) -> tuple:
         """(forward, back) diagonal-block inverses for ``solve``, made on first use, never saved."""
@@ -166,6 +197,12 @@ class Factorization:
         if self.kind == KIND_LU:
             return DenseMatrix(self.l.data @ self.u.data)
         return DenseMatrix(self.g.data.T @ self.g.data)
+
+
+# A factor missing from an instance is one that __getattr__ forms; the class
+# defaults of None, which dataclass leaves on the class, would answer first.
+for _name in "lug":
+    delattr(Factorization, _name)
 
 
 def _pivot_roots(pivots: tuple) -> np.ndarray:
@@ -182,38 +219,55 @@ def _provenance(record: EliminationRecord, flops: int, symmetry_tol: float | Non
     return Provenance(record.source, record.pivots, flops, symmetry_tol, pivot_threshold=record.pivot_threshold)
 
 
+@_overflow_is_checked
+def _factors(lu: np.ndarray, pivots: tuple | None) -> tuple:
+    """The factors a packed elimination holds: (L, U), or (G,) given the pivots.
+
+    L = I + tril(lu, -1), added in place, an addition that turns a -0.0
+    multiplier into +0.0, and U = triu(lu). G = triu(lu) / r[:, None] with
+    r the pivots' principal roots, which G's diagonal then holds (the
+    algebraically identical form of u_ii / r_i). Each factor is one fresh
+    array, wrapped without a copy. L and U are finite because ``lu`` is. G
+    is checked, though a record from ``gauss_eliminate`` cannot overflow it:
+    g_ij^2 is u_ij * m_ji, which the trailing update already formed, and an
+    overflow there fails as a non-finite pivot.
+    """
+    if pivots is None:
+        l = np.tril(lu, -1)
+        l += np.eye(lu.shape[0], dtype=lu.dtype)
+        return _wrap(l), _wrap(np.triu(lu))
+    roots = _pivot_roots(pivots)
+    g = np.triu(lu) / roots[:, None]
+    np.fill_diagonal(g, roots)
+    _require_finite_entries(g)
+    return (_wrap(g),)
+
+
+def _packed(kind: str, record: EliminationRecord, provenance: Provenance) -> Factorization:
+    # Built past the constructor, which would validate: the factors are
+    # formed by __getattr__ on first read, the other kind's read None.
+    f = object.__new__(Factorization)
+    f.__dict__.update(kind=kind, n=record.n, provenance=provenance, _lu=record.lu.data)
+    f.__dict__.update(dict.fromkeys(name for name in "lug" if name not in FACTOR_NAMES[kind]))
+    return f
+
+
 def lu_from_record(record: EliminationRecord) -> Factorization:
-    """Package an elimination record as A = L U, cutting both from the packed ``record.lu``."""
-    n, lu = record.n, record.lu.data
-    return Factorization(
-        kind=KIND_LU,
-        n=n,
-        l=DenseMatrix(np.eye(n, dtype=lu.dtype) + np.tril(lu, -1)),
-        u=DenseMatrix(np.triu(lu)),
-        provenance=_provenance(record, record.flops),
-    )
+    """Package an elimination record as A = L U, cut from the packed ``record.lu`` on first read."""
+    return _packed(KIND_LU, record, _provenance(record, record.flops))
 
 
 def gauss_cholesky_from_record(
     record: EliminationRecord, symmetry_tol: float = DEFAULT_SYMMETRY_TOL
 ) -> Factorization:
-    """Scale an elimination record of a symmetric matrix into A = G^T G.
+    """Package an elimination record of a symmetric matrix as A = G^T G.
 
-    Row i of U is divided by the principal square root of the pivot u_ii;
-    the diagonal itself is set to that root (the algebraically identical
-    form of u_ii divided by it). The caller is responsible for having
-    checked symmetry of the source.
+    G is U with row i divided by the principal square root of the pivot
+    u_ii, formed from the packed ``record.lu`` on first read. The caller is
+    responsible for having checked symmetry of the source.
     """
-    n = record.n
-    roots = _pivot_roots(record.pivots)
-    g = np.triu(record.lu.data) / roots[:, None]
-    idx = np.arange(n)
-    g[idx, idx] = roots
-    return Factorization(
-        kind=KIND_GAUSS_CHOLESKY,
-        n=n,
-        g=DenseMatrix(g),
-        provenance=_provenance(record, record.flops + scaling_flops(n), symmetry_tol),
+    return _packed(
+        KIND_GAUSS_CHOLESKY, record, _provenance(record, record.flops + scaling_flops(record.n), symmetry_tol)
     )
 
 
@@ -247,9 +301,12 @@ def gauss_cholesky(a: DenseMatrix, symmetry_tol: float = DEFAULT_SYMMETRY_TOL) -
 def solve(f: Factorization, b: DenseMatrix) -> SolveReport:
     """Solve A x = b through the factors, one forward and one back substitution.
 
-    ``b`` may carry any number of columns; each is solved independently.
-    Residuals are measured against the reconstructed matrix, since the
-    factorization does not retain its source.
+    ``b`` may carry any number of columns; each is solved independently,
+    but its last digits depend on how many there are: one column is
+    substituted as a vector, several as a matrix, whose products round
+    differently (up to about 1e-13 relative at n = 150). Residuals are
+    measured against the reconstructed matrix, since the factorization does
+    not retain its source.
     """
     if b.rows != f.n:
         raise ShapeError(f"right-hand side has {b.rows} rows, factorization is for n = {f.n}")

@@ -51,6 +51,12 @@ def _coerce_entries(entries) -> np.ndarray:
     return arr
 
 
+def _require_finite_entries(arr: np.ndarray) -> None:
+    if not np.isfinite(arr).all():
+        i, j = np.argwhere(~np.isfinite(arr))[0]
+        raise ValueError(f"non-finite entry at ({i + 1},{j + 1}): {arr[i, j]}")
+
+
 class DenseMatrix:
     """An immutable dense matrix of float64 or complex128 entries.
 
@@ -70,9 +76,7 @@ class DenseMatrix:
             raise ShapeError(f"matrix entries must be two-dimensional, got {arr.ndim} dimension(s)")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ShapeError(f"matrix dimensions must be positive, got {arr.shape[0]}x{arr.shape[1]}")
-        if not np.isfinite(arr).all():
-            i, j = np.argwhere(~np.isfinite(arr))[0]
-            raise ValueError(f"non-finite entry at ({i + 1},{j + 1}): {arr[i, j]}")
+        _require_finite_entries(arr)
         arr.setflags(write=False)
         self._data = arr
         self._hash = None
@@ -152,6 +156,19 @@ class DenseMatrix:
 
     def __repr__(self) -> str:
         return f"DenseMatrix({self.rows}x{self.cols} {self.field})"
+
+
+def _wrap(arr: np.ndarray) -> DenseMatrix:
+    """``arr`` itself as a ``DenseMatrix``, made read-only: no copy, no checks.
+
+    Only for a fresh two-dimensional float64 or complex128 array of finite
+    entries that no one else holds, as a factorization forms its factors.
+    """
+    m = DenseMatrix.__new__(DenseMatrix)
+    arr.setflags(write=False)
+    m._data = arr
+    m._hash = m._max_abs = m._symmetry = None
+    return m
 
 
 def vector(values) -> DenseMatrix:

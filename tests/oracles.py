@@ -14,6 +14,7 @@ import numpy as np
 
 from factorkit.errors import ParseError
 from factorkit.matio import _parse_complex, _parse_real, _tokens
+from factorkit.matrices import principal_sqrt
 
 
 def classical_upper_cholesky(a: np.ndarray) -> np.ndarray:
@@ -170,3 +171,13 @@ def token_read_rows(cur, rows: int, cols: int, field: str, what: str) -> np.ndar
         collected.append([parse(tok, line, col) for tok, col in toks])
     dtype = np.complex128 if field == "complex" else np.float64
     return np.array(collected, dtype=dtype)
+
+
+def packed_factors(lu: np.ndarray, pivots: tuple) -> dict:
+    """The factors held by a packed elimination array, formed up front as
+    arrays: L = I + tril(lu, -1) and U = triu(lu), and G = triu(lu) with row
+    i divided by the principal root of pivot i, which its diagonal holds."""
+    roots = np.array([principal_sqrt(p) for p in pivots])
+    g = np.triu(lu) / roots[:, None]
+    g[np.arange(len(roots)), np.arange(len(roots))] = roots
+    return {"l": np.eye(lu.shape[0], dtype=lu.dtype) + np.tril(lu, -1), "u": np.triu(lu), "g": g}

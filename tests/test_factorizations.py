@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -30,8 +31,12 @@ from factorkit import (
     verify,
 )
 
+import factorkit.factorizations
+import factorkit.matrices
+import oracles
 from factorkit.elimination import _SUBSTITUTION_BLOCK as NB
-from factorkit.factorizations import _pivot_roots, from_record
+from factorkit.elimination import EliminationRecord
+from factorkit.factorizations import FACTOR_NAMES, _pivot_roots, from_record
 from factorkit.matrices import EPS
 
 from conftest import (
@@ -162,6 +167,125 @@ class TestProvenanceIdentity:
         assert "_source" not in vars(f.provenance)
         with pytest.raises(AttributeError, match="'Provenance' object has no attribute 'source'"):
             f.provenance.source
+
+
+# (kind, matrix) pairs whose factors a record-built factorization forms:
+# real and complex, real and complex G, one panel and several, and a -0.0
+# multiplier (m_21 = 0 / -2), which L = I + tril(lu, -1) turns into +0.0.
+RECORD_BUILT = {
+    "lu-spd-4": (KIND_LU, lambda rng: random_spd(rng, 4)),
+    "lu-nonsymmetric-100": (KIND_LU, lambda rng: rng.standard_normal((100, 100)) + 100 * np.eye(100)),
+    "lu-negative-zero-multiplier": (KIND_LU, lambda rng: np.array([[-2.0, 1, 0], [0, 3, 1], [1, 0, 4]])),
+    "gc-spd-100": (KIND_GAUSS_CHOLESKY, lambda rng: random_spd(rng, 100)),
+    "gc-indefinite-40": (
+        KIND_GAUSS_CHOLESKY,
+        lambda rng: random_symmetric(rng, 40) + np.diag(40 * (-1.0) ** np.arange(40)),
+    ),
+    "gc-complex-symmetric-20": (
+        KIND_GAUSS_CHOLESKY,
+        lambda rng: random_symmetric(rng, 20, complex_entries=True) + 20 * np.eye(20),
+    ),
+}
+
+
+class TestRecordBuiltFactors:
+    """A factorization packaged from an elimination record holds the packed
+    array until a factor is first read, then forms its kind's factors once,
+    unvalidated, and drops the array; nothing about it differs from the same
+    factors formed up front and passed to the constructor."""
+
+    @pytest.fixture(params=list(RECORD_BUILT))
+    def case(self, request):
+        """(a function that packages a fresh record, that record, the factors formed up front as arrays)."""
+        kind, make = RECORD_BUILT[request.param]
+        record = gauss_eliminate(DenseMatrix(make(np.random.default_rng(3))), symmetric=kind == KIND_GAUSS_CHOLESKY)
+        return (lambda: from_record(record, kind)), record, oracles.packed_factors(record.lu.data, record.pivots)
+
+    @staticmethod
+    def _eager(f, arrays):
+        """``f`` as the constructor builds it from factors formed up front, validating them."""
+        factors = {name: DenseMatrix(arrays[name]) for name in FACTOR_NAMES[f.kind]}
+        return Factorization(f.kind, f.n, f.provenance, **factors)
+
+    def test_factors_are_bitwise_those_formed_up_front(self, case):
+        package, _, arrays = case
+        f = package()
+        for name in "lug":
+            factor = getattr(f, name)
+            if name not in FACTOR_NAMES[f.kind]:
+                assert factor is None
+                continue
+            assert factor.data.dtype == arrays[name].dtype
+            assert factor.data.tobytes() == arrays[name].tobytes()  # -0.0 and +0.0 differ here
+            assert not factor.data.flags.writeable
+
+    def test_equals_the_eager_factorization_before_any_read(self, case):
+        package, _, arrays = case
+        f = package()
+        assert "_lu" in vars(f)
+        assert f == self._eager(f, arrays)
+        other = package()
+        assert self._eager(other, arrays) == other
+
+    def test_repr_copies_pickles_and_files_agree_with_the_eager_one(self, case):
+        package, _, arrays = case
+        eager = self._eager(package(), arrays)
+        assert repr(package()) == repr(eager)
+        assert copy.copy(package()) == eager
+        assert pickle.loads(pickle.dumps(package())) == eager
+        assert parse_factorization(render_factorization(package())) == eager
+        assert render_factorization(package()) == render_factorization(eager)
+
+    def test_first_read_forms_every_factor_once_and_drops_the_packed_array(self, case):
+        package, record, _ = case
+        f = package()
+        assert vars(f)["_lu"] is record.lu.data  # referenced, not copied
+        names = FACTOR_NAMES[f.kind]
+        first = getattr(f, names[-1])
+        assert first is getattr(f, names[-1])
+        assert all(name in vars(f) for name in names)
+        assert "_lu" not in vars(f)
+        assert not any(isinstance(v, np.ndarray) for v in vars(f).values())  # neither the array nor the roots
+        with pytest.raises(AttributeError, match="'Factorization' object has no attribute '_lu'"):
+            f._lu
+
+    def test_nothing_validates_record_built_factors(self, case, monkeypatch):
+        package, _, arrays = case
+        checks = []
+        original = factorkit.factorizations._require_triangular
+        monkeypatch.setattr(
+            factorkit.factorizations, "_require_triangular", lambda *a, **k: checks.append(a) or original(*a, **k)
+        )
+        f = package()
+        solve(f, DenseMatrix(np.ones((f.n, 1))))
+        assert checks == []
+        self._eager(f, arrays)
+        assert len(checks) == len(FACTOR_NAMES[f.kind])
+
+    def test_packaging_forms_no_factor(self, case, monkeypatch):
+        package, _, _ = case
+        made = []
+        monkeypatch.setattr(factorkit.factorizations, "_factors", lambda *a: made.append(a))
+        monkeypatch.setattr(factorkit.matrices.DenseMatrix, "__init__", lambda *a: made.append(a))
+        f = package()
+        assert made == [] and "_lu" in vars(f)
+
+    def test_replace_validates_what_it_is_given(self, golden_a):
+        f = lu_from_record(gauss_eliminate(golden_a))
+        with pytest.raises(ShapeError, match="expected an exactly upper-triangular factor u"):
+            dataclasses.replace(f, u=DenseMatrix(np.ones((4, 4))))
+        assert dataclasses.replace(f) == f
+
+    def test_an_overflowing_g_fails_only_as_a_value_error(self):
+        # A record gauss_eliminate cannot make: eliminating a symmetric matrix,
+        # its trailing update forms g_12^2 = u_12 * m_21 and would already have
+        # failed on a non-finite pivot.
+        a = DenseMatrix([[1e-2, 1e308], [1e300, 4]])
+        record = EliminationRecord(a, (1e-2, 4.0), None, 0, a, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^non-finite entry at \(1,2\): inf$"):
+                gauss_cholesky_from_record(record).g  # at packaging or at this first read
 
 
 class TestLuFromRecord:

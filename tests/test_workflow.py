@@ -62,7 +62,7 @@ from conftest import (
     ULP_ABOVE_THRESHOLD_A,
     ZERO_PIVOT_A,
 )
-from oracles import random_spd, random_symmetric
+from oracles import packed_factors, random_spd, random_symmetric
 
 
 class TestOpenSession:
@@ -376,6 +376,19 @@ class TestSessionState:
         assert len(matrix_hash_calls) == 1
         assert matrix_hash(s.matrix) == "2845401addaf482d"  # cached on the matrix by the first read
 
+    @pytest.mark.parametrize("method", [KIND_LU, KIND_GAUSS_CHOLESKY])
+    def test_factors_formed_only_when_a_reuse_reads_them(self, monkeypatch, method, golden_b1, golden_b2):
+        forming = factorkit.factorizations._factors
+        formed = []
+        monkeypatch.setattr(factorkit.factorizations, "_factors", lambda *a: formed.append(a) or forming(*a))
+        s = open_session(DenseMatrix(GOLD_A), method)
+        session_solve(s, golden_b1)
+        cost_report(s)
+        assert formed == [] and "_lu" in vars(s.factorization)
+        for b in (golden_b2, golden_b1):
+            session_solve(s, b)
+        assert len(formed) == 1 and "_lu" not in vars(s.factorization)
+
     def test_cli_hashes_only_to_write_or_check_a_factor_file(self, matrix_hash_calls, capsys, tmp_path):
         a, b, fact = tmp_path / "a.mat", tmp_path / "b.mat", tmp_path / "a.fact"
         save_matrix(a, DenseMatrix(GOLD_A))
@@ -518,6 +531,69 @@ class TestConcurrency:
         # The rarest interleaving, made certain: a lookup that missed before
         # another thread stored the hash and dropped the matrix.
         assert provenances[0].__getattr__("matrix_hash") == want
+
+    @pytest.mark.parametrize("kind", [KIND_LU, KIND_GAUSS_CHOLESKY])
+    def test_racing_first_reads_of_record_built_factors_agree(self, kind):
+        # As for the hash: first reads interleave with the one that forms the
+        # factors, stores them and drops the packed array.
+        workers, rounds, n = 8, 200, 100
+        rng = np.random.default_rng(31)
+        factorizations = [
+            factorkit.factorizations.from_record(
+                gauss_eliminate(DenseMatrix(random_spd(rng, n)), symmetric=kind == KIND_GAUSS_CHOLESKY), kind
+            )
+            for _ in range(rounds)
+        ]
+        packed = [(vars(f)["_lu"], f.provenance.pivots) for f in factorizations]
+        seen = [[] for _ in range(workers)]
+
+        def read(j):
+            for f in factorizations:
+                seen[j].append((f.l, f.u, f.g))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            errors = _run_together(workers, read)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        for i, (lu, pivots) in enumerate(packed):
+            first = seen[0][i]
+            assert all(all(x is y for x, y in zip(reads[i], first)) for reads in seen)
+            arrays = packed_factors(lu, pivots)
+            for name, factor in zip("lug", first):
+                assert (factor is None) == (name not in factorkit.factorizations.FACTOR_NAMES[kind])
+                assert factor is None or factor.data.tobytes() == arrays[name].tobytes()
+        assert not any("_lu" in vars(f) for f in factorizations)
+
+    @pytest.mark.parametrize("kind", [KIND_LU, KIND_GAUSS_CHOLESKY])
+    def test_racing_first_reuses_of_a_fresh_session_answer_as_one_thread_does(self, kind):
+        # The first reuse forms the factors and their block inverses; racing
+        # reuses must each answer exactly as a sequential run.
+        workers, rounds, n = 8, 10, 100
+        rng = np.random.default_rng(32)
+        interval = sys.getswitchinterval()
+        for _ in range(rounds):
+            a = DenseMatrix(random_spd(rng, n))
+            sides = [vector(rng.standard_normal(n)) for _ in range(workers + 1)]
+            sequential = open_session(a, kind)
+            want = [session_solve(sequential, b).solutions.data.tobytes() for b in sides]
+            s = open_session(a, kind)
+            session_solve(s, sides[0])
+            answers = [None] * workers
+
+            def reuse(j):
+                answers[j] = session_solve(s, sides[j + 1]).solutions.data.tobytes()
+
+            sys.setswitchinterval(1e-6)
+            try:
+                errors = _run_together(workers, reuse)
+            finally:
+                sys.setswitchinterval(interval)
+            assert errors == []
+            assert answers == want[1:]
+            assert s.reuse_count == workers
 
     @pytest.mark.parametrize("kind", [KIND_LU, KIND_GAUSS_CHOLESKY])
     def test_threads_sharing_a_fresh_factorization_get_identical_bytes(self, monkeypatch, kind):
