@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonSquareError, ShapeError, ZeroPivotError
-from .matrices import EPS, DenseMatrix, matrix_hash
+from .matrices import EPS, DenseMatrix, _wrap, matrix_hash
 
 __all__ = [
     "EliminationRecord",
@@ -185,20 +185,18 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None, *, symmetric: 
             # as m[:, None] * v[None, :], which is what np.outer computes
             # without its wrapper; m[:, None] * v with a 1-D v can round
             # complex products differently.
+            m = work[col + 1 :, col]
+            rows = k1 - col - 1  # the panel's own rows below the pivot
             if one_triangle:
-                # The panel's own multipliers come from the pivot row, and one
-                # rank-1 update covers their rows across the full width; the
-                # multipliers below the panel wait for the panel's end.
-                m = work[col + 1 : k1, col]
-                np.divide(work[col, col + 1 : k1], pivot, out=m)
-                m_panel = m[:, None]
-                work[col + 1 : k1, col + 1 :] -= m_panel * work[col, col + 1 :][None, :]
+                # The panel's multipliers come from the pivot row; those below
+                # the panel wait for the panel's end.
+                np.divide(work[col, col + 1 : k1], pivot, out=m[:rows])
             else:
-                m = work[col + 1 :, col]
                 m /= pivot
-                work[col + 1 :, col + 1 : k1] -= m[:, None] * work[col, col + 1 : k1][None, :]
-                m_panel = m[: k1 - col - 1, None]
-                work[col + 1 : k1, k1:] -= m_panel * work[col, k1:][None, :]
+                work[k1:, col + 1 : k1] -= m[rows:, None] * work[col, col + 1 : k1][None, :]
+            # One rank-1 update covers the panel's rows across the full width.
+            m_panel = m[:rows, None]
+            work[col + 1 : k1, col + 1 :] -= m_panel * work[col, col + 1 :][None, :]
             if rhs is not None:
                 rhs[col + 1 : k1] -= m_panel * rhs[col][None, :]
         if k1 < n:
@@ -221,10 +219,16 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None, *, symmetric: 
 
     if rhs is not None:
         _require_finite(rhs, "the elimination of the right-hand side")
+    # The record takes both arrays as they are: no one else holds them, the
+    # sides were checked just above, and every packed entry is finite
+    # because every pivot was. A strict-upper u_kj enters pivot j as
+    # m_jk * u_kj, and a multiplier m_ik enters pivot i as m_ik * u_ki. In
+    # IEEE arithmetic a non-finite factor makes that product non-finite,
+    # even against a zero (inf * 0 = NaN), so the later pivot test fails.
     return EliminationRecord(
-        lu=DenseMatrix(work),
+        lu=_wrap(work),
         pivots=tuple(np.diagonal(work).tolist()),
-        transformed_rhs=DenseMatrix(rhs) if rhs is not None else None,
+        transformed_rhs=_wrap(rhs) if rhs is not None else None,
         flops=elimination_flops(n, rhs.shape[1] if rhs is not None else 0),
         source=a,
         pivot_threshold=threshold,

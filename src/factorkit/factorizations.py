@@ -10,12 +10,11 @@ Two kinds are supported:
   stays entirely real on the same code path; a negative pivot simply makes
   G complex. No positive-definiteness proof is attempted or required.
 
-A factorization packaged from an elimination record keeps the record's
-packed array, with no copy, and forms its factors from it on first read: L
-and U, or G, then replace the packed array. Those factors are not
-validated, since the elimination guaranteed what the constructor checks of
-factors from outside: triangular, a unit diagonal for L, one field, and the
-recorded pivots on the diagonal. A session answered once never forms them.
+Packaging an elimination record forms its kind's factors at once from the
+record's packed array and builds the factorization through its
+constructor, which validates them as it validates factors from anywhere
+else. The one caller that can answer without the factors, a session's
+first solve, defers packaging itself (see ``workflow``).
 
 Both kinds are immutable once constructed and may serve any number of
 concurrent solves. The first solve of a factorization larger than one
@@ -124,11 +123,10 @@ class SolveReport:
 class Factorization:
     """A tagged factorization: LU factors, or the single G of A = G^T G.
 
-    One built from an elimination record forms its factors on first read,
-    as the module docstring says. Copies and pickles carry what it holds,
-    the packed array or the factors; equality, ``repr`` and factor files
-    read the factors, so either way they agree with a factorization
-    constructed from the same factors.
+    The constructor validates the factors, wherever they come from: square
+    and exactly triangular, a unit diagonal for L, one field, and a last
+    factor whose diagonal is the recorded pivots' own (or, where no pivot
+    threshold was recorded, clears n * eps * max|factor|).
     """
 
     kind: str
@@ -169,21 +167,6 @@ class Factorization:
         if not ok:
             raise ValueError(f"factor {name} has a negligible diagonal entry")
 
-    def __getattr__(self, name):
-        # Called when lookup misses: for a factor of a record-built
-        # factorization, until a first read has stored its kind's factors and
-        # dropped the packed array, which another thread may finish in between.
-        d = self.__dict__
-        lu = d.get("_lu")
-        if name not in ("l", "u", "g") or lu is None and name not in d:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        if lu is not None:
-            pivots = self.provenance.pivots if self.kind == KIND_GAUSS_CHOLESKY else None
-            for key, factor in zip(FACTOR_NAMES[self.kind], _factors(lu, pivots)):
-                d.setdefault(key, factor)  # racing first reads store one set
-            d.pop("_lu", None)
-        return d[name]
-
     @functools.cached_property
     def _inverses(self) -> tuple:
         """(forward, back) diagonal-block inverses for ``solve``, made on first use, never saved."""
@@ -199,12 +182,6 @@ class Factorization:
         return DenseMatrix(self.g.data.T @ self.g.data)
 
 
-# A factor missing from an instance is one that __getattr__ forms; the class
-# defaults of None, which dataclass leaves on the class, would answer first.
-for _name in "lug":
-    delattr(Factorization, _name)
-
-
 def _pivot_roots(pivots: tuple) -> np.ndarray:
     """G's diagonal: the principal square root of each pivot, as ``principal_sqrt`` gives it."""
     p = np.array(pivots)
@@ -215,7 +192,13 @@ def _pivot_roots(pivots: tuple) -> np.ndarray:
     return np.where(negative, 1j * roots, roots) if negative.any() else roots
 
 
-def _provenance(record: EliminationRecord, flops: int, symmetry_tol: float | None = None) -> Provenance:
+def _packaging_flops(kind: str, n: int, elimination: int) -> int:
+    """The ledger of an elimination packaged as ``kind``: its flops, plus scaling U into G for gauss-cholesky."""
+    return elimination + (scaling_flops(n) if kind == KIND_GAUSS_CHOLESKY else 0)
+
+
+def _provenance(record: EliminationRecord, kind: str, symmetry_tol: float | None = None) -> Provenance:
+    flops = _packaging_flops(kind, record.n, record.flops)
     return Provenance(record.source, record.pivots, flops, symmetry_tol, pivot_threshold=record.pivot_threshold)
 
 
@@ -243,18 +226,10 @@ def _factors(lu: np.ndarray, pivots: tuple | None) -> tuple:
     return (_wrap(g),)
 
 
-def _packed(kind: str, record: EliminationRecord, provenance: Provenance) -> Factorization:
-    # Built past the constructor, which would validate: the factors are
-    # formed by __getattr__ on first read, the other kind's read None.
-    f = object.__new__(Factorization)
-    f.__dict__.update(kind=kind, n=record.n, provenance=provenance, _lu=record.lu.data)
-    f.__dict__.update(dict.fromkeys(name for name in "lug" if name not in FACTOR_NAMES[kind]))
-    return f
-
-
 def lu_from_record(record: EliminationRecord) -> Factorization:
-    """Package an elimination record as A = L U, cut from the packed ``record.lu`` on first read."""
-    return _packed(KIND_LU, record, _provenance(record, record.flops))
+    """Package an elimination record as A = L U, cut from the packed ``record.lu``."""
+    l, u = _factors(record.lu.data, None)
+    return Factorization(KIND_LU, record.n, _provenance(record, KIND_LU), l=l, u=u)
 
 
 def gauss_cholesky_from_record(
@@ -262,13 +237,13 @@ def gauss_cholesky_from_record(
 ) -> Factorization:
     """Package an elimination record of a symmetric matrix as A = G^T G.
 
-    G is U with row i divided by the principal square root of the pivot
-    u_ii, formed from the packed ``record.lu`` on first read. The caller is
-    responsible for having checked symmetry of the source.
+    G is U, from the packed ``record.lu``, with row i divided by the
+    principal square root of the pivot u_ii. The caller is responsible for
+    having checked symmetry of the source.
     """
-    return _packed(
-        KIND_GAUSS_CHOLESKY, record, _provenance(record, record.flops + scaling_flops(record.n), symmetry_tol)
-    )
+    (g,) = _factors(record.lu.data, record.pivots)
+    provenance = _provenance(record, KIND_GAUSS_CHOLESKY, symmetry_tol)
+    return Factorization(KIND_GAUSS_CHOLESKY, record.n, provenance, g=g)
 
 
 def from_record(record: EliminationRecord, kind: str, symmetry_tol: float = DEFAULT_SYMMETRY_TOL) -> Factorization:
@@ -305,8 +280,8 @@ def solve(f: Factorization, b: DenseMatrix) -> SolveReport:
     but its last digits depend on how many there are: one column is
     substituted as a vector, several as a matrix, whose products round
     differently (up to about 1e-13 relative at n = 150). Residuals are
-    measured against the reconstructed matrix, since the factorization does
-    not retain its source.
+    measured against the reconstructed matrix, since a factorization need
+    not hold its source: one read from a factor file carries only its hash.
     """
     if b.rows != f.n:
         raise ShapeError(f"right-hand side has {b.rows} rows, factorization is for n = {f.n}")

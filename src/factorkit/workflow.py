@@ -2,8 +2,10 @@
 
 A session holds one matrix and answers any number of right-hand sides
 against it. The first solve performs the elimination with that side riding
-along, answers it straight off the triangular system, and caches the
-factorization; every later solve costs only two triangular substitutions.
+along and answers it straight off the triangular system; the session keeps
+the elimination record. The first reuse, or the first read of
+``factorization``, packages that record into the cached factorization and
+drops it; every later solve costs only two triangular substitutions.
 The flop ledger separates the one-time cost from the per-reuse cost so the
 economics are checkable without wall-clock noise.
 
@@ -25,13 +27,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elimination import _solve_upper, gauss_eliminate, substitution_flops
+from .elimination import EliminationRecord, _solve_upper, elimination_flops, gauss_eliminate, substitution_flops
 from .errors import NonSquareError, NoSolvesError, ShapeError, ZeroPivotError
 from .factorizations import (
     KIND_GAUSS_CHOLESKY,
     KIND_LU,
     Factorization,
     SolveReport,
+    _packaging_flops,
     from_record,
     gauss_cholesky,
     require_symmetric,
@@ -64,11 +67,25 @@ class SolveSession:
     method: str  # resolved: "lu" or "gauss-cholesky"
     symmetry_tol: float
     residual_tol: float
-    factorization: Factorization | None = None
     reuse_count: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False, compare=False)
+    # The first solve's elimination record until it is packaged, then the
+    # factorization: cached, so equality ignores it and replace() drops it.
+    _solved: EliminationRecord | Factorization | None = field(default=None, init=False, repr=False, compare=False)
     # The elimination's ZeroPivotError, which later solves re-raise.
     _failure: ZeroPivotError | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def factorization(self) -> Factorization | None:
+        """The cached factorization, packaged on first read; ``None`` before a first solve."""
+        with self._lock:
+            return self._packaged()
+
+    def _packaged(self) -> Factorization | None:
+        # Under the lock: package the record once and drop it.
+        if isinstance(self._solved, EliminationRecord):
+            self._solved = from_record(self._solved, self.method, self.symmetry_tol)
+        return self._solved
 
 
 @dataclass(frozen=True)
@@ -137,21 +154,20 @@ def session_solve(s: SolveSession, b: DenseMatrix) -> SolveReport:
     with s._lock:
         if s._failure is not None:
             raise copy.copy(s._failure)
-        f, record = s.factorization, None
+        f = s._packaged()
         if f is None:
             try:
-                record = gauss_eliminate(s.matrix, b, symmetric=s.method == KIND_GAUSS_CHOLESKY)
+                record = s._solved = gauss_eliminate(s.matrix, b, symmetric=s.method == KIND_GAUSS_CHOLESKY)
             except ZeroPivotError as exc:
                 # A copy: the raised one's traceback would keep the elimination's frames alive.
                 s._failure = copy.copy(exc)
                 raise
-            f = s.factorization = from_record(record, s.method, s.symmetry_tol)
-    if record is not None:
+    if f is None:
         # The first system is answered directly from the triangular system
         # U x = b' that the elimination left in the upper triangle of record.lu.
         x_arr, back_flops = _solve_upper(record.lu.data, record.transformed_rhs.data)
         solutions = DenseMatrix(x_arr)
-        flops = f.provenance.flops + back_flops
+        flops = _packaging_flops(s.method, record.n, record.flops) + back_flops
     else:
         report = solve(f, b)
         solutions = report.solutions
@@ -171,10 +187,11 @@ def session_solve(s: SolveSession, b: DenseMatrix) -> SolveReport:
 
 def cost_report(s: SolveSession) -> CostReport:
     """First-solve cost versus per-reuse cost for this session, from the closed forms."""
-    if s.factorization is None:
+    if s._solved is None:
         raise NoSolvesError()
     n = s.matrix.rows
-    first = s.factorization.provenance.flops + substitution_flops(n, 1)
+    # The first solve eliminates with its one side, then substitutes back.
+    first = _packaging_flops(s.method, n, elimination_flops(n, 1)) + substitution_flops(n, 1)
     # Forward then back substitution; LU's forward factor has a unit diagonal.
     reuse = substitution_flops(n, 1, unit_diagonal=s.method == KIND_LU) + substitution_flops(n, 1)
     return CostReport(

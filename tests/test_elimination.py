@@ -4,6 +4,7 @@ from numpy.testing import assert_array_equal
 
 from factorkit import (
     DenseMatrix,
+    EliminationRecord,
     NonSquareError,
     ShapeError,
     ZeroPivotError,
@@ -334,6 +335,29 @@ class TestBlockedElimination:
                 gauss_eliminate(DenseMatrix(a), vector(np.ones(n)), symmetric=symmetric)
             assert exc.value.column == c
             assert str(exc.value) == f"non-finite pivot in column {c}: the elimination overflowed"
+
+    def test_a_record_is_finite_wherever_the_elimination_succeeds(self):
+        # The record takes the working arrays unchecked: every packed entry
+        # reaches some later pivot, so an overflow must fail a pivot test.
+        rng = np.random.default_rng(34)
+        outcomes = set()
+        for case in range(1500):
+            n = int(rng.integers(2, 41))
+            complex_entries, symmetric = case % 2 == 1, case % 4 >= 2
+            a = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_entries else 0)
+            if symmetric:
+                a = a + a.T
+            a *= 10.0 ** rng.uniform(290, 307)
+            a[0, 0] *= 10.0 ** -rng.uniform(0, 30)  # one tiny leading pivot
+            b = rng.standard_normal((n, 1)) * 10.0 ** rng.uniform(290, 307)
+            try:
+                record = gauss_eliminate(DenseMatrix(a), DenseMatrix(b), symmetric=symmetric)
+            except (ZeroPivotError, OverflowError) as exc:
+                outcomes.add(type(exc))
+                continue
+            assert np.isfinite(record.lu.data).all() and np.isfinite(record.transformed_rhs.data).all()
+            outcomes.add(type(record))
+        assert outcomes == {ZeroPivotError, OverflowError, EliminationRecord}
 
     @pytest.mark.parametrize("case", ["real-spd", "real-indefinite", "complex"])
     def test_proof_identity_and_cholesky_across_panels(self, case):

@@ -189,10 +189,10 @@ RECORD_BUILT = {
 
 
 class TestRecordBuiltFactors:
-    """A factorization packaged from an elimination record holds the packed
-    array until a factor is first read, then forms its kind's factors once,
-    unvalidated, and drops the array; nothing about it differs from the same
-    factors formed up front and passed to the constructor."""
+    """A factorization packaged from an elimination record forms its kind's
+    factors from the packed array and is validated by the constructor;
+    nothing about it differs from the same factors formed up front and
+    passed to the constructor."""
 
     @pytest.fixture(params=list(RECORD_BUILT))
     def case(self, request):
@@ -222,7 +222,6 @@ class TestRecordBuiltFactors:
     def test_equals_the_eager_factorization_before_any_read(self, case):
         package, _, arrays = case
         f = package()
-        assert "_lu" in vars(f)
         assert f == self._eager(f, arrays)
         other = package()
         assert self._eager(other, arrays) == other
@@ -236,20 +235,7 @@ class TestRecordBuiltFactors:
         assert parse_factorization(render_factorization(package())) == eager
         assert render_factorization(package()) == render_factorization(eager)
 
-    def test_first_read_forms_every_factor_once_and_drops_the_packed_array(self, case):
-        package, record, _ = case
-        f = package()
-        assert vars(f)["_lu"] is record.lu.data  # referenced, not copied
-        names = FACTOR_NAMES[f.kind]
-        first = getattr(f, names[-1])
-        assert first is getattr(f, names[-1])
-        assert all(name in vars(f) for name in names)
-        assert "_lu" not in vars(f)
-        assert not any(isinstance(v, np.ndarray) for v in vars(f).values())  # neither the array nor the roots
-        with pytest.raises(AttributeError, match="'Factorization' object has no attribute '_lu'"):
-            f._lu
-
-    def test_nothing_validates_record_built_factors(self, case, monkeypatch):
+    def test_packaging_validates_each_factor_once(self, case, monkeypatch):
         package, _, arrays = case
         checks = []
         original = factorkit.factorizations._require_triangular
@@ -257,18 +243,11 @@ class TestRecordBuiltFactors:
             factorkit.factorizations, "_require_triangular", lambda *a, **k: checks.append(a) or original(*a, **k)
         )
         f = package()
-        solve(f, DenseMatrix(np.ones((f.n, 1))))
-        assert checks == []
-        self._eager(f, arrays)
         assert len(checks) == len(FACTOR_NAMES[f.kind])
-
-    def test_packaging_forms_no_factor(self, case, monkeypatch):
-        package, _, _ = case
-        made = []
-        monkeypatch.setattr(factorkit.factorizations, "_factors", lambda *a: made.append(a))
-        monkeypatch.setattr(factorkit.matrices.DenseMatrix, "__init__", lambda *a: made.append(a))
-        f = package()
-        assert made == [] and "_lu" in vars(f)
+        solve(f, DenseMatrix(np.ones((f.n, 1))))
+        assert len(checks) == len(FACTOR_NAMES[f.kind])
+        self._eager(f, arrays)
+        assert len(checks) == 2 * len(FACTOR_NAMES[f.kind])
 
     def test_replace_validates_what_it_is_given(self, golden_a):
         f = lu_from_record(gauss_eliminate(golden_a))

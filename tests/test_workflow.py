@@ -11,6 +11,7 @@ from factorkit import (
     BenchResult,
     CostReport,
     DenseMatrix,
+    EliminationRecord,
     Factorization,
     KIND_GAUSS_CHOLESKY,
     KIND_LU,
@@ -356,7 +357,7 @@ class TestSessionSolve:
 class TestSessionState:
     def test_fields_are_what_cannot_be_derived(self, golden_a, golden_b1, golden_b2):
         names = [f.name for f in dataclasses.fields(SolveSession) if f.init]
-        assert names == ["matrix", "method", "symmetry_tol", "residual_tol", "factorization", "reuse_count"]
+        assert names == ["matrix", "method", "symmetry_tol", "residual_tol", "reuse_count"]
         s = open_session(golden_a)
         for b in (golden_b1, golden_b2, golden_b1):
             session_solve(s, b)
@@ -384,10 +385,11 @@ class TestSessionState:
         s = open_session(DenseMatrix(GOLD_A), method)
         session_solve(s, golden_b1)
         cost_report(s)
-        assert formed == [] and "_lu" in vars(s.factorization)
+        assert formed == []
         for b in (golden_b2, golden_b1):
             session_solve(s, b)
-        assert len(formed) == 1 and "_lu" not in vars(s.factorization)
+        assert len(formed) == 1
+        assert not any(isinstance(v, EliminationRecord) for v in vars(s).values())  # dropped once packaged
 
     def test_cli_hashes_only_to_write_or_check_a_factor_file(self, matrix_hash_calls, capsys, tmp_path):
         a, b, fact = tmp_path / "a.mat", tmp_path / "b.mat", tmp_path / "a.fact"
@@ -533,39 +535,47 @@ class TestConcurrency:
         assert provenances[0].__getattr__("matrix_hash") == want
 
     @pytest.mark.parametrize("kind", [KIND_LU, KIND_GAUSS_CHOLESKY])
-    def test_racing_first_reads_of_record_built_factors_agree(self, kind):
-        # As for the hash: first reads interleave with the one that forms the
-        # factors, stores them and drops the packed array.
+    def test_racing_first_reads_of_record_built_factors_agree(self, monkeypatch, kind):
+        # Sessions answered once hold their elimination record. First reuses
+        # race first reads of the factorization: exactly one packages it.
         workers, rounds, n = 8, 200, 100
+        package = factorkit.workflow.from_record
+        packaged = []
+        monkeypatch.setattr(factorkit.workflow, "from_record", lambda *a: packaged.append(a) or package(*a))
         rng = np.random.default_rng(31)
-        factorizations = [
-            factorkit.factorizations.from_record(
-                gauss_eliminate(DenseMatrix(random_spd(rng, n)), symmetric=kind == KIND_GAUSS_CHOLESKY), kind
-            )
-            for _ in range(rounds)
-        ]
-        packed = [(vars(f)["_lu"], f.provenance.pivots) for f in factorizations]
+        sessions, packed = [], []
+        for _ in range(rounds):
+            a, b = DenseMatrix(random_spd(rng, n)), vector(rng.standard_normal(n))
+            record = gauss_eliminate(a, b, symmetric=kind == KIND_GAUSS_CHOLESKY)
+            packed.append((record.lu.data, record.pivots))
+            sessions.append(open_session(a, kind))
+            session_solve(sessions[-1], b)
+        side = vector(np.ones(n))
         seen = [[] for _ in range(workers)]
 
-        def read(j):
-            for f in factorizations:
-                seen[j].append((f.l, f.u, f.g))
+        def race(j):
+            for s in sessions:
+                if j % 2:
+                    session_solve(s, side)
+                seen[j].append(s.factorization)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            errors = _run_together(workers, read)
+            errors = _run_together(workers, race)
         finally:
             sys.setswitchinterval(interval)
         assert errors == []
-        for i, (lu, pivots) in enumerate(packed):
-            first = seen[0][i]
-            assert all(all(x is y for x, y in zip(reads[i], first)) for reads in seen)
+        assert len(packaged) == rounds
+        for i, (s, (lu, pivots)) in enumerate(zip(sessions, packed)):
+            f = seen[0][i]
+            assert isinstance(f, Factorization) and all(reads[i] is f for reads in seen)
+            assert s.factorization is f and s.reuse_count == workers // 2
             arrays = packed_factors(lu, pivots)
-            for name, factor in zip("lug", first):
+            for name in "lug":
+                factor = getattr(f, name)
                 assert (factor is None) == (name not in factorkit.factorizations.FACTOR_NAMES[kind])
                 assert factor is None or factor.data.tobytes() == arrays[name].tobytes()
-        assert not any("_lu" in vars(f) for f in factorizations)
 
     @pytest.mark.parametrize("kind", [KIND_LU, KIND_GAUSS_CHOLESKY])
     def test_racing_first_reuses_of_a_fresh_session_answer_as_one_thread_does(self, kind):
