@@ -24,7 +24,10 @@ from factorkit import (
     matrix_hash,
     parse_factorization,
     principal_sqrt,
+    cost_report,
+    open_session,
     render_factorization,
+    session_solve,
     solve,
     transpose,
     vector,
@@ -33,6 +36,7 @@ from factorkit import (
 
 import factorkit.factorizations
 import factorkit.matrices
+import factorkit.workflow
 import oracles
 from factorkit.elimination import _SUBSTITUTION_BLOCK as NB
 from factorkit.elimination import EliminationRecord
@@ -192,7 +196,8 @@ class TestRecordBuiltFactors:
     """A factorization packaged from an elimination record forms its kind's
     factors from the packed array and is validated by the constructor;
     nothing about it differs from the same factors formed up front and
-    passed to the constructor."""
+    passed to the constructor. A session packages its first solve's record
+    only when the factorization is first read, and then drops the record."""
 
     @pytest.fixture(params=list(RECORD_BUILT))
     def case(self, request):
@@ -234,6 +239,37 @@ class TestRecordBuiltFactors:
         assert pickle.loads(pickle.dumps(package())) == eager
         assert parse_factorization(render_factorization(package())) == eager
         assert render_factorization(package()) == render_factorization(eager)
+
+    @pytest.fixture(params=list(RECORD_BUILT))
+    def session(self, request):
+        """A session on the case's matrix, with the case's kind as its method, that has not solved yet."""
+        kind, make = RECORD_BUILT[request.param]
+        return open_session(DenseMatrix(make(np.random.default_rng(3))), kind)
+
+    def test_first_read_forms_every_factor_once_and_drops_the_packed_array(self, session, monkeypatch):
+        session_solve(session, DenseMatrix(np.ones((session.matrix.rows, 1))))
+        record = session._solved
+        assert isinstance(record, EliminationRecord)
+        arrays = oracles.packed_factors(record.lu.data, record.pivots)
+        forming = factorkit.factorizations._factors
+        formed = []
+        monkeypatch.setattr(factorkit.factorizations, "_factors", lambda *a: formed.append(a) or forming(*a))
+        f = session.factorization
+        assert f is session.factorization
+        assert len(formed) == 1
+        for name in FACTOR_NAMES[f.kind]:
+            assert getattr(f, name).data.tobytes() == arrays[name].tobytes()
+        assert not any(isinstance(v, (EliminationRecord, np.ndarray)) for v in vars(session).values())
+        assert not any(isinstance(v, np.ndarray) for v in vars(f).values())  # neither the array nor the roots
+
+    def test_first_session_solve_packages_nothing(self, session, monkeypatch):
+        made = []
+        monkeypatch.setattr(factorkit.factorizations, "_factors", lambda *a: made.append(a))
+        monkeypatch.setattr(factorkit.workflow, "from_record", lambda *a: made.append(a))
+        session_solve(session, DenseMatrix(np.ones((session.matrix.rows, 1))))
+        cost_report(session)
+        assert made == []
+        assert isinstance(session._solved, EliminationRecord)
 
     def test_packaging_validates_each_factor_once(self, case, monkeypatch):
         package, _, arrays = case
