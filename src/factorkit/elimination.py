@@ -13,15 +13,17 @@ pivot. A right-hand side that overflows, in the elimination or in a
 substitution, raises ``OverflowError``: the fault is the side's, not the
 matrix's.
 
-The elimination is blocked (right-looking). Each panel of ``_PANEL_WIDTH``
-columns is reduced column by column, with the pivot test at every column,
-updating only the panel, its block row and the matching rows of the sides;
-the rest of the trailing matrix and sides then take the whole panel's
-update as one matrix product. Multipliers are kept in place below the
-diagonal, so the record carries the working array itself, packed as
-LAPACK's ``getrf`` returns it. For n <= ``_PANEL_WIDTH`` there is one
-panel, so every entry is computed by exactly the operations, in exactly the
-order, of a plain column-by-column elimination.
+The elimination is blocked, the sides riding as extra columns of the one
+working array. Each panel of ``_PANEL_WIDTH`` columns is reduced column by
+column, with the pivot test at every column: its rows take each column's
+rank-1 update across the full width, and the rows below it take its earlier
+columns left-looking, one matrix-vector product per column. The trailing
+matrix, then the sides, take the panel's update as one matrix product each,
+so the factors never depend on the sides. Multipliers stay in place below
+the diagonal, packed as LAPACK's ``getrf`` returns them. For n <=
+``_PANEL_WIDTH`` there is one panel and no row below it, so every entry is
+computed by exactly the operations, in exactly the order, of a plain
+column-by-column elimination.
 
 For a symmetric matrix the paper's theorem gives every multiplier from U:
 m_il = u_li / u_ll. Asked to, the eliminator uses it above one panel, as
@@ -72,9 +74,10 @@ class EliminationRecord:
     elimination of more than one panel takes them from U, m_il = u_li / u_ll,
     so then L @ U is the matrix that A's upper triangle mirrors.
     ``transformed_rhs`` holds the right-hand sides after the same row
-    operations, when any were supplied. ``pivot_threshold`` is the bound
-    every pivot exceeded in magnitude. ``source`` is the eliminated matrix
-    itself, not a copy; it is hashed only when ``source_hash`` is read.
+    operations, when any were supplied. Both are read-only views of the
+    elimination's one working array, not copies. ``pivot_threshold`` is the
+    bound every pivot exceeded in magnitude. ``source`` is the eliminated
+    matrix itself, not a copy; it is hashed only when ``source_hash`` is read.
     """
 
     lu: DenseMatrix
@@ -156,6 +159,9 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None, *, symmetric: 
     theorem gives, and the trailing updates touch only the block upper
     triangle.
 
+    The sides, of any layout, ride beside A in A's field, complex sides of a
+    real matrix as (re, im) pairs; the factors are the same bits without them.
+
     Raises ``NonSquareError`` for a non-square matrix, ``ZeroPivotError``
     naming the failing column when a pivot is negligible or not finite, and
     ``OverflowError`` when the transformed sides are not finite. Inputs are
@@ -167,11 +173,15 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None, *, symmetric: 
         raise ShapeError(f"right-hand side has {b.rows} rows, matrix has {a.rows}")
 
     n = a.rows
-    # Row-major copies: the matrix products round by memory layout, and the
-    # results must depend on the entries only. Promote the sides once so
-    # complex multipliers can be applied to real sides.
-    work = np.array(a.data, order="C")
-    rhs = np.array(b.data, dtype=np.result_type(a.data, b.data), order="C") if b is not None else None
+    # One row-major working array [A | sides]: the matrix products round by
+    # memory layout, and the results must depend on the entries only. A
+    # complex view writes and reads the (re, im) pairs.
+    pairs = b is not None and b.is_complex and not a.is_complex
+    work = np.empty((n, n + (0 if b is None else b.cols * (1 + pairs))), dtype=a.data.dtype)
+    work[:, :n] = a.data
+    lu, rhs = work[:, :n], work[:, n:].view(np.complex128) if pairs else work[:, n:]
+    if b is not None:
+        rhs[...] = b.data
     threshold = _pivot_threshold(n, a.max_abs())
     one_triangle = symmetric and n > _PANEL_WIDTH
 
@@ -192,17 +202,16 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None, *, symmetric: 
                 # the panel wait for the panel's end.
                 np.divide(work[col, col + 1 : k1], pivot, out=m[:rows])
             else:
+                if col > k0 and k1 < n:
+                    # Left-looking: the rows below the panel take its earlier columns now.
+                    m[rows:] -= work[k1:, k0:col] @ work[k0:col, col]
                 m /= pivot
-                work[k1:, col + 1 : k1] -= m[rows:, None] * work[col, col + 1 : k1][None, :]
-            # One rank-1 update covers the panel's rows across the full width.
-            m_panel = m[:rows, None]
-            work[col + 1 : k1, col + 1 :] -= m_panel * work[col, col + 1 :][None, :]
-            if rhs is not None:
-                rhs[col + 1 : k1] -= m_panel * rhs[col][None, :]
+            # One rank-1 update covers the panel's rows across the full width, sides included.
+            work[col + 1 : k1, col + 1 :] -= m[:rows, None] * work[col, col + 1 :][None, :]
         if k1 < n:
             # The panel's rank-(k1 - k0) update of everything below and right
-            # of it: L21 @ U12, and L21 applied to the sides.
-            u12 = work[k0:k1, k1:]
+            # of it: L21 @ U12, then the sides' own, so the factors never see them.
+            u12 = work[k0:k1, k1:n]
             l21 = work[k1:, k0:k1]
             if one_triangle:
                 # The theorem: L21 = (D^-1 U12)^T. The trailing matrix stays
@@ -213,23 +222,22 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None, *, symmetric: 
                     j1 = min(j0 + _TRAILING_BLOCK, n)
                     work[k1:j1, j0:j1] -= l21[: j1 - k1] @ work[k0:k1, j0:j1]
             else:
-                work[k1:, k1:] -= l21 @ u12
-            if rhs is not None:
-                rhs[k1:] -= l21 @ rhs[k0:k1]
+                work[k1:, k1:n] -= l21 @ u12
+            if b is not None:
+                work[k1:, n:] -= l21 @ work[k0:k1, n:]
 
-    if rhs is not None:
-        _require_finite(rhs, "the elimination of the right-hand side")
-    # The record takes both arrays as they are: no one else holds them, the
+    _require_finite(rhs, "the elimination of the right-hand side")
+    # The record takes views of the working array: no one else holds it, the
     # sides were checked just above, and every packed entry is finite
     # because every pivot was. A strict-upper u_kj enters pivot j as
     # m_jk * u_kj, and a multiplier m_ik enters pivot i as m_ik * u_ki. In
     # IEEE arithmetic a non-finite factor makes that product non-finite,
     # even against a zero (inf * 0 = NaN), so the later pivot test fails.
     return EliminationRecord(
-        lu=_wrap(work),
-        pivots=tuple(np.diagonal(work).tolist()),
-        transformed_rhs=_wrap(rhs) if rhs is not None else None,
-        flops=elimination_flops(n, rhs.shape[1] if rhs is not None else 0),
+        lu=_wrap(lu),
+        pivots=tuple(np.diagonal(lu).tolist()),
+        transformed_rhs=_wrap(rhs) if b is not None else None,
+        flops=elimination_flops(n, rhs.shape[1]),
         source=a,
         pivot_threshold=threshold,
     )
@@ -326,10 +334,16 @@ _solve_lower = functools.partial(_substitute_rows, lower=True)
 def _require_triangular(m: DenseMatrix, lower: bool, unit_diagonal: bool = False, name: str = "matrix") -> None:
     if not m.is_square:
         raise NonSquareError(m.rows, m.cols)
-    off = np.triu(m.data, 1) if lower else np.tril(m.data, -1)
-    if np.count_nonzero(off):
-        side = "lower" if lower else "upper"
-        raise ShapeError(f"expected an exactly {side}-triangular {name}")
+    # Read the off triangle in place, a block of rows at a time; only each
+    # diagonal block's off triangle is copied.
+    d, nb = m.data, _SUBSTITUTION_BLOCK
+    for r0 in range(0, m.rows, nb):
+        r1 = r0 + nb
+        beside = d[r0:r1, r1:] if lower else d[r0:r1, :r0]
+        block = np.triu(d[r0:r1, r0:r1], 1) if lower else np.tril(d[r0:r1, r0:r1], -1)
+        if beside.any() or block.any():
+            side = "lower" if lower else "upper"
+            raise ShapeError(f"expected an exactly {side}-triangular {name}")
     if unit_diagonal and not np.all(np.diagonal(m.data) == 1.0):
         raise ShapeError(f"expected {name} to have a unit diagonal")
 

@@ -162,8 +162,8 @@ def _wrap(arr: np.ndarray) -> DenseMatrix:
     """``arr`` itself as a ``DenseMatrix``, made read-only: no copy, no checks.
 
     Only for a fresh two-dimensional float64 or complex128 array of finite
-    entries that no one else holds: an elimination's working arrays, which
-    its record takes, and the factors formed from them.
+    entries that no one else holds: views of an elimination's working array,
+    which its record takes, and the factors formed from them.
     """
     m = DenseMatrix.__new__(DenseMatrix)
     arr.setflags(write=False)

@@ -21,6 +21,7 @@ from factorkit import (
 )
 from factorkit.elimination import _PANEL_WIDTH as NB
 from factorkit.elimination import _SUBSTITUTION_BLOCK, _block_inverses, _solve_lower, _solve_upper, _substitute_rows
+from factorkit.elimination import _require_triangular
 from factorkit.elimination import elimination_flops, scaling_flops, substitution_flops
 from factorkit.matrices import EPS
 
@@ -285,6 +286,11 @@ class TestBlockedElimination:
         x = back_substitute(f.u, record.transformed_rhs)
         assert residual_norm(DenseMatrix(a), x, b) <= 1e-10
         assert record.flops == elimination_flops(n, 1)
+        # Above one panel the sums run in another order than the plain loop's:
+        # within one rounding per update of the largest entry.
+        lu, rhs, _ = plain_eliminate(a, b.data)
+        assert np.max(np.abs(record.lu.data - lu)) <= n * EPS * np.max(np.abs(lu))
+        assert np.max(np.abs(record.transformed_rhs.data - rhs)) <= n * EPS * np.max(np.abs(rhs))
 
     def test_memory_layout_does_not_change_results(self):
         rng = np.random.default_rng(23)
@@ -295,6 +301,42 @@ class TestBlockedElimination:
         col_major = gauss_eliminate(DenseMatrix(np.asfortranarray(a)), DenseMatrix(np.asfortranarray(b)))
         assert_array_equal(col_major.lu.data, row_major.lu.data)
         assert_array_equal(col_major.transformed_rhs.data, row_major.transformed_rhs.data)
+
+    @pytest.mark.parametrize("n", [NB + 1, 40, 200])
+    @pytest.mark.parametrize("complex_a", [False, True])
+    def test_sides_of_the_other_field_in_any_layout(self, n, complex_a):
+        # Complex sides of a real matrix ride as (re, im) pairs of real
+        # columns; real sides of a complex matrix are promoted.
+        rng = np.random.default_rng(n)
+        a = _dominant(rng, n, complex_entries=complex_a)
+        b = rng.standard_normal((n, 3))
+        if not complex_a:
+            b = b + 1j * rng.standard_normal((n, 3))
+        row_major = gauss_eliminate(DenseMatrix(a), DenseMatrix(b))
+        col_major = gauss_eliminate(DenseMatrix(a), DenseMatrix(np.asfortranarray(b)))
+        for record in (row_major, col_major):
+            assert record.lu.data.dtype == (np.complex128 if complex_a else np.float64)
+            assert record.transformed_rhs.data.dtype == np.complex128
+        assert col_major.lu.data.tobytes() == row_major.lu.data.tobytes()
+        assert col_major.transformed_rhs.data.tobytes() == row_major.transformed_rhs.data.tobytes()
+        f = lu_from_record(row_major)
+        x = back_substitute(f.u, row_major.transformed_rhs)
+        assert np.linalg.norm(a @ x.data - b) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(x.data)
+
+    @pytest.mark.parametrize("n", [NB + 1, 2 * NB + 1, 200])
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @pytest.mark.parametrize("fields", ["real", "complex", "real-a-complex-b", "complex-a-real-b"])
+    def test_factors_do_not_depend_on_the_sides(self, n, symmetric, fields):
+        rng = np.random.default_rng(n)
+        a = DenseMatrix(_dominant(rng, n, complex_entries=fields.startswith("complex")))
+        alone = gauss_eliminate(a, symmetric=symmetric)
+        for k in (1, 3):
+            b = rng.standard_normal((n, k))
+            if fields in ("complex", "real-a-complex-b"):
+                b = b + 1j * rng.standard_normal((n, k))
+            record = gauss_eliminate(a, DenseMatrix(b), symmetric=symmetric)
+            assert record.lu.data.tobytes() == alone.lu.data.tobytes()
+            assert record.pivots == alone.pivots
 
     @pytest.mark.parametrize("complex_entries", [False, True])
     def test_dtypes_kept_and_pivots_are_python_scalars(self, complex_entries):
@@ -528,6 +570,32 @@ class TestSubstitutionKernel:
             assert x[:sb].tobytes() == want.tobytes()
             # One side sums each row in another order than three do, so the batch agrees to rounding only.
             assert np.max(np.abs(x[:, 0] - batch[:, j])) <= 1e-12 * np.max(np.abs(batch[:, j]))
+
+
+class TestTriangularCheck:
+    """The off triangle is read a block of rows at a time; a stray entry is
+    found wherever it lies, beside a diagonal block or inside one."""
+
+    EDGES = (0, 1, _SUBSTITUTION_BLOCK - 1, _SUBSTITUTION_BLOCK, _SUBSTITUTION_BLOCK + 1, 2 * _SUBSTITUTION_BLOCK + 2)
+
+    @pytest.mark.parametrize("fortran", [False, True])
+    @pytest.mark.parametrize("lower", [False, True])
+    def test_finds_any_off_triangle_entry(self, lower, fortran):
+        n = 2 * _SUBSTITUTION_BLOCK + 3
+        full = np.random.default_rng(6).uniform(1, 2, (n, n))
+        t = np.tril(full) if lower else np.triu(full)
+        off = np.triu(np.ones((n, n), dtype=bool), 1) if lower else np.tril(np.ones((n, n), dtype=bool), -1)
+        t[off] = -0.0  # a signed zero is still zero
+        layout = np.asfortranarray if fortran else np.ascontiguousarray
+        _require_triangular(DenseMatrix(layout(t)), lower)
+        side = "lower" if lower else "upper"
+        for i in self.EDGES:
+            for j in self.EDGES:
+                if off[i, j]:
+                    stray = t.copy()
+                    stray[i, j] = 1e-300
+                    with pytest.raises(ShapeError, match=f"^expected an exactly {side}-triangular matrix$"):
+                        _require_triangular(DenseMatrix(layout(stray)), lower)
 
 
 class TestBackSubstitute:
