@@ -13,25 +13,28 @@ pivot. A right-hand side that overflows, in the elimination or in a
 substitution, raises ``OverflowError``: the fault is the side's, not the
 matrix's.
 
-The elimination is blocked, the sides riding as extra columns of the one
-working array. Each panel of ``_PANEL_WIDTH`` columns is reduced column by
+The elimination is blocked and left-looking, the sides riding as extra
+columns of the one working array. A panel is ``_PANEL_WIDTH`` rows and
+columns on the diagonal. Its rows first take every earlier panel's update
+as one matrix product, then the sides take theirs as another, so the
+factors never depend on the sides. The panel is then reduced column by
 column, with the pivot test at every column: its rows take each column's
-rank-1 update across the full width, and the rows below it take its earlier
-columns left-looking, one matrix-vector product per column. The trailing
-matrix, then the sides, take the panel's update as one matrix product each,
-so the factors never depend on the sides. Multipliers stay in place below
-the diagonal, packed as LAPACK's ``getrf`` returns them. For n <=
-``_PANEL_WIDTH`` there is one panel and no row below it, so every entry is
-computed by exactly the operations, in exactly the order, of a plain
-column-by-column elimination.
+rank-1 update across the full width, so each pivot row is final when its
+pivot is tested. Multipliers stay in place below the diagonal, packed as
+LAPACK's ``getrf`` returns them. For n <= ``_PANEL_WIDTH`` there is one
+panel and no row below it, so every entry is computed by exactly the
+operations, in exactly the order, of a plain column-by-column elimination.
 
-For a symmetric matrix the paper's theorem gives every multiplier from U:
-m_il = u_li / u_ll. Asked to, the eliminator uses it above one panel, as
-LAPACK's ``xPOTRF`` and ``xSYTRF`` do: it reads only A's upper triangle,
-takes each panel's multipliers from its pivot rows, and updates only the
-block upper triangle of the trailing matrix, about half the work. The
-pivot test and the sides are as in the general loop, and the record is
-packed the same way.
+The two paths differ only in where a column's multipliers come from. In
+general the rows below the panel take every earlier column left-looking,
+one matrix-vector product per column, as in the Crout LU of Golub & Van
+Loan (§3.2), and are divided by the pivot. For a symmetric matrix the
+paper's theorem gives them from the final pivot row, m_il = u_li / u_ll.
+Asked to, the eliminator uses it above one panel, as LAPACK's blocked
+upper ``xPOTRF`` does: every product then reads only rows of U and the
+multipliers formed from them, so A's lower triangle is never read and the
+rows below a panel wait for their own, about half the work. The record is
+packed the same way on both paths.
 
 The substitution kernel solves one row at a time. Given the inverses of a
 triangle's diagonal blocks of ``_SUBSTITUTION_BLOCK`` rows, which a
@@ -102,12 +105,6 @@ class EliminationRecord:
 # products, wider ones leave more of the work in the per-column updates.
 _PANEL_WIDTH = 16
 
-# Columns per block of the one-triangle trailing update. Each block updates
-# the rows down to its last column, so narrower blocks spend less on the
-# lower half but make more matrix products; 32 to 128 timed alike at n = 200
-# and 600 (one BLAS thread), and 32 spends least.
-_TRAILING_BLOCK = 32
-
 
 def _pivot_threshold(n: int, max_abs: float) -> float:
     # Scaled absolute test: an exact-zero comparison is useless in floating
@@ -156,8 +153,8 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None, *, symmetric: 
     With ``symmetric``, the caller vouches that ``a`` is symmetric (no
     conjugation), and above ``_PANEL_WIDTH`` unknowns only its upper
     triangle is read: each multiplier is m_il = u_li / u_ll, as the
-    theorem gives, and the trailing updates touch only the block upper
-    triangle.
+    theorem gives, from a pivot row that the left-looking panel step has
+    already made final.
 
     The sides, of any layout, ride beside A in A's field, complex sides of a
     real matrix as (re, im) pairs; the factors are the same bits without them.
@@ -187,6 +184,12 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None, *, symmetric: 
 
     for k0 in range(0, n, _PANEL_WIDTH):
         k1 = min(k0 + _PANEL_WIDTH, n)
+        if k0:
+            # Left-looking: the panel's rows take every earlier panel's
+            # update, then the sides their own, so the factors never see them.
+            l = work[k0:k1, :k0]
+            work[k0:k1, k0:n] -= l @ work[:k0, k0:n]
+            work[k0:k1, n:] -= l @ work[:k0, n:]
         for col in range(k0, k1):
             pivot = work[col, col]
             if not threshold < abs(pivot) < np.inf:
@@ -198,41 +201,26 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None, *, symmetric: 
             m = work[col + 1 :, col]
             rows = k1 - col - 1  # the panel's own rows below the pivot
             if one_triangle:
-                # The panel's multipliers come from the pivot row; those below
-                # the panel wait for the panel's end.
-                np.divide(work[col, col + 1 : k1], pivot, out=m[:rows])
+                # The theorem: the pivot row is final, and m_il = u_li / u_ll.
+                np.divide(work[col, col + 1 : n], pivot, out=m)
             else:
-                if col > k0 and k1 < n:
-                    # Left-looking: the rows below the panel take its earlier columns now.
-                    m[rows:] -= work[k1:, k0:col] @ work[k0:col, col]
+                if col and k1 < n:
+                    # The rows below the panel take every earlier column now.
+                    m[rows:] -= work[k1:, :col] @ work[:col, col]
                 m /= pivot
             # One rank-1 update covers the panel's rows across the full width, sides included.
             work[col + 1 : k1, col + 1 :] -= m[:rows, None] * work[col, col + 1 :][None, :]
-        if k1 < n:
-            # The panel's rank-(k1 - k0) update of everything below and right
-            # of it: L21 @ U12, then the sides' own, so the factors never see them.
-            u12 = work[k0:k1, k1:n]
-            l21 = work[k1:, k0:k1]
-            if one_triangle:
-                # The theorem: L21 = (D^-1 U12)^T. The trailing matrix stays
-                # symmetric, so only its block upper triangle is updated, one
-                # column block at a time; what lands below it is never read.
-                l21[...] = (u12 / np.diagonal(work)[k0:k1, None]).T
-                for j0 in range(k1, n, _TRAILING_BLOCK):
-                    j1 = min(j0 + _TRAILING_BLOCK, n)
-                    work[k1:j1, j0:j1] -= l21[: j1 - k1] @ work[k0:k1, j0:j1]
-            else:
-                work[k1:, k1:n] -= l21 @ u12
-            if b is not None:
-                work[k1:, n:] -= l21 @ work[k0:k1, n:]
 
     _require_finite(rhs, "the elimination of the right-hand side")
     # The record takes views of the working array: no one else holds it, the
     # sides were checked just above, and every packed entry is finite
     # because every pivot was. A strict-upper u_kj enters pivot j as
-    # m_jk * u_kj, and a multiplier m_ik enters pivot i as m_ik * u_ki. In
-    # IEEE arithmetic a non-finite factor makes that product non-finite,
-    # even against a zero (inf * 0 = NaN), so the later pivot test fails.
+    # m_jk * u_kj, and a multiplier m_ik enters pivot i as m_ik * u_ki: by
+    # column k's rank-1 update when k lies in the pivot's panel, otherwise
+    # as a term of the pivot's dot product in the panel-start product. In
+    # IEEE arithmetic a non-finite factor makes that product, and so any
+    # sum holding it, non-finite, even against a zero (inf * 0 = NaN), so
+    # the later pivot test fails.
     return EliminationRecord(
         lu=_wrap(lu),
         pivots=tuple(np.diagonal(lu).tolist()),

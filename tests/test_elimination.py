@@ -251,7 +251,7 @@ class TestBlockedElimination:
     """The eliminator works in panels of NB columns; these cases sit on
     both sides of the panel edges."""
 
-    EDGE_SIZES = (NB - 1, NB, NB + 1, 2 * NB + 1, 3 * NB + 5, 200)
+    EDGE_SIZES = (NB - 1, NB, NB + 1, 2 * NB, 2 * NB + 1, 3 * NB + 5, 200)
 
     @pytest.mark.parametrize("kind", ["real", "complex-symmetric", "real-a-complex-b", "multi-column"])
     def test_one_panel_is_bitwise_the_plain_loop(self, kind):
@@ -368,7 +368,7 @@ class TestBlockedElimination:
     @pytest.mark.parametrize("c", [NB + 1, NB + 2, 2 * NB + 1, 3 * NB + 5])
     def test_overflow_names_its_column_across_panel_edges(self, c, complex_entries):
         # Column c - 1's multiplier 1e10 overflows the pivot of column c; for
-        # c - 1 at a panel's end, inside the trailing matrix product.
+        # c at a panel's start, inside the panel-start matrix product.
         n = 3 * NB + 5
         a = np.diag(np.full(n, 1e290, dtype=complex if complex_entries else float))
         a[c - 2 : c, c - 2 : c] = [[1e290, 1e300], [1e300, 1]]
@@ -404,7 +404,7 @@ class TestBlockedElimination:
     @pytest.mark.parametrize("case", ["real-spd", "real-indefinite", "complex"])
     def test_proof_identity_and_cholesky_across_panels(self, case):
         # Criterion 9's L D^-1 = (D U)^T and G^T G = A, at a size whose
-        # trailing blocks are updated by matrix products.
+        # panels take the earlier panels' updates by matrix products.
         rng = np.random.default_rng(22)
         n = 3 * NB + 5
         signs = rng.choice([-1.0, 1.0], n) if case == "real-indefinite" else None
@@ -441,7 +441,7 @@ class TestOneTriangleElimination:
             assert self._record_bytes(gauss_eliminate(a, b, symmetric=True)) == self._record_bytes(general)
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("n", [NB + 1, 40, 3 * NB + 5, 200])
+    @pytest.mark.parametrize("n", [NB + 1, 2 * NB, 40, 3 * NB + 5, 200])
     def test_agrees_with_the_general_loop_and_the_theorem(self, n, kind):
         rng = np.random.default_rng(n)
         a = _symmetric_kind(rng, n, kind)
@@ -475,7 +475,7 @@ class TestOneTriangleElimination:
             gauss_eliminate(DenseMatrix(a), DenseMatrix(b), symmetric=True)
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("n", [NB + 1, 3 * NB + 5, 200])
+    @pytest.mark.parametrize("n", [NB + 1, 2 * NB, 3 * NB + 5, 200])
     def test_reads_only_the_upper_triangle(self, n, kind):
         rng = np.random.default_rng(31)
         a = _symmetric_kind(rng, n, kind)

@@ -293,7 +293,7 @@ class TestRecordBuiltFactors:
 
     def test_an_overflowing_g_fails_only_as_a_value_error(self):
         # A record gauss_eliminate cannot make: eliminating a symmetric matrix,
-        # its trailing update forms g_12^2 = u_12 * m_21 and would already have
+        # its update of pivot 2 forms g_12^2 = u_12 * m_21 and would already have
         # failed on a non-finite pivot.
         a = DenseMatrix([[1e-2, 1e308], [1e300, 4]])
         record = EliminationRecord(a, (1e-2, 4.0), None, 0, a, 0.0)
