@@ -10,6 +10,7 @@ non-negative FACTORKIT_TOL overrides the symmetry and residual tolerances.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -171,6 +172,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# Built once: parse_args leaves the parser as it found it.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="factorkit", description="Dense direct solvers with factorization reuse.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -17,24 +17,27 @@ The elimination is blocked and left-looking, the sides riding as extra
 columns of the one working array. A panel is ``_PANEL_WIDTH`` rows and
 columns on the diagonal. Its rows first take every earlier panel's update
 as one matrix product, then the sides take theirs as another, so the
-factors never depend on the sides. The panel is then reduced column by
-column, with the pivot test at every column: its rows take each column's
-rank-1 update across the full width, so each pivot row is final when its
-pivot is tested. Multipliers stay in place below the diagonal, packed as
-LAPACK's ``getrf`` returns them. For n <= ``_PANEL_WIDTH`` there is one
-panel and no row below it, so every entry is computed by exactly the
-operations, in exactly the order, of a plain column-by-column elimination.
+factors never depend on the sides. The panel is then reduced a column pair
+at a time, with the pivot test at every column in order: row c + 1 takes
+column c's update across the full width, so each pivot row is final when
+its pivot is tested, then the panel's other rows take both columns' updates
+as one rank-2 matrix product (in a complex array, the sides take theirs
+apart). Multipliers stay in place below the diagonal, packed as LAPACK's
+``getrf`` returns them. For n <= ``_PANEL_WIDTH`` there is one panel, no
+row below it and one column, with its rank-1 update, per step, so every
+entry is computed by exactly the operations, in exactly the order, of a
+plain column-by-column elimination. An odd last column also goes alone.
 
 The two paths differ only in where a column's multipliers come from. In
 general the rows below the panel take every earlier column left-looking,
-one matrix-vector product per column, as in the Crout LU of Golub & Van
-Loan (§3.2), and are divided by the pivot. For a symmetric matrix the
-paper's theorem gives them from the final pivot row, m_il = u_li / u_ll.
-Asked to, the eliminator uses it above one panel, as LAPACK's blocked
-upper ``xPOTRF`` does: every product then reads only rows of U and the
-multipliers formed from them, so A's lower triangle is never read and the
-rows below a panel wait for their own, about half the work. The record is
-packed the same way on both paths.
+one matrix product per column pair, as in the Crout LU of Golub & Van Loan
+(§3.2); column c + 1 then takes column c's term, and each column is divided
+by its pivot. For a symmetric matrix the paper's theorem gives them from
+the final pivot row, m_il = u_li / u_ll. Asked to, the eliminator uses it
+above one panel, as LAPACK's blocked upper ``xPOTRF`` does: every product
+then reads only rows of U and the multipliers formed from them, so A's
+lower triangle is never read and the rows below a panel wait for their own,
+about half the work. The record is packed the same way on both paths.
 
 The substitution kernel solves one row at a time. Given the inverses of a
 triangle's diagonal blocks of ``_SUBSTITUTION_BLOCK`` rows, which a
@@ -100,9 +103,10 @@ class EliminationRecord:
         return matrix_hash(self.source)
 
 
-# Columns per panel, the fastest in a sweep of 8 to 48 at n = 128, 200 and
-# 600 (one BLAS thread): narrower panels make more and thinner matrix
-# products, wider ones leave more of the work in the per-column updates.
+# Columns per panel. A sweep of 8 to 32 with the column-pair step (one BLAS
+# thread; n = 200 and 600; SPD, LU, complex symmetric, indefinite) found no
+# width fastest at both sizes for every kind: 8 to 20 were within 6% at 200;
+# at 600, 8 or 12 led 16 by up to 12% on symmetric input, LU's lead varied.
 _PANEL_WIDTH = 16
 
 
@@ -153,8 +157,8 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None, *, symmetric: 
     With ``symmetric``, the caller vouches that ``a`` is symmetric (no
     conjugation), and above ``_PANEL_WIDTH`` unknowns only its upper
     triangle is read: each multiplier is m_il = u_li / u_ll, as the
-    theorem gives, from a pivot row that the left-looking panel step has
-    already made final.
+    theorem gives, from a pivot row that the left-looking panel step and
+    the pair step have already made final.
 
     The sides, of any layout, ride beside A in A's field, complex sides of a
     real matrix as (re, im) pairs; the factors are the same bits without them.
@@ -181,6 +185,10 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None, *, symmetric: 
         rhs[...] = b.data
     threshold = _pivot_threshold(n, a.max_abs())
     one_triangle = symmetric and n > _PANEL_WIDTH
+    step = 2 if n > _PANEL_WIDTH else 1  # columns per step
+    # zgemm rounds an entry by its place in the row, so a complex array's
+    # sides take their rank-2 product apart from A's columns.
+    cut = n if work.dtype.kind == "c" else work.shape[1]
 
     for k0 in range(0, n, _PANEL_WIDTH):
         k1 = min(k0 + _PANEL_WIDTH, n)
@@ -190,37 +198,49 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None, *, symmetric: 
             l = work[k0:k1, :k0]
             work[k0:k1, k0:n] -= l @ work[:k0, k0:n]
             work[k0:k1, n:] -= l @ work[:k0, n:]
-        for col in range(k0, k1):
-            pivot = work[col, col]
-            if not threshold < abs(pivot) < np.inf:
-                raise ZeroPivotError("column", col + 1, pivot.item(), threshold)
-            # Standard update a_ij - m_il * a_lj. The products are written
-            # as m[:, None] * v[None, :], which is what np.outer computes
-            # without its wrapper; m[:, None] * v with a 1-D v can round
-            # complex products differently.
-            m = work[col + 1 :, col]
-            rows = k1 - col - 1  # the panel's own rows below the pivot
-            if one_triangle:
-                # The theorem: the pivot row is final, and m_il = u_li / u_ll.
-                np.divide(work[col, col + 1 : n], pivot, out=m)
+        for c0 in range(k0, k1, step):
+            c1 = min(c0 + step, k1)  # this step's columns are c0 .. c1 - 1
+            # LU's rows below the panel take every earlier column now.
+            below = work[k1:, :c0] @ work[:c0, c0:c1] if not one_triangle and c0 and k1 < n else None
+            for col in range(c0, c1):
+                pivot = work[col, col]
+                if not threshold < abs(pivot) < np.inf:
+                    raise ZeroPivotError("column", col + 1, pivot.item(), threshold)
+                m = work[col + 1 :, col]
+                if one_triangle:
+                    # The theorem: the pivot row is final, and m_il = u_li / u_ll.
+                    np.divide(work[col, col + 1 : n], pivot, out=m)
+                else:
+                    if below is not None:
+                        m[k1 - col - 1 :] -= below[:, col - c0]
+                    m /= pivot
+                if col + 1 < c1:
+                    # Row c0 + 1 takes column c0's update, sides included, so its
+                    # pivot row is final; LU's column c0 + 1 takes c0's term.
+                    work[col + 1, col + 1 :] -= m[0] * work[col, col + 1 :]
+                    if not one_triangle:
+                        work[col + 2 :, col + 1] -= m[1:] * work[col, col + 1]
+            if c1 - c0 == 2:
+                # One rank-2 product covers the panel's remaining rows.
+                work[c1:k1, c1:cut] -= work[c1:k1, c0:c1] @ work[c0:c1, c1:cut]
+                if cut < work.shape[1]:
+                    work[c1:k1, cut:] -= work[c1:k1, c0:c1] @ work[c0:c1, cut:]
             else:
-                if col and k1 < n:
-                    # The rows below the panel take every earlier column now.
-                    m[rows:] -= work[k1:, :col] @ work[:col, col]
-                m /= pivot
-            # One rank-1 update covers the panel's rows across the full width, sides included.
-            work[col + 1 : k1, col + 1 :] -= m[:rows, None] * work[col, col + 1 :][None, :]
+                # Rank-1 update, sides included, as np.outer computes it: m[:, None] *
+                # v with a 1-D v in place of v[None, :] can round complex products differently.
+                work[c0 + 1 : k1, c0 + 1 :] -= m[: k1 - c0 - 1, None] * work[c0, c0 + 1 :][None, :]
 
     _require_finite(rhs, "the elimination of the right-hand side")
     # The record takes views of the working array: no one else holds it, the
     # sides were checked just above, and every packed entry is finite
-    # because every pivot was. A strict-upper u_kj enters pivot j as
-    # m_jk * u_kj, and a multiplier m_ik enters pivot i as m_ik * u_ki: by
-    # column k's rank-1 update when k lies in the pivot's panel, otherwise
-    # as a term of the pivot's dot product in the panel-start product. In
-    # IEEE arithmetic a non-finite factor makes that product, and so any
-    # sum holding it, non-finite, even against a zero (inf * 0 = NaN), so
-    # the later pivot test fails.
+    # because every pivot was. A strict-upper u_kp and a multiplier m_pk
+    # both enter pivot p as m_pk * u_kp: by row p's own update when k and
+    # p = k + 1 are a column pair, by the pair's rank-2 product when p lies
+    # later in k's panel (by column k's rank-1 update in a one-panel
+    # elimination), otherwise as a term of the pivot's dot product in the
+    # panel-start product. In IEEE arithmetic a non-finite factor makes that
+    # product, and so any sum holding it, non-finite, even against a zero
+    # (inf * 0 = NaN), so the later pivot test fails.
     return EliminationRecord(
         lu=_wrap(lu),
         pivots=tuple(np.diagonal(lu).tolist()),

@@ -212,9 +212,11 @@ def _factors(lu: np.ndarray, pivots: tuple | None) -> tuple:
     algebraically identical form of u_ii / r_i). Each factor is one fresh
     array, wrapped without a copy. L and U are finite because ``lu`` is. G
     is checked, though a record from ``gauss_eliminate`` cannot overflow it:
-    g_ij^2 is u_ij * m_ji, a term of pivot j's update (column i's rank-1
-    update when i lies in j's panel, the panel-start product otherwise),
-    and an overflow there fails as a non-finite pivot.
+    g_ij^2 is u_ij * m_ji, a term of pivot j's update (row j's own update
+    when i and j = i + 1 are a column pair, the pair's rank-2 product when
+    j lies later in i's panel, column i's rank-1 update in a one-panel
+    elimination, the panel-start product otherwise), and an overflow there
+    fails as a non-finite pivot.
     """
     if pivots is None:
         l = np.tril(lu, -1)

@@ -323,14 +323,15 @@ class TestBlockedElimination:
         x = back_substitute(f.u, row_major.transformed_rhs)
         assert np.linalg.norm(a @ x.data - b) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(x.data)
 
-    @pytest.mark.parametrize("n", [NB + 1, 2 * NB + 1, 200])
+    # 3 * NB + 5: the last panel takes two column pairs and an odd column.
+    @pytest.mark.parametrize("n", [NB + 1, 2 * NB + 1, 3 * NB + 5, 200])
     @pytest.mark.parametrize("symmetric", [False, True])
     @pytest.mark.parametrize("fields", ["real", "complex", "real-a-complex-b", "complex-a-real-b"])
     def test_factors_do_not_depend_on_the_sides(self, n, symmetric, fields):
         rng = np.random.default_rng(n)
         a = DenseMatrix(_dominant(rng, n, complex_entries=fields.startswith("complex")))
         alone = gauss_eliminate(a, symmetric=symmetric)
-        for k in (1, 3):
+        for k in (1, 3, 8):  # 8, the side count of perfbench's cli-files
             b = rng.standard_normal((n, k))
             if fields in ("complex", "real-a-complex-b"):
                 b = b + 1j * rng.standard_normal((n, k))
