@@ -24,7 +24,7 @@ its pivot is tested, then the panel's other rows take both columns' updates
 as one rank-2 matrix product (in a complex array, the sides take theirs
 apart). Multipliers stay in place below the diagonal, packed as LAPACK's
 ``getrf`` returns them. For n <= ``_PANEL_WIDTH`` there is one panel, no
-row below it and one column, with its rank-1 update, per step, so every
+row below it and one column, with its rank-1 update, per step, so every LU
 entry is computed by exactly the operations, in exactly the order, of a
 plain column-by-column elimination. An odd last column also goes alone.
 
@@ -34,7 +34,7 @@ one matrix product per column pair, as in the Crout LU of Golub & Van Loan
 (§3.2); column c + 1 then takes column c's term, and each column is divided
 by its pivot. For a symmetric matrix the paper's theorem gives them from
 the final pivot row, m_il = u_li / u_ll. Asked to, the eliminator uses it
-above one panel, as LAPACK's blocked upper ``xPOTRF`` does: every product
+at every size, as LAPACK's blocked upper ``xPOTRF`` does: every product
 then reads only rows of U and the multipliers formed from them, so A's
 lower triangle is never read and the rows below a panel wait for their own,
 about half the work. The record is packed the same way on both paths.
@@ -77,8 +77,8 @@ class EliminationRecord:
     ``lu`` is the packed elimination: U on and above the diagonal, the
     multipliers m_il strictly below it; the identity plus that lower part
     is the unit lower-triangular L with L @ U == source matrix. A symmetric
-    elimination of more than one panel takes them from U, m_il = u_li / u_ll,
-    so then L @ U is the matrix that A's upper triangle mirrors.
+    elimination takes them from U, m_il = u_li / u_ll, so then L @ U is the
+    matrix that A's upper triangle mirrors.
     ``transformed_rhs`` holds the right-hand sides after the same row
     operations, when any were supplied. Both are read-only views of the
     elimination's one working array, not copies. ``pivot_threshold`` is the
@@ -155,10 +155,9 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None, *, symmetric: 
     """Eliminate ``a`` (and optionally right-hand sides ``b``) without pivoting.
 
     With ``symmetric``, the caller vouches that ``a`` is symmetric (no
-    conjugation), and above ``_PANEL_WIDTH`` unknowns only its upper
-    triangle is read: each multiplier is m_il = u_li / u_ll, as the
-    theorem gives, from a pivot row that the left-looking panel step and
-    the pair step have already made final.
+    conjugation), and only its upper triangle is read: each multiplier is
+    m_il = u_li / u_ll, as the theorem gives, from a pivot row that the
+    earlier steps have already made final.
 
     The sides, of any layout, ride beside A in A's field, complex sides of a
     real matrix as (re, im) pairs; the factors are the same bits without them.
@@ -184,7 +183,7 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None, *, symmetric: 
     if b is not None:
         rhs[...] = b.data
     threshold = _pivot_threshold(n, a.max_abs())
-    one_triangle = symmetric and n > _PANEL_WIDTH
+    one_triangle = symmetric
     step = 2 if n > _PANEL_WIDTH else 1  # columns per step
     # zgemm rounds an entry by its place in the row, so a complex array's
     # sides take their rank-2 product apart from A's columns.

@@ -183,13 +183,8 @@ class Factorization:
 
 
 def _pivot_roots(pivots: tuple) -> np.ndarray:
-    """G's diagonal: the principal square root of each pivot, as ``principal_sqrt`` gives it."""
-    p = np.array(pivots)
-    if p.dtype.kind == "c":
-        return np.array([principal_sqrt(z) for z in pivots])
-    negative = p < 0
-    roots = np.sqrt(np.where(negative, -p, p))  # -0.0 keeps its sign, as in math.sqrt
-    return np.where(negative, 1j * roots, roots) if negative.any() else roots
+    """G's diagonal: the principal square root of each pivot."""
+    return np.array([principal_sqrt(p) for p in pivots])
 
 
 def _packaging_flops(kind: str, n: int, elimination: int) -> int:
@@ -282,9 +277,12 @@ def solve(f: Factorization, b: DenseMatrix) -> SolveReport:
     ``b`` may carry any number of columns; each is solved independently,
     but its last digits depend on how many there are: one column is
     substituted as a vector, several as a matrix, whose products round
-    differently (up to about 1e-13 relative at n = 150). Residuals are
-    measured against the reconstructed matrix, since a factorization need
-    not hold its source: one read from a factor file carries only its hash.
+    differently (up to about 1e-13 relative at n = 150). A real system's
+    answers are real, also where a negative pivot makes G complex: each row
+    of G is then purely real or purely imaginary, so every imaginary part of
+    the answer is exactly 0. Residuals are measured against the
+    reconstructed matrix, since a factorization need not hold its source:
+    one read from a factor file carries only its hash.
     """
     if b.rows != f.n:
         raise ShapeError(f"right-hand side has {b.rows} rows, factorization is for n = {f.n}")
@@ -292,6 +290,8 @@ def solve(f: Factorization, b: DenseMatrix) -> SolveReport:
     forward, back = f._inverses
     y, fl_forward = _solve_lower(f.l.data if lu else f.g.data.T, b.data, unit_diagonal=lu, inverses=forward)
     x, fl_back = _solve_upper(f.u.data if lu else f.g.data, y, inverses=back)
+    if x.dtype.kind == "c" and not b.is_complex and not any(isinstance(p, complex) for p in f.provenance.pivots):
+        x = x if x.imag.any() else x.real  # real sides and real pivots: a real system
     solutions = DenseMatrix(x)
     rebuilt = f.rebuild()
     residuals = tuple(

@@ -43,6 +43,12 @@ pivots 1.0 4.0 4.0 1.0
 flops 44
 symmetry-tol 1e-12
 """
+# Real, symmetric and indefinite (pivots 1, -3, 10/3): G is complex, each of
+# its rows purely real or purely imaginary, and every answer of a real
+# system is real. INDEFINITE_A @ INDEFINITE_X = INDEFINITE_B, column by column.
+INDEFINITE_A = [[1, 2, 0], [2, 1, 1], [0, 1, 3]]
+INDEFINITE_B = [[1, 1], [0, 2], [1, 0]]
+INDEFINITE_X = [[-0.4, 1], [0.7, 0], [0.1, 0]]
 # A pivot far below max|U| but above n * eps * max|A|: the elimination
 # accepts it, so every path must.
 NEAR_SINGULAR_A = [[1e-8, 1], [1, 1]]

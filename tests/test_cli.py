@@ -28,6 +28,8 @@ from conftest import (
     GOLD_A,
     GOLD_B1,
     GOLD_B2,
+    INDEFINITE_A,
+    INDEFINITE_B,
     LEGACY_GOLD_FACTOR_FILE,
     NEAR_SINGULAR_A,
     OVERFLOW_A,
@@ -244,6 +246,22 @@ class TestFactorThenSolve:
         )
         assert code == 2
         assert "symmetric" in err
+
+    def test_real_indefinite_answers_print_as_reals(self, capsys, tmp_path):
+        # G is complex (pivot -3), yet no solve path prints an answer as re,im.
+        a, b, fact = tmp_path / "a.mat", tmp_path / "b.mat", tmp_path / "a.fact"
+        save_matrix(a, DenseMatrix(INDEFINITE_A))
+        save_matrix(b, DenseMatrix(INDEFINITE_B))
+        assert run(capsys, "factor", "--input", a, "--output", fact)[0] == 0
+        assert load_factorization(fact).g.is_complex
+        for argv in (["--factor", fact], ["--factor", fact, "--matrix", a], ["--matrix", a]):
+            code, out, err = run(capsys, "solve", *argv, "--rhs", b)
+            assert (code, err) == (0, "")
+            lines = out.splitlines()
+            assert lines[0] == "method gauss-cholesky"
+            answers = [line for line in lines[1:] if not line.startswith(("residual ", "flops "))]
+            assert len(answers) == 2 and answers[1] == "1 0 0"
+            assert not any("," in line for line in answers)
 
 
 METHODS = ("lu", "gauss-cholesky", "auto")

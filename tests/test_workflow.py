@@ -39,7 +39,7 @@ import factorkit.factorizations
 import factorkit.matio
 import factorkit.workflow
 from factorkit.cli import cli_main
-from factorkit.elimination import elimination_flops, scaling_flops, substitution_flops
+from factorkit.elimination import _solve_lower, _solve_upper, elimination_flops, scaling_flops, substitution_flops
 from factorkit.factorizations import require_symmetric
 from factorkit.matrices import DEFAULT_SYMMETRY_TOL
 from factorkit.workflow import resolve_method
@@ -52,6 +52,9 @@ from conftest import (
     GOLD_B2,
     GOLD_X1,
     GOLD_X2,
+    INDEFINITE_A,
+    INDEFINITE_B,
+    INDEFINITE_X,
     NEAR_SINGULAR_A,
     OVERFLOW_A,
     OVERFLOW_MESSAGE,
@@ -352,6 +355,54 @@ class TestSessionSolve:
         assert s.factorization.provenance.pivots == record.pivots
         u = DenseMatrix(np.triu(record.lu.data))
         assert_array_equal(report.solutions.data, back_substitute(u, record.transformed_rhs).data)
+
+
+class TestRealSystemsAnswerReal:
+    """A negative pivot makes G complex, yet a real system's answers, first
+    and reused, are real; a complex matrix or complex side keeps them complex."""
+
+    def test_small_indefinite_session_answers_every_side_as_float64(self):
+        s = open_session(DenseMatrix(INDEFINITE_A))
+        b, x = np.array(INDEFINITE_B, dtype=float), np.array(INDEFINITE_X)
+        for j in (0, 1, 0):
+            report = session_solve(s, vector(b[:, j]))
+            assert report.solutions.data.dtype == np.float64
+            assert np.max(np.abs(report.solutions.data.ravel() - x[:, j])) <= 1e-15
+        assert s.method == KIND_GAUSS_CHOLESKY and s.factorization.g.is_complex
+        assert s.reuse_count == 2
+
+    def test_reuse_answers_are_the_complex_substitutions_real_parts(self):
+        rng = np.random.default_rng(40)
+        n = 200
+        s = open_session(DenseMatrix(random_symmetric(rng, n) + np.diag(n * (-1.0) ** np.arange(n))))
+        session_solve(s, vector(rng.standard_normal(n)))
+        g = s.factorization.g.data
+        forward, back = s.factorization._inverses
+        assert np.iscomplexobj(g) and all(v is not None for v in forward + back)  # the blocked inverses serve
+        for _ in range(3):
+            b = rng.standard_normal((n, 1))
+            x = session_solve(s, DenseMatrix(b)).solutions.data
+            # The complex substitutions, as solve() runs them: each imaginary part is exactly 0.
+            y, _ = _solve_lower(g.T, b, unit_diagonal=False, inverses=forward)
+            z, _ = _solve_upper(g, y, inverses=back)
+            assert not z.imag.any()
+            assert x.dtype == np.float64 and x.tobytes() == z.real.tobytes()
+
+    @pytest.mark.parametrize("case", ["complex-symmetric", "complex-field", "complex-side"])
+    def test_complex_systems_stay_complex(self, case):
+        # A complex-field matrix with zero imaginary parts, or a complex side
+        # with zero imaginary parts, gives answers with exactly zero imaginary
+        # parts too: the field, not the values, decides.
+        rng = np.random.default_rng(41)
+        if case == "complex-symmetric":
+            a = DenseMatrix(random_symmetric(rng, 20, complex_entries=True) + 20 * np.eye(20))
+        else:
+            a = DenseMatrix(np.array(INDEFINITE_A, dtype=complex if case == "complex-field" else float))
+        side_field = complex if case == "complex-side" else float
+        s = open_session(a)
+        for _ in range(3):
+            b = vector(rng.standard_normal(a.rows).astype(side_field))
+            assert session_solve(s, b).solutions.data.dtype == np.complex128
 
 
 class TestSessionState:
