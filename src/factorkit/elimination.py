@@ -22,11 +22,9 @@ at a time, with the pivot test at every column in order: row c + 1 takes
 column c's update across the full width, so each pivot row is final when
 its pivot is tested, then the panel's other rows take both columns' updates
 as one rank-2 matrix product (in a complex array, the sides take theirs
-apart). Multipliers stay in place below the diagonal, packed as LAPACK's
-``getrf`` returns them. For n <= ``_PANEL_WIDTH`` there is one panel, no
-row below it and one column, with its rank-1 update, per step, so every LU
-entry is computed by exactly the operations, in exactly the order, of a
-plain column-by-column elimination. An odd last column also goes alone.
+apart). The width is even, so only n's own last column can go alone, with
+no row left below it in its panel. Multipliers stay in place below the
+diagonal, packed as LAPACK's ``getrf`` returns them.
 
 The two paths differ only in where a column's multipliers come from. In
 general the rows below the panel take every earlier column left-looking,
@@ -103,7 +101,8 @@ class EliminationRecord:
         return matrix_hash(self.source)
 
 
-# Columns per panel. A sweep of 8 to 32 with the column-pair step (one BLAS
+# Columns per panel, which sets the blocking only: every size is reduced in
+# column pairs, so the width must be even. A sweep of 8 to 32 (one BLAS
 # thread; n = 200 and 600; SPD, LU, complex symmetric, indefinite) found no
 # width fastest at both sizes for every kind: 8 to 20 were within 6% at 200;
 # at 600, 8 or 12 led 16 by up to 12% on symmetric input, LU's lead varied.
@@ -184,7 +183,6 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None, *, symmetric: 
         rhs[...] = b.data
     threshold = _pivot_threshold(n, a.max_abs())
     one_triangle = symmetric
-    step = 2 if n > _PANEL_WIDTH else 1  # columns per step
     # zgemm rounds an entry by its place in the row, so a complex array's
     # sides take their rank-2 product apart from A's columns.
     cut = n if work.dtype.kind == "c" else work.shape[1]
@@ -197,8 +195,8 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None, *, symmetric: 
             l = work[k0:k1, :k0]
             work[k0:k1, k0:n] -= l @ work[:k0, k0:n]
             work[k0:k1, n:] -= l @ work[:k0, n:]
-        for c0 in range(k0, k1, step):
-            c1 = min(c0 + step, k1)  # this step's columns are c0 .. c1 - 1
+        for c0 in range(k0, k1, 2):
+            c1 = min(c0 + 2, k1)  # this step's columns are c0 .. c1 - 1
             # LU's rows below the panel take every earlier column now.
             below = work[k1:, :c0] @ work[:c0, c0:c1] if not one_triangle and c0 and k1 < n else None
             for col in range(c0, c1):
@@ -219,15 +217,10 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None, *, symmetric: 
                     work[col + 1, col + 1 :] -= m[0] * work[col, col + 1 :]
                     if not one_triangle:
                         work[col + 2 :, col + 1] -= m[1:] * work[col, col + 1]
-            if c1 - c0 == 2:
-                # One rank-2 product covers the panel's remaining rows.
-                work[c1:k1, c1:cut] -= work[c1:k1, c0:c1] @ work[c0:c1, c1:cut]
-                if cut < work.shape[1]:
-                    work[c1:k1, cut:] -= work[c1:k1, c0:c1] @ work[c0:c1, cut:]
-            else:
-                # Rank-1 update, sides included, as np.outer computes it: m[:, None] *
-                # v with a 1-D v in place of v[None, :] can round complex products differently.
-                work[c0 + 1 : k1, c0 + 1 :] -= m[: k1 - c0 - 1, None] * work[c0, c0 + 1 :][None, :]
+            # One rank-2 product covers the panel's remaining rows, if any.
+            work[c1:k1, c1:cut] -= work[c1:k1, c0:c1] @ work[c0:c1, c1:cut]
+            if cut < work.shape[1]:
+                work[c1:k1, cut:] -= work[c1:k1, c0:c1] @ work[c0:c1, cut:]
 
     _require_finite(rhs, "the elimination of the right-hand side")
     # The record takes views of the working array: no one else holds it, the
@@ -235,11 +228,10 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None, *, symmetric: 
     # because every pivot was. A strict-upper u_kp and a multiplier m_pk
     # both enter pivot p as m_pk * u_kp: by row p's own update when k and
     # p = k + 1 are a column pair, by the pair's rank-2 product when p lies
-    # later in k's panel (by column k's rank-1 update in a one-panel
-    # elimination), otherwise as a term of the pivot's dot product in the
-    # panel-start product. In IEEE arithmetic a non-finite factor makes that
-    # product, and so any sum holding it, non-finite, even against a zero
-    # (inf * 0 = NaN), so the later pivot test fails.
+    # later in k's panel, otherwise as a term of the pivot's dot product in
+    # the panel-start product. In IEEE arithmetic a non-finite factor makes
+    # that product, and so any sum holding it, non-finite, even against a
+    # zero (inf * 0 = NaN), so the later pivot test fails.
     return EliminationRecord(
         lu=_wrap(lu),
         pivots=tuple(np.diagonal(lu).tolist()),

@@ -209,9 +209,8 @@ def _factors(lu: np.ndarray, pivots: tuple | None) -> tuple:
     is checked, though a record from ``gauss_eliminate`` cannot overflow it:
     g_ij^2 is u_ij * m_ji, a term of pivot j's update (row j's own update
     when i and j = i + 1 are a column pair, the pair's rank-2 product when
-    j lies later in i's panel, column i's rank-1 update in a one-panel
-    elimination, the panel-start product otherwise), and an overflow there
-    fails as a non-finite pivot.
+    j lies later in i's panel, the panel-start product otherwise), and an
+    overflow there fails as a non-finite pivot.
     """
     if pivots is None:
         l = np.tril(lu, -1)

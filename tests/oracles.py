@@ -76,7 +76,7 @@ def plain_eliminate(a: np.ndarray, b: np.ndarray):
 
     Returns (lu, transformed b, pivots) computed with exactly the
     operations of a column-by-column loop, as the reference the blocked
-    eliminator must match bit for bit while its input fits in one panel.
+    eliminator must agree with to within rounding at every size.
     ``lu`` is packed: U on and above the diagonal, the multipliers below.
     Pivots are not tested against any threshold.
     """

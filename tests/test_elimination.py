@@ -254,7 +254,7 @@ class TestBlockedElimination:
     EDGE_SIZES = (NB - 1, NB, NB + 1, 2 * NB, 2 * NB + 1, 3 * NB + 5, 200)
 
     @pytest.mark.parametrize("kind", ["real", "complex-symmetric", "real-a-complex-b", "multi-column"])
-    def test_one_panel_is_bitwise_the_plain_loop(self, kind):
+    def test_one_panel_agrees_with_the_plain_loop(self, kind):
         rng = np.random.default_rng(20)
         for n in range(1, NB + 1):
             if kind == "complex-symmetric":
@@ -265,11 +265,10 @@ class TestBlockedElimination:
             if kind == "real-a-complex-b":
                 b = b + 1j * rng.standard_normal(b.shape)
             record = gauss_eliminate(DenseMatrix(a), DenseMatrix(b))
-            lu, rhs, pivots = plain_eliminate(a, b)
-            # bytes, so that the sign of every zero matches too
-            assert record.lu.data.tobytes() == lu.tobytes()
-            assert record.transformed_rhs.data.tobytes() == rhs.tobytes()
-            assert record.pivots == pivots
+            lu, rhs, _ = plain_eliminate(a, b)
+            # Column pairs sum in another order than the plain loop's.
+            assert np.max(np.abs(record.lu.data - lu)) <= n * EPS * np.max(np.abs(lu))
+            assert np.max(np.abs(record.transformed_rhs.data - rhs)) <= n * EPS * np.max(np.abs(rhs))
             assert record.flops == elimination_flops(n, b.shape[1])
 
     @pytest.mark.parametrize("n", EDGE_SIZES)
@@ -286,8 +285,8 @@ class TestBlockedElimination:
         x = back_substitute(f.u, record.transformed_rhs)
         assert residual_norm(DenseMatrix(a), x, b) <= 1e-10
         assert record.flops == elimination_flops(n, 1)
-        # Above one panel the sums run in another order than the plain loop's:
-        # within one rounding per update of the largest entry.
+        # The sums run in another order than the plain loop's: within one
+        # rounding per update of the largest entry.
         lu, rhs, _ = plain_eliminate(a, b.data)
         assert np.max(np.abs(record.lu.data - lu)) <= n * EPS * np.max(np.abs(lu))
         assert np.max(np.abs(record.transformed_rhs.data - rhs)) <= n * EPS * np.max(np.abs(rhs))
@@ -324,7 +323,7 @@ class TestBlockedElimination:
         assert np.linalg.norm(a @ x.data - b) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(x.data)
 
     # 3 * NB + 5: the last panel takes two column pairs and an odd column.
-    @pytest.mark.parametrize("n", [NB + 1, 2 * NB + 1, 3 * NB + 5, 200])
+    @pytest.mark.parametrize("n", [2, 3, 5, NB - 1, NB, NB + 1, 2 * NB + 1, 3 * NB + 5, 200])
     @pytest.mark.parametrize("symmetric", [False, True])
     @pytest.mark.parametrize("fields", ["real", "complex", "real-a-complex-b", "complex-a-real-b"])
     def test_factors_do_not_depend_on_the_sides(self, n, symmetric, fields):
@@ -366,11 +365,15 @@ class TestBlockedElimination:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("complex_entries", [False, True])
-    @pytest.mark.parametrize("c", [NB + 1, NB + 2, 2 * NB + 1, 3 * NB + 5])
-    def test_overflow_names_its_column_across_panel_edges(self, c, complex_entries):
-        # Column c - 1's multiplier 1e10 overflows the pivot of column c; for
-        # c at a panel's start, inside the panel-start matrix product.
-        n = 3 * NB + 5
+    @pytest.mark.parametrize(
+        "n, c",
+        [(NB, 2), (NB, 3), (NB, NB)] + [(3 * NB + 5, c) for c in (NB + 1, NB + 2, 2 * NB + 1, 3 * NB + 5)],
+    )
+    def test_overflow_names_its_column_across_panel_edges(self, n, c, complex_entries):
+        # Column c - 1's multiplier 1e10 overflows the pivot of column c: by
+        # row c's own update when c - 1 and c are a column pair, by the pair's
+        # rank-2 product when c starts the next pair, and for c at a panel's
+        # start, inside the panel-start matrix product.
         a = np.diag(np.full(n, 1e290, dtype=complex if complex_entries else float))
         a[c - 2 : c, c - 2 : c] = [[1e290, 1e300], [1e300, 1]]
         for symmetric in (False, True):
