@@ -178,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="factorkit", description="Dense direct solvers with factorization reuse.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    factor = sub.add_parser("factor", parents=[], help="factor a matrix and persist the factors")
+    factor = sub.add_parser("factor", help="factor a matrix and persist the factors")
     factor.add_argument("--input", required=True, help="matrix file to factor")
     factor.add_argument("--method", choices=[KIND_LU, KIND_GAUSS_CHOLESKY, METHOD_AUTO], default=METHOD_AUTO)
     factor.add_argument("--output", required=True, help="factor file to write")

@@ -40,10 +40,9 @@ about half the work. The record is packed the same way on both paths.
 The substitution kernel solves one row at a time. Given the inverses of a
 triangle's diagonal blocks of ``_SUBSTITUTION_BLOCK`` rows, which a
 factorization computes once for all its solves, it goes a block at a time
-instead: one matrix product for the rows already solved, one for the
-block's inverse. A block too ill conditioned to be applied by its inverse,
-and every triangle of at most one block, keep the row loop, so small
-systems are solved with exactly the row loop's operations.
+instead, at every size: one matrix product for the rows already solved,
+one for the block's inverse. Only a block too ill conditioned to be applied
+by its inverse keeps the row loop.
 
 Arithmetic is costed at one flop per scalar add/sub/mul/div. The counts are
 closed forms of (n, number of sides), defined once below, not tallied while
@@ -58,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonSquareError, ShapeError, ZeroPivotError
-from .matrices import EPS, DenseMatrix, _wrap, matrix_hash
+from .matrices import EPS, DenseMatrix, _wrap
 
 __all__ = [
     "EliminationRecord",
@@ -81,7 +80,7 @@ class EliminationRecord:
     operations, when any were supplied. Both are read-only views of the
     elimination's one working array, not copies. ``pivot_threshold`` is the
     bound every pivot exceeded in magnitude. ``source`` is the eliminated
-    matrix itself, not a copy; it is hashed only when ``source_hash`` is read.
+    matrix itself, not a copy.
     """
 
     lu: DenseMatrix
@@ -94,11 +93,6 @@ class EliminationRecord:
     @property
     def n(self) -> int:
         return self.lu.rows
-
-    @property
-    def source_hash(self) -> str:
-        """``matrix_hash`` of the source, computed on first read and cached on the matrix."""
-        return matrix_hash(self.source)
 
 
 # Columns per panel, which sets the blocking only: every size is reduced in
@@ -182,7 +176,6 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None, *, symmetric: 
     if b is not None:
         rhs[...] = b.data
     threshold = _pivot_threshold(n, a.max_abs())
-    one_triangle = symmetric
     # zgemm rounds an entry by its place in the row, so a complex array's
     # sides take their rank-2 product apart from A's columns.
     cut = n if work.dtype.kind == "c" else work.shape[1]
@@ -198,13 +191,13 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None, *, symmetric: 
         for c0 in range(k0, k1, 2):
             c1 = min(c0 + 2, k1)  # this step's columns are c0 .. c1 - 1
             # LU's rows below the panel take every earlier column now.
-            below = work[k1:, :c0] @ work[:c0, c0:c1] if not one_triangle and c0 and k1 < n else None
+            below = work[k1:, :c0] @ work[:c0, c0:c1] if not symmetric and c0 and k1 < n else None
             for col in range(c0, c1):
                 pivot = work[col, col]
                 if not threshold < abs(pivot) < np.inf:
                     raise ZeroPivotError("column", col + 1, pivot.item(), threshold)
                 m = work[col + 1 :, col]
-                if one_triangle:
+                if symmetric:
                     # The theorem: the pivot row is final, and m_il = u_li / u_ll.
                     np.divide(work[col, col + 1 : n], pivot, out=m)
                 else:
@@ -215,7 +208,7 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None, *, symmetric: 
                     # Row c0 + 1 takes column c0's update, sides included, so its
                     # pivot row is final; LU's column c0 + 1 takes c0's term.
                     work[col + 1, col + 1 :] -= m[0] * work[col, col + 1 :]
-                    if not one_triangle:
+                    if not symmetric:
                         work[col + 2 :, col + 1] -= m[1:] * work[col, col + 1]
             # One rank-2 product covers the panel's remaining rows, if any.
             work[c1:k1, c1:cut] -= work[c1:k1, c0:c1] @ work[c0:c1, c1:cut]
@@ -242,10 +235,10 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None, *, symmetric: 
     )
 
 
-# Rows per diagonal block of the blocked substitution, from a sweep of 32 to
-# 128 at n = 200 and 600 (one BLAS thread): 128 substituted up to a third
-# faster, but its inverses cost up to three times as much to make. A
-# triangle of at most this order is substituted by the row loop alone.
+# Rows per diagonal block of the blocked substitution, which runs at every
+# size, so this sets the blocking only. In a sweep of 32 to 128 at n = 200
+# and 600 (one BLAS thread), 128 substituted up to a third faster, but its
+# inverses cost up to three times as much to make.
 _SUBSTITUTION_BLOCK = 64
 
 # Largest condition number ||T|| ||T^-1||, in the 1-norm and the inf-norm,
@@ -271,7 +264,7 @@ def _rows(t: np.ndarray, c: np.ndarray, lower: bool, unit_diagonal: bool) -> np.
 
 
 @_overflow_is_checked
-def _block_inverses(t: np.ndarray, lower: bool, unit_diagonal: bool = False) -> tuple | None:
+def _block_inverses(t: np.ndarray, lower: bool, unit_diagonal: bool = False) -> tuple:
     """Inverses of the diagonal blocks of triangle ``t``, for the blocked substitution.
 
     Each block is inverted by the row loop against the identity, so the
@@ -281,11 +274,9 @@ def _block_inverses(t: np.ndarray, lower: bool, unit_diagonal: bool = False) -> 
     triangular, with a stored unit diagonal where ``unit_diagonal``, as a
     ``Factorization``'s factors are, so the norms are those of the triangle
     the kernel reads. The transposes of the inverses serve ``t``'s
-    transpose. ``None`` when t fits in one block.
+    transpose.
     """
     n, nb = t.shape[0], _SUBSTITUTION_BLOCK
-    if n <= nb:
-        return None
     inverses = []
     for k0 in range(0, n, nb):
         block = t[k0 : k0 + nb, k0 : k0 + nb]
@@ -333,16 +324,9 @@ _solve_lower = functools.partial(_substitute_rows, lower=True)
 def _require_triangular(m: DenseMatrix, lower: bool, unit_diagonal: bool = False, name: str = "matrix") -> None:
     if not m.is_square:
         raise NonSquareError(m.rows, m.cols)
-    # Read the off triangle in place, a block of rows at a time; only each
-    # diagonal block's off triangle is copied.
-    d, nb = m.data, _SUBSTITUTION_BLOCK
-    for r0 in range(0, m.rows, nb):
-        r1 = r0 + nb
-        beside = d[r0:r1, r1:] if lower else d[r0:r1, :r0]
-        block = np.triu(d[r0:r1, r0:r1], 1) if lower else np.tril(d[r0:r1, r0:r1], -1)
-        if beside.any() or block.any():
-            side = "lower" if lower else "upper"
-            raise ShapeError(f"expected an exactly {side}-triangular {name}")
+    if (np.triu(m.data, 1) if lower else np.tril(m.data, -1)).any():
+        side = "lower" if lower else "upper"
+        raise ShapeError(f"expected an exactly {side}-triangular {name}")
     if unit_diagonal and not np.all(np.diagonal(m.data) == 1.0):
         raise ShapeError(f"expected {name} to have a unit diagonal")
 

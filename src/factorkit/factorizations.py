@@ -17,11 +17,11 @@ else. The one caller that can answer without the factors, a session's
 first solve, defers packaging itself (see ``workflow``).
 
 Both kinds are immutable once constructed and may serve any number of
-concurrent solves. The first solve of a factorization larger than one
-substitution block inverts the diagonal blocks of its triangular factors
-(one set for G, whose transposes serve G^T; one each for L and U) and
-caches them, so every solve substitutes block by block. The inverses are
-derived state: never a constructor argument, never written to factor files.
+concurrent solves. The first solve of a factorization inverts the
+diagonal blocks of its triangular factors (one set for G, whose transposes
+serve G^T; one each for L and U) and caches them, so every solve
+substitutes block by block. The inverses are derived state: never a
+constructor argument, never written to factor files.
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ class Factorization:
         if self.kind == KIND_LU:
             return _block_inverses(self.l.data, True, unit_diagonal=True), _block_inverses(self.u.data, False)
         back = _block_inverses(self.g.data, False)  # G^T's blocks are G's transposed
-        return back and tuple(v if v is None else v.T for v in back), back
+        return tuple(v if v is None else v.T for v in back), back
 
     def rebuild(self) -> DenseMatrix:
         """Multiply the factors back together; G^T G is exactly symmetric."""

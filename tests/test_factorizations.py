@@ -522,23 +522,25 @@ class TestSolve:
 
 
 class TestBlockedSolve:
-    """Above NB rows, solve() substitutes block by block through the cached
-    inverses of the factors' diagonal blocks; at most NB rows, by the row loop."""
+    """At every size, solve() substitutes block by block through the cached
+    inverses of the factors' diagonal blocks of NB rows; a block too ill
+    conditioned to be applied by its inverse keeps the row loop."""
 
     @pytest.mark.parametrize("sides", [1, 3])
     @pytest.mark.parametrize("kind", BLOCKED_KINDS)
     @pytest.mark.parametrize("n", [1, 17, NB])
-    def test_one_block_is_bitwise_the_row_loops(self, n, kind, sides):
+    def test_one_block_agrees_with_the_row_loops(self, n, kind, sides):
         a, b, factor = _blocked_case(kind, n, sides, seed=n + sides)
         f = factor()
         report = solve(f, DenseMatrix(b))
         x, flops = _row_loop_solve(f, b)
-        if kind == "indefinite":  # a real system: its answer is the row loops' real part
+        if kind == "indefinite":  # a real system: its answer is real, as the row loops' is
             assert not np.imag(x).any()
             x = x.real
-        assert f._inverses == (None, None)
+        assert all(len(inverses) == 1 and inverses[0] is not None for inverses in f._inverses)
         assert report.solutions.data.dtype == x.dtype
-        assert report.solutions.data.tobytes() == x.tobytes()
+        assert _eta(a, report.solutions.data, b) <= 1e-14
+        assert _eta(a, x, b) <= 1e-14
         assert report.flops == flops
 
     @pytest.mark.parametrize("sides", [1, 3])
@@ -556,20 +558,25 @@ class TestBlockedSolve:
         assert solve(factor(), DenseMatrix(b)).solutions.data.tobytes() == report.solutions.data.tobytes()
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_ill_conditioned_block_keeps_the_row_loop(self, seed):
+    @pytest.mark.parametrize("n", [4, 16, NB, 200])
+    def test_ill_conditioned_block_keeps_the_row_loop(self, n, seed):
         # a_11 = 1e-6 makes the first column's multipliers about 1e6, so the
         # first diagonal block of L has ||T|| ||T^-1|| near 1e12.
         rng = np.random.default_rng(seed)
-        n = 200
         a = rng.standard_normal((n, n)) + n * np.eye(n)
         a[0, 0] = 1e-6
         b = rng.standard_normal((n, 1))
         f = lu_from_record(gauss_eliminate(DenseMatrix(a)))
         report = solve(f, DenseMatrix(b))
+        x = _row_loop_solve(f, b)[0]
         forward, back = f._inverses
         assert forward[0] is None and back[0] is None
-        assert forward[-1] is not None and back[-1] is not None
-        assert _eta(a, report.solutions.data, b) <= 4 * _eta(a, _row_loop_solve(f, b)[0], b)
+        if n <= NB:  # the one block of each triangle keeps the row loop: nothing else runs
+            assert f._inverses == ((None,), (None,))
+            assert report.solutions.data.tobytes() == x.tobytes()
+        else:
+            assert forward[-1] is not None and back[-1] is not None
+        assert _eta(a, report.solutions.data, b) <= 4 * _eta(a, x, b)
 
 
 class TestVerifyAndValidation:
@@ -593,19 +600,19 @@ class TestVerifyAndValidation:
 
     def test_construction_rejects_wrong_kind(self, golden_a):
         record = gauss_eliminate(golden_a)
-        prov = Provenance(record.source_hash, record.pivots, record.flops)
+        prov = Provenance(matrix_hash(record.source), record.pivots, record.flops)
         with pytest.raises(ValueError):
             Factorization(kind="qr", n=4, provenance=prov, u=lu_from_record(record).u)
 
     def test_construction_rejects_missing_factors(self, golden_a):
         record = gauss_eliminate(golden_a)
-        prov = Provenance(record.source_hash, record.pivots, record.flops)
+        prov = Provenance(matrix_hash(record.source), record.pivots, record.flops)
         with pytest.raises(ValueError):
             Factorization(kind=KIND_LU, n=4, provenance=prov, u=lu_from_record(record).u)
 
     def test_construction_rejects_non_unit_l(self, golden_a):
         record = gauss_eliminate(golden_a)
-        prov = Provenance(record.source_hash, record.pivots, record.flops)
+        prov = Provenance(matrix_hash(record.source), record.pivots, record.flops)
         with pytest.raises(ValueError, match="unit diagonal"):
             Factorization(kind=KIND_LU, n=4, provenance=prov, l=DenseMatrix(2 * np.eye(4)), u=lu_from_record(record).u)
 
