@@ -65,11 +65,12 @@ def _cmd_factor(args) -> int:
     a = load_matrix(args.input)
     method = resolve_method(a, args.method, symmetry_tol)
     f = from_record(gauss_eliminate(a, symmetric=method == KIND_GAUSS_CHOLESKY), method, symmetry_tol)
+    error = verify(f, a)
+    save_factorization(args.output, f)
     print(f"kind {f.kind}")
     print(f"n {f.n}")
     print("pivots " + " ".join(_display(p, args.digits) for p in f.provenance.pivots))
-    print(f"reconstruction-error {_display(verify(f, a), args.digits)}")
-    save_factorization(args.output, f)
+    print(f"reconstruction-error {_display(error, args.digits)}")
     print(f"wrote {args.output}")
     return 0
 

@@ -21,7 +21,7 @@ concurrent solves. The first solve of a factorization inverts the
 diagonal blocks of its triangular factors (one set for G, whose transposes
 serve G^T; one each for L and U) and caches them, so every solve
 substitutes block by block. The inverses are derived state: never a
-constructor argument, never written to factor files.
+constructor argument, never carried into factor files, copies or pickles.
 """
 
 from __future__ import annotations
@@ -175,6 +175,9 @@ class Factorization:
         back = _block_inverses(self.g.data, False)  # G^T's blocks are G's transposed
         return tuple(v if v is None else v.T for v in back), back
 
+    def __getstate__(self):  # copies and pickles leave the derived inverses behind
+        return {name: value for name, value in self.__dict__.items() if name != "_inverses"}
+
     def rebuild(self) -> DenseMatrix:
         """Multiply the factors back together; G^T G is exactly symmetric."""
         if self.kind == KIND_LU:
@@ -197,38 +200,20 @@ def _provenance(record: EliminationRecord, kind: str, symmetry_tol: float | None
     return Provenance(record.source, record.pivots, flops, symmetry_tol, pivot_threshold=record.pivot_threshold)
 
 
-@_overflow_is_checked
-def _factors(lu: np.ndarray, pivots: tuple | None) -> tuple:
-    """The factors a packed elimination holds: (L, U), or (G,) given the pivots.
+def lu_from_record(record: EliminationRecord) -> Factorization:
+    """Package an elimination record as A = L U, cut from the packed ``record.lu``.
 
     L = I + tril(lu, -1), added in place, an addition that turns a -0.0
-    multiplier into +0.0, and U = triu(lu). G = triu(lu) / r[:, None] with
-    r the pivots' principal roots, which G's diagonal then holds (the
-    algebraically identical form of u_ii / r_i). Each factor is one fresh
-    array, wrapped without a copy. L and U are finite because ``lu`` is. G
-    is checked, though a record from ``gauss_eliminate`` cannot overflow it:
-    g_ij^2 is u_ij * m_ji, a term of pivot j's update (row j's own update
-    when i and j = i + 1 are a column pair, the pair's rank-2 product when
-    j lies later in i's panel, the panel-start product otherwise), and an
-    overflow there fails as a non-finite pivot.
+    multiplier into +0.0, and U = triu(lu). Each factor is one fresh array,
+    wrapped without a copy; both are finite because ``lu`` is.
     """
-    if pivots is None:
-        l = np.tril(lu, -1)
-        l += np.eye(lu.shape[0], dtype=lu.dtype)
-        return _wrap(l), _wrap(np.triu(lu))
-    roots = _pivot_roots(pivots)
-    g = np.triu(lu) / roots[:, None]
-    np.fill_diagonal(g, roots)
-    _require_finite_entries(g)
-    return (_wrap(g),)
+    lu = record.lu.data
+    l = np.tril(lu, -1)
+    l += np.eye(record.n, dtype=lu.dtype)
+    return Factorization(KIND_LU, record.n, _provenance(record, KIND_LU), l=_wrap(l), u=_wrap(np.triu(lu)))
 
 
-def lu_from_record(record: EliminationRecord) -> Factorization:
-    """Package an elimination record as A = L U, cut from the packed ``record.lu``."""
-    l, u = _factors(record.lu.data, None)
-    return Factorization(KIND_LU, record.n, _provenance(record, KIND_LU), l=l, u=u)
-
-
+@_overflow_is_checked
 def gauss_cholesky_from_record(
     record: EliminationRecord, symmetry_tol: float = DEFAULT_SYMMETRY_TOL
 ) -> Factorization:
@@ -236,11 +221,21 @@ def gauss_cholesky_from_record(
 
     G is U, from the packed ``record.lu``, with row i divided by the
     principal square root of the pivot u_ii. The caller is responsible for
-    having checked symmetry of the source.
+    having checked symmetry of the source. G = triu(lu) / r[:, None] with r
+    the pivots' principal roots, which G's diagonal then holds (the
+    algebraically identical form of u_ii / r_i), one fresh array wrapped
+    without a copy. G is checked, though a record from ``gauss_eliminate``
+    cannot overflow it: g_ij^2 is u_ij * m_ji, a term of pivot j's update
+    (row j's own update when i and j = i + 1 are a column pair, the pair's
+    rank-2 product when j lies later in i's panel, the panel-start product
+    otherwise), and an overflow there fails as a non-finite pivot.
     """
-    (g,) = _factors(record.lu.data, record.pivots)
+    roots = _pivot_roots(record.pivots)
+    g = np.triu(record.lu.data) / roots[:, None]
+    np.fill_diagonal(g, roots)
+    _require_finite_entries(g)
     provenance = _provenance(record, KIND_GAUSS_CHOLESKY, symmetry_tol)
-    return Factorization(KIND_GAUSS_CHOLESKY, record.n, provenance, g=g)
+    return Factorization(KIND_GAUSS_CHOLESKY, record.n, provenance, g=_wrap(g))
 
 
 def from_record(record: EliminationRecord, kind: str, symmetry_tol: float = DEFAULT_SYMMETRY_TOL) -> Factorization:

@@ -12,6 +12,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import factorkit.elimination
+import factorkit.factorizations
 import factorkit.matrices
 from factorkit import DenseMatrix, vector
 
@@ -94,6 +95,16 @@ def _count_calls(monkeypatch, module, name):
         if module_name.startswith("factorkit.") and getattr(loaded, name, None) is original:
             monkeypatch.setattr(loaded, name, counting)
     return calls
+
+
+@pytest.fixture
+def record_builds(monkeypatch):
+    """Every call of ``lu_from_record`` or ``gauss_cholesky_from_record``, which ``from_record`` calls by global name."""
+    builds = []
+    for name in ("lu_from_record", "gauss_cholesky_from_record"):
+        build = getattr(factorkit.factorizations, name)
+        monkeypatch.setattr(factorkit.factorizations, name, lambda *a, build=build: builds.append(a) or build(*a))
+    return builds
 
 
 @pytest.fixture

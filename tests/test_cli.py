@@ -209,6 +209,14 @@ class TestFactorThenSolve:
         assert (code, out) == (1, "")
         assert err == "error: matrix is 4x4, factorization is for n = 2\n"
 
+    @pytest.mark.parametrize("method", ["lu", "gauss-cholesky"])
+    def test_unwritable_output_fails_before_output(self, capsys, files, tmp_path, method):
+        missing = tmp_path / "missing" / "a.fact"
+        code, out, err = run(capsys, "factor", "--input", files["a"], "--method", method, "--output", missing)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not missing.parent.exists()
+
     def test_legacy_factor_file_still_verifies(self, capsys, files, tmp_path):
         legacy = tmp_path / "legacy.fact"
         legacy.write_text(LEGACY_GOLD_FACTOR_FILE)

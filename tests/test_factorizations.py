@@ -246,29 +246,24 @@ class TestRecordBuiltFactors:
         kind, make = RECORD_BUILT[request.param]
         return open_session(DenseMatrix(make(np.random.default_rng(3))), kind)
 
-    def test_first_read_forms_every_factor_once_and_drops_the_packed_array(self, session, monkeypatch):
+    def test_first_read_forms_every_factor_once_and_drops_the_packed_array(self, session, record_builds):
         session_solve(session, DenseMatrix(np.ones((session.matrix.rows, 1))))
         record = session._solved
         assert isinstance(record, EliminationRecord)
         arrays = oracles.packed_factors(record.lu.data, record.pivots)
-        forming = factorkit.factorizations._factors
-        formed = []
-        monkeypatch.setattr(factorkit.factorizations, "_factors", lambda *a: formed.append(a) or forming(*a))
         f = session.factorization
         assert f is session.factorization
-        assert len(formed) == 1
+        assert len(record_builds) == 1
         for name in FACTOR_NAMES[f.kind]:
             assert getattr(f, name).data.tobytes() == arrays[name].tobytes()
         assert not any(isinstance(v, (EliminationRecord, np.ndarray)) for v in vars(session).values())
         assert not any(isinstance(v, np.ndarray) for v in vars(f).values())  # neither the array nor the roots
 
-    def test_first_session_solve_packages_nothing(self, session, monkeypatch):
-        made = []
-        monkeypatch.setattr(factorkit.factorizations, "_factors", lambda *a: made.append(a))
-        monkeypatch.setattr(factorkit.workflow, "from_record", lambda *a: made.append(a))
+    def test_first_session_solve_packages_nothing(self, session, monkeypatch, record_builds):
+        monkeypatch.setattr(factorkit.workflow, "from_record", lambda *a: record_builds.append(a))
         session_solve(session, DenseMatrix(np.ones((session.matrix.rows, 1))))
         cost_report(session)
-        assert made == []
+        assert record_builds == []
         assert isinstance(session._solved, EliminationRecord)
 
     def test_packaging_validates_each_factor_once(self, case, monkeypatch):
@@ -577,6 +572,19 @@ class TestBlockedSolve:
         else:
             assert forward[-1] is not None and back[-1] is not None
         assert _eta(a, report.solutions.data, b) <= 4 * _eta(a, x, b)
+
+    @pytest.mark.parametrize("kind", BLOCKED_KINDS)
+    def test_copies_and_pickles_leave_the_inverses_behind(self, kind):
+        a, b, factor = _blocked_case(kind, NB + 1, 1, seed=7)
+        f = factor()
+        size = len(pickle.dumps(f))
+        report = solve(f, DenseMatrix(b))
+        assert "_inverses" in vars(f)
+        assert len(pickle.dumps(f)) == size
+        for other in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert "_inverses" not in vars(other)
+            assert other == f
+            assert solve(other, DenseMatrix(b)).solutions.data.tobytes() == report.solutions.data.tobytes()
 
 
 class TestVerifyAndValidation:

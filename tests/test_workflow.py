@@ -429,17 +429,14 @@ class TestSessionState:
         assert matrix_hash(s.matrix) == "2845401addaf482d"  # cached on the matrix by the first read
 
     @pytest.mark.parametrize("method", [KIND_LU, KIND_GAUSS_CHOLESKY])
-    def test_factors_formed_only_when_a_reuse_reads_them(self, monkeypatch, method, golden_b1, golden_b2):
-        forming = factorkit.factorizations._factors
-        formed = []
-        monkeypatch.setattr(factorkit.factorizations, "_factors", lambda *a: formed.append(a) or forming(*a))
+    def test_factors_formed_only_when_a_reuse_reads_them(self, record_builds, method, golden_b1, golden_b2):
         s = open_session(DenseMatrix(GOLD_A), method)
         session_solve(s, golden_b1)
         cost_report(s)
-        assert formed == []
+        assert record_builds == []
         for b in (golden_b2, golden_b1):
             session_solve(s, b)
-        assert len(formed) == 1
+        assert len(record_builds) == 1
         assert not any(isinstance(v, EliminationRecord) for v in vars(s).values())  # dropped once packaged
 
     def test_cli_hashes_only_to_write_or_check_a_factor_file(self, matrix_hash_calls, capsys, tmp_path):
