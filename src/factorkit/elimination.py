@@ -37,12 +37,11 @@ then reads only rows of U and the multipliers formed from them, so A's
 lower triangle is never read and the rows below a panel wait for their own,
 about half the work. The record is packed the same way on both paths.
 
-The substitution kernel solves one row at a time. Given the inverses of a
-triangle's diagonal blocks of ``_SUBSTITUTION_BLOCK`` rows, which a
-factorization computes once for all its solves, it goes a block at a time
-instead, at every size: one matrix product for the rows already solved,
-one for the block's inverse. Only a block too ill conditioned to be applied
-by its inverse keeps the row loop.
+The substitution kernel goes a block of ``_SUBSTITUTION_BLOCK`` rows at a
+time, at every size: a matrix product for the rows already solved, then the
+block's inverse, which a factorization computes once for all its solves, or
+LAPACK on the block's triangle, handed over as an upper triangle so that no
+row is exchanged. A block too ill conditioned to apply by its inverse has none.
 
 Arithmetic is costed at one flop per scalar add/sub/mul/div. The counts are
 closed forms of (n, number of sides), defined once below, not tallied while
@@ -237,50 +236,51 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None, *, symmetric: 
 
 # Rows per diagonal block of the blocked substitution, which runs at every
 # size, so this sets the blocking only. In a sweep of 32 to 128 at n = 200
-# and 600 (one BLAS thread), 128 substituted up to a third faster, but its
-# inverses cost up to three times as much to make.
+# and 600 (one BLAS thread), 128 substituted up to a third faster; whether
+# that repays its dearer inverses is not yet measured.
 _SUBSTITUTION_BLOCK = 64
 
 # Largest condition number ||T|| ||T^-1||, in the 1-norm and the inf-norm,
 # of a diagonal block applied through its explicit inverse. Such a product is
 # backward stable only up to that number (Du Croz & Higham, IMA J. Numer.
 # Anal. 12, 1992), and without pivoting the multipliers are unbounded, so a
-# worse block keeps the row loop for its own rows.
+# worse block is solved by LAPACK for its own rows.
 _BLOCK_CONDITION_BOUND = 1e3
 
 
-def _rows(t: np.ndarray, c: np.ndarray, lower: bool, unit_diagonal: bool) -> np.ndarray:
-    # Row i takes its known unknowns as one dot product, then its divisor. A
-    # single side runs the same loop as a vector, one scalar per row, which
-    # spares every row the overhead of a matrix product.
-    n = t.shape[0]
-    x = np.zeros(c.shape, dtype=np.result_type(t, c))
-    xs, cs = (x[:, 0], c[:, 0]) if c.shape[1] == 1 else (x, c)
-    for i in range(n) if lower else range(n - 1, -1, -1):
-        lo, hi = (0, i) if lower else (i + 1, n)  # the rows of x already solved
-        r = cs[i] - t[i, lo:hi] @ xs[lo:hi]
-        xs[i] = r if unit_diagonal else r / t[i, i]
-    return x
+def _block_solve(block: np.ndarray, c: np.ndarray, lower: bool, unit_diagonal: bool) -> np.ndarray:
+    # Only the block's own triangle, a unit diagonal filled with 1, reaches
+    # LAPACK, and always upper triangular: a lower one reversed, t[::-1, ::-1]
+    # with c[::-1]. gesv's partial pivoting then finds only zeros below each
+    # diagonal entry and exchanges no row. numpy raises LinAlgError on a NaN.
+    t = np.tril(block) if lower else np.triu(block)
+    if unit_diagonal:
+        np.fill_diagonal(t, 1)
+    order = slice(None, None, -1 if lower else 1)
+    try:
+        return np.linalg.solve(t[order, order], c[order])[order]
+    except np.linalg.LinAlgError:
+        return np.full(c.shape, np.nan, dtype=np.result_type(t, c))
 
 
 @_overflow_is_checked
-def _block_inverses(t: np.ndarray, lower: bool, unit_diagonal: bool = False) -> tuple:
+def _block_inverses(t: np.ndarray, lower: bool) -> tuple:
     """Inverses of the diagonal blocks of triangle ``t``, for the blocked substitution.
 
-    Each block is inverted by the row loop against the identity, so the
+    Each block is solved against the identity by ``_block_solve``, so the
     inverse is exactly triangular and nothing is pivoted. A block whose
     inverse is not finite, or whose condition number exceeds the bound in
-    either norm, gets ``None`` and keeps the row loop. ``t`` must be exactly
-    triangular, with a stored unit diagonal where ``unit_diagonal``, as a
-    ``Factorization``'s factors are, so the norms are those of the triangle
-    the kernel reads. The transposes of the inverses serve ``t``'s
-    transpose.
+    either norm, gets ``None`` and is solved by ``_block_solve`` each time.
+    ``t`` must be exactly triangular with any unit diagonal stored, as a
+    ``Factorization``'s factors are: the norms are the kernel's triangle's,
+    and dividing by a stored 1 is exact. Transposed, they serve ``t.T``.
     """
     n, nb = t.shape[0], _SUBSTITUTION_BLOCK
     inverses = []
     for k0 in range(0, n, nb):
         block = t[k0 : k0 + nb, k0 : k0 + nb]
-        inv = _rows(block, np.eye(block.shape[0], dtype=block.dtype), lower, unit_diagonal)
+        # Contiguous: a lower block's inverse comes back as a reversed view, slower to apply.
+        inv = np.ascontiguousarray(_block_solve(block, np.eye(block.shape[0], dtype=block.dtype), lower, False))
         a, a_inv = np.abs(block), np.abs(inv)
         condition = max(a.sum(0).max() * a_inv.sum(0).max(), a.sum(1).max() * a_inv.sum(1).max())
         inverses.append(inv if np.isfinite(inv).all() and condition <= _BLOCK_CONDITION_BOUND else None)
@@ -294,22 +294,22 @@ def _substitute_rows(
     """Solve t @ x = c, reading only t's own triangle. Returns (solution, flops).
 
     Lower walks first-down (forward substitution), upper last-up (back
-    substitution). A unit diagonal is neither read nor divided by. Without
-    ``inverses`` the rows are solved one at a time. With them, from
-    ``_block_inverses(t, ...)``, the rows go in blocks: each block takes the
-    update by the rows already solved as one matrix product, then its
-    diagonal block's inverse, or the row loop where that inverse is ``None``.
-    The flops are the row loop's, whichever way the rows go.
+    substitution), in blocks of ``_SUBSTITUTION_BLOCK`` rows. Each block takes
+    the update by the rows already solved as one matrix product, then its
+    diagonal block's inverse from ``inverses``, made by ``_block_inverses(t,
+    lower)``, or ``_block_solve`` where there are none or the inverse is
+    ``None``. A unit diagonal is never read. The flops are a row-by-row
+    substitution's, whichever way the blocks go.
     """
-    n, k = t.shape[0], c.shape[1]
-    nb = _SUBSTITUTION_BLOCK if inverses else n
+    n, k, nb = t.shape[0], c.shape[1], _SUBSTITUTION_BLOCK
     x = np.zeros((n, k), dtype=np.result_type(t, c))
     for k0 in range(0, n, nb) if lower else range((n - 1) // nb * nb, -1, -nb):
         k1 = min(k0 + nb, n)
         lo, hi = (0, k0) if lower else (k1, n)  # the rows of x already solved
-        r = c[k0:k1] - t[k0:k1, lo:hi] @ x[lo:hi] if hi > lo else c[k0:k1]
+        # Fresh even with no rows solved: numpy's linalg misreads strides that are not whole items.
+        r = c[k0:k1] - t[k0:k1, lo:hi] @ x[lo:hi]
         inv = inverses[k0 // nb] if inverses else None
-        x[k0:k1] = _rows(t[k0:k1, k0:k1], r, lower, unit_diagonal) if inv is None else inv @ r
+        x[k0:k1] = _block_solve(t[k0:k1, k0:k1], r, lower, unit_diagonal) if inv is None else inv @ r
     _require_finite(x, "the forward substitution" if lower else "the back substitution")
     return x, substitution_flops(n, k, unit_diagonal)
 

@@ -171,7 +171,7 @@ class Factorization:
     def _inverses(self) -> tuple:
         """(forward, back) diagonal-block inverses for ``solve``, made on first use, never saved."""
         if self.kind == KIND_LU:
-            return _block_inverses(self.l.data, True, unit_diagonal=True), _block_inverses(self.u.data, False)
+            return _block_inverses(self.l.data, True), _block_inverses(self.u.data, False)
         back = _block_inverses(self.g.data, False)  # G^T's blocks are G's transposed
         return tuple(v if v is None else v.T for v in back), back
 
@@ -313,7 +313,7 @@ def verify(f: Factorization, a: DenseMatrix) -> float:
     """
     _require_order(f, a)
     scale = math.ldexp(1.0, min(math.frexp(a.max_abs())[1], 1023))
-    diff = float(np.linalg.norm((f.rebuild().data - a.data) / scale))
+    diff = float(np.linalg.norm(f.rebuild().data / scale - a.data / scale))
     denom = float(np.linalg.norm(a.data / scale))
     if denom == 0.0:
         return 0.0 if diff == 0.0 else float("inf")

@@ -98,9 +98,8 @@ def row_back_substitute(u: np.ndarray, c: np.ndarray):
     """Back substitution, last row upward, reading only u's upper triangle.
 
     Returns (x, flops) with the flops tallied row by row: a multiply and an
-    add per known unknown, then a division. The arithmetic, in its order,
-    is the reference the library's substitution kernel must match bit for
-    bit.
+    add per known unknown, then a division. The library's substitution
+    kernel must match its flops exactly and its backward error to rounding.
     """
     n, k = u.shape[0], c.shape[1]
     x = np.zeros((n, k), dtype=np.result_type(u, c))
@@ -124,6 +123,12 @@ def row_forward_substitute(l: np.ndarray, c: np.ndarray, unit_diagonal: bool):
             y[i, :] /= l[i, i]
         flops += k * (2 * i + (0 if unit_diagonal else 1))
     return y, flops
+
+
+def eta(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
+    """Largest normwise backward error ||A x - b|| / (||A|| ||x|| + ||b||) over the columns, in the inf-norm."""
+    r = np.max(np.abs(a @ x - b), axis=0)
+    return float(np.max(r / (np.linalg.norm(a, np.inf) * np.max(np.abs(x), axis=0) + np.max(np.abs(b), axis=0))))
 
 
 def random_symmetric(rng: np.random.Generator, n: int, *, complex_entries: bool = False) -> np.ndarray:

@@ -1,8 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
 from factorkit import (
+    KIND_GAUSS_CHOLESKY,
+    KIND_LU,
     DenseMatrix,
     EliminationRecord,
     NonSquareError,
@@ -14,14 +18,18 @@ from factorkit import (
     gauss_cholesky_from_record,
     gauss_eliminate,
     lu_from_record,
+    open_session,
     principal_sqrt,
     residual_norm,
+    session_solve,
+    solve,
     vector,
 )
 from factorkit.elimination import _PANEL_WIDTH as NB
 from factorkit.elimination import _SUBSTITUTION_BLOCK, _block_inverses, _solve_lower, _solve_upper, _substitute_rows
 from factorkit.elimination import _require_triangular
 from factorkit.elimination import elimination_flops, scaling_flops, substitution_flops
+from factorkit.factorizations import from_record
 from factorkit.matrices import EPS
 
 from conftest import (
@@ -46,6 +54,7 @@ from conftest import (
 from oracles import (
     cofactor_det,
     elimination_snapshots,
+    eta,
     plain_eliminate,
     random_symmetric,
     row_back_substitute,
@@ -509,13 +518,14 @@ class TestFlopLedger:
 
 
 class TestSubstitutionKernel:
-    """One row loop serves both triangles; it must reproduce the reference
-    row loops bit for bit, flops included, reading only its own triangle."""
+    """One blocked kernel serves both triangles. Against the reference row
+    loops it gives the same dtype and flops and a backward error of
+    rounding size, and it reads only its own triangle."""
 
     @pytest.mark.parametrize("sides", [1, 3])
     @pytest.mark.parametrize("kind", ["real", "complex", "real-t-complex-c", "complex-t-real-c"])
     @pytest.mark.parametrize("n", [1, 2, NB - 1, NB, NB + 1, 64])
-    def test_bitwise_the_reference_row_loops(self, n, kind, sides):
+    def test_backward_stable_as_the_reference_row_loops(self, n, kind, sides):
         # complex-t-real-c is what solve() hands the kernel for a complex G and a real b.
         rng = np.random.default_rng(n * 10 + sides)
         a = _dominant(rng, n, complex_entries=kind in ("complex", "complex-t-real-c"))
@@ -527,30 +537,49 @@ class TestSubstitutionKernel:
         lu = record.lu.data  # packed: the multipliers lie below U's diagonal
         g = gauss_cholesky_from_record(record).g.data
         assert g.T.flags.f_contiguous  # solve() hands the kernel this view
+        upper = np.triu(np.ones((n, n), dtype=bool))
+        # (kernel, the array it is handed, the triangle it solves, the reference, the entries it must not read)
         cases = [
-            (_solve_upper(lu, c), row_back_substitute(np.triu(lu), c)),
-            (_solve_upper(g, c), row_back_substitute(g, c)),
-            (_solve_lower(lu, c, unit_diagonal=True), row_forward_substitute(np.tril(lu, -1), c, True)),
-            (_solve_lower(g.T, c, unit_diagonal=False), row_forward_substitute(g.T, c, False)),
+            (_solve_upper, lu, np.triu(lu), row_back_substitute(np.triu(lu), c), ~upper),
+            (_solve_upper, g, g, row_back_substitute(g, c), ~upper),
+            (
+                functools.partial(_solve_lower, unit_diagonal=True),
+                lu,
+                np.tril(lu, -1) + np.eye(n),
+                row_forward_substitute(np.tril(lu, -1), c, True),
+                upper,
+            ),
+            (
+                functools.partial(_solve_lower, unit_diagonal=False),
+                g.T,
+                g.T,
+                row_forward_substitute(g.T, c, False),
+                ~upper.T,
+            ),
         ]
-        for (x, flops), (want, want_flops) in cases:
+        for kernel, t, triangle, (want, want_flops), unread in cases:
+            x, flops = kernel(t, c)
             assert x.dtype == want.dtype
-            # bytes, so that the sign of every zero matches too
-            assert x.tobytes() == want.tobytes()
             assert flops == want_flops
+            assert eta(triangle, x, c) <= 4 * n * EPS
+            assert eta(triangle, want, c) <= 4 * n * EPS
+            scribbled = t.copy(order="K")  # the same layout, so the products round alike
+            scribbled[unread] = np.pi
+            # bytes, so that the sign of every zero matches too
+            assert kernel(scribbled, c)[0].tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("lower", [True, False])
-    def test_blocks_without_an_inverse_run_the_row_loop_on_one_side(self, lower):
+    def test_blocks_without_an_inverse_are_solved_by_lapack(self, lower):
         # a_11 = 1e-6 makes the first column's multipliers about 1e6, so the
-        # first diagonal block of L, and of U, keeps the row loop; a single
-        # side then runs it as a vector, inside the blocked path.
+        # first diagonal block of L, and of U, has no inverse and goes to
+        # LAPACK inside the blocked path.
         rng = np.random.default_rng(5)
         n, sb = 150, _SUBSTITUTION_BLOCK
         a = rng.standard_normal((n, n)) + n * np.eye(n)
         a[0, 0] = 1e-6
         f = lu_from_record(gauss_eliminate(DenseMatrix(a)))
         t = f.l.data if lower else f.u.data
-        inverses = _block_inverses(t, lower, unit_diagonal=lower)
+        inverses = _block_inverses(t, lower)
         assert inverses[0] is None and inverses[-1] is not None
         c = rng.standard_normal((n, 3))
         c[1::3] = -0.0
@@ -561,9 +590,73 @@ class TestSubstitutionKernel:
             r = c[:sb, j : j + 1] if lower else c[:sb, j : j + 1] - t[:sb, sb:] @ x[sb:]
             block = t[:sb, :sb]
             want, _ = row_forward_substitute(block, r, True) if lower else row_back_substitute(block, r)
-            assert x[:sb].tobytes() == want.tobytes()
+            assert eta(block, x[:sb], r) <= 4 * sb * EPS
+            assert eta(block, want, r) <= 4 * sb * EPS
             # One side sums each row in another order than three do, so the batch agrees to rounding only.
             assert np.max(np.abs(x[:, 0] - batch[:, j])) <= 1e-12 * np.max(np.abs(batch[:, j]))
+
+    @pytest.mark.parametrize("kind", ["spd", "lu", "complex-symmetric", "indefinite", "ill-conditioned-lu"])
+    def test_lapack_is_handed_only_upper_triangles(self, kind, monkeypatch):
+        # LAPACK's solve pivots by rows; handed an exactly upper-triangular
+        # matrix with no zero on its diagonal, it exchanges none.
+        rng = np.random.default_rng(26)
+        n = 2 * _SUBSTITUTION_BLOCK + 22
+        if kind in ("lu", "ill-conditioned-lu"):
+            a = rng.standard_normal((n, n)) + n * np.eye(n)
+        else:
+            a = _symmetric_kind(rng, n, "complex" if kind == "complex-symmetric" else kind)
+        if kind == "ill-conditioned-lu":
+            a[0, 0] = 1e-6  # block 0 of L and of U then has no inverse
+        method = KIND_GAUSS_CHOLESKY if kind in ("spd", "complex-symmetric", "indefinite") else KIND_LU
+        b = rng.standard_normal((n, 2))
+        handed = []
+        lapack = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda t, c: handed.append(t.copy()) or lapack(t, c))
+        lu = gauss_eliminate(DenseMatrix(a)).lu.data
+        calls = []
+        s = open_session(DenseMatrix(a), method, residual_tol=1e-8)  # a_11 = 1e-6 costs digits
+        for run in (
+            lambda: session_solve(s, DenseMatrix(b[:, :1])),  # the first solve, on the packed lu
+            lambda: session_solve(s, DenseMatrix(b[:, 1:])),  # a reuse: the inverses, then solve()
+            lambda: solve(from_record(gauss_eliminate(DenseMatrix(a)), method), DenseMatrix(b)),
+            lambda: back_substitute(DenseMatrix(np.triu(lu)), DenseMatrix(b)),
+            lambda: forward_substitute(DenseMatrix(np.triu(lu).T), DenseMatrix(b)),
+            lambda: _block_inverses(np.tril(lu, -1) + np.eye(n), True),
+        ):
+            before = len(handed)
+            run()
+            calls.append(len(handed) - before)
+        assert all(calls), calls
+        for t in handed:
+            assert not np.tril(t, -1).any()
+            assert np.all(np.diagonal(t) != 0)
+
+    def test_a_subnormal_pivot_is_divided_by(self):
+        # Row and column 34 (index 33) are zero but for a_34,34 = 1e-310, so
+        # pivot 34 is exactly that: subnormal, above the threshold n * eps *
+        # max|A| = 2.2e-314, and its reciprocal overflows to inf, so a kernel
+        # that multiplied by it would fail. Two blocks; the first holds it.
+        rng = np.random.default_rng(34)
+        n = 100
+        m = rng.uniform(-1, 1, (n, n)) * 1e-302
+        a = m + m.T
+        np.fill_diagonal(a, 1e-300)
+        a[33], a[:, 33] = 0.0, 0.0
+        a[33, 33] = 1e-310
+        x = rng.standard_normal((n, 1))
+        b = DenseMatrix(a @ x)
+        record = gauss_eliminate(DenseMatrix(a))
+        assert record.pivots[33] == 1e-310 > record.pivot_threshold
+        s = open_session(DenseMatrix(a))
+        f = lu_from_record(record)
+        for answer in (
+            lambda: session_solve(s, b),  # the first solve, on the packed record
+            lambda: session_solve(s, b),  # a reuse, through G
+            lambda: solve(f, b),  # through U, whose diagonal holds the pivot itself
+        ):
+            assert np.max(np.abs(answer().solutions.data - x)) <= 1e-13 * np.max(np.abs(x))
+        for inverses in (*s.factorization._inverses, f._inverses[1]):  # G^T, G and U
+            assert inverses[0] is None
 
 
 class TestTriangularCheck:

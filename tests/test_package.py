@@ -92,6 +92,22 @@ def test_fresh_package_attributes_are_the_public_names_and_modules():
     assert public == set(PUBLIC) - {"__version__"} | set(MODULES)
 
 
+def test_solving_loads_no_scipy():
+    # numpy is the one declared dependency: the solves take LAPACK from numpy.linalg.
+    src = str(Path(factorkit.__file__).parents[1])
+    code = f"""import sys; sys.path.insert(0, {src!r})
+import numpy as np
+from factorkit import DenseMatrix, back_substitute, open_session, session_solve
+a = DenseMatrix(np.eye(70) * 4 + 1)
+s = open_session(a)
+for side in range(2):  # the first solve, then a reuse
+    session_solve(s, DenseMatrix(np.ones((70, 1))))
+back_substitute(DenseMatrix(np.triu(a.data)), DenseMatrix(np.ones((70, 2))))
+print(*sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))"""
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout.split()
+    assert loaded == []
+
+
 def test_package_init_lists_no_public_name():
     tree = ast.parse(Path(factorkit.__file__).read_text(encoding="utf-8"))
     strings = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
