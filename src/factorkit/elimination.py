@@ -240,22 +240,24 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None, *, symmetric: 
 # that repays its dearer inverses is not yet measured.
 _SUBSTITUTION_BLOCK = 64
 
-# Largest condition number ||T|| ||T^-1||, in the 1-norm and the inf-norm,
-# of a diagonal block applied through its explicit inverse. Such a product is
-# backward stable only up to that number (Du Croz & Higham, IMA J. Numer.
-# Anal. 12, 1992), and without pivoting the multipliers are unbounded, so a
-# worse block is solved by LAPACK for its own rows.
+# Largest condition number ||T|| ||T^-1||, in the 1-norm and the inf-norm, of a
+# diagonal block applied through its explicit inverse: such a product is backward
+# stable only up to that number (Du Croz & Higham, IMA J. Numer. Anal. 12, 1992),
+# and without pivoting the multipliers are unbounded. A worse block goes to LAPACK.
 _BLOCK_CONDITION_BOUND = 1e3
 
 
 def _block_solve(block: np.ndarray, c: np.ndarray, lower: bool, unit_diagonal: bool) -> np.ndarray:
-    # Only the block's own triangle, a unit diagonal filled with 1, reaches
-    # LAPACK, and always upper triangular: a lower one reversed, t[::-1, ::-1]
-    # with c[::-1]. gesv's partial pivoting then finds only zeros below each
-    # diagonal entry and exchanges no row. numpy raises LinAlgError on a NaN.
+    # LAPACK gets only the block's own triangle, a unit diagonal filled with 1, always
+    # upper triangular (a lower one as t[::-1, ::-1] with c[::-1]), so gesv's partial
+    # pivoting finds only zeros below each diagonal entry and exchanges no row. OpenBLAS
+    # multiplies by each diagonal entry's reciprocal, which overflows for a subnormal
+    # entry: such a block and its sides go scaled by 2^64, exactly. A NaN raises LinAlgError.
     t = np.tril(block) if lower else np.triu(block)
     if unit_diagonal:
         np.fill_diagonal(t, 1)
+    elif np.abs(np.diagonal(t)).min() < 2.0**-1022:
+        t, c = t * 2.0**64, c * 2.0**64
     order = slice(None, None, -1 if lower else 1)
     try:
         return np.linalg.solve(t[order, order], c[order])[order]
@@ -271,9 +273,8 @@ def _block_inverses(t: np.ndarray, lower: bool) -> tuple:
     inverse is exactly triangular and nothing is pivoted. A block whose
     inverse is not finite, or whose condition number exceeds the bound in
     either norm, gets ``None`` and is solved by ``_block_solve`` each time.
-    ``t`` must be exactly triangular with any unit diagonal stored, as a
-    ``Factorization``'s factors are: the norms are the kernel's triangle's,
-    and dividing by a stored 1 is exact. Transposed, they serve ``t.T``.
+    ``t`` must be exactly triangular, any unit diagonal stored, as in a
+    ``Factorization``: the norms are its triangle's. Transposed, they serve ``t.T``.
     """
     n, nb = t.shape[0], _SUBSTITUTION_BLOCK
     inverses = []
@@ -296,10 +297,9 @@ def _substitute_rows(
     Lower walks first-down (forward substitution), upper last-up (back
     substitution), in blocks of ``_SUBSTITUTION_BLOCK`` rows. Each block takes
     the update by the rows already solved as one matrix product, then its
-    diagonal block's inverse from ``inverses``, made by ``_block_inverses(t,
-    lower)``, or ``_block_solve`` where there are none or the inverse is
-    ``None``. A unit diagonal is never read. The flops are a row-by-row
-    substitution's, whichever way the blocks go.
+    diagonal block's inverse from ``inverses`` (``_block_inverses(t, lower)``)
+    or, where there is none, ``_block_solve``. A unit diagonal is never read.
+    The flops are a row-by-row substitution's, whichever way the blocks go.
     """
     n, k, nb = t.shape[0], c.shape[1], _SUBSTITUTION_BLOCK
     x = np.zeros((n, k), dtype=np.result_type(t, c))

@@ -631,11 +631,14 @@ class TestSubstitutionKernel:
             assert not np.tril(t, -1).any()
             assert np.all(np.diagonal(t) != 0)
 
-    def test_a_subnormal_pivot_is_divided_by(self):
+    @pytest.mark.parametrize("sides", [1, 3])
+    def test_a_subnormal_pivot_is_solved_through(self, sides):
         # Row and column 34 (index 33) are zero but for a_34,34 = 1e-310, so
         # pivot 34 is exactly that: subnormal, above the threshold n * eps *
-        # max|A| = 2.2e-314, and its reciprocal overflows to inf, so a kernel
-        # that multiplied by it would fail. Two blocks; the first holds it.
+        # max|A| = 2.2e-314, and its reciprocal overflows to inf. LAPACK's
+        # solve multiplies by that reciprocal when handed several sides, so a
+        # kernel that passed the block unscaled would overflow. Two blocks;
+        # the first holds it.
         rng = np.random.default_rng(34)
         n = 100
         m = rng.uniform(-1, 1, (n, n)) * 1e-302
@@ -643,20 +646,41 @@ class TestSubstitutionKernel:
         np.fill_diagonal(a, 1e-300)
         a[33], a[:, 33] = 0.0, 0.0
         a[33, 33] = 1e-310
-        x = rng.standard_normal((n, 1))
+        x = rng.standard_normal((n, sides))
         b = DenseMatrix(a @ x)
-        record = gauss_eliminate(DenseMatrix(a))
+        record = gauss_eliminate(DenseMatrix(a), b)
         assert record.pivots[33] == 1e-310 > record.pivot_threshold
-        s = open_session(DenseMatrix(a))
         f = lu_from_record(record)
-        for answer in (
-            lambda: session_solve(s, b),  # the first solve, on the packed record
-            lambda: session_solve(s, b),  # a reuse, through G
-            lambda: solve(f, b),  # through U, whose diagonal holds the pivot itself
-        ):
-            assert np.max(np.abs(answer().solutions.data - x)) <= 1e-13 * np.max(np.abs(x))
-        for inverses in (*s.factorization._inverses, f._inverses[1]):  # G^T, G and U
-            assert inverses[0] is None
+        u = f.u.data
+        answers = [
+            lambda: _solve_upper(record.lu.data, record.transformed_rhs.data)[0],  # on the packed record
+            lambda: solve(f, b).solutions.data,  # through U, whose diagonal holds the pivot itself
+            lambda: back_substitute(DenseMatrix(u), DenseMatrix(u @ x)).data,
+            lambda: forward_substitute(DenseMatrix(u.T), DenseMatrix(u.T @ x)).data,
+        ]
+        s = open_session(DenseMatrix(a))
+        if sides == 1:  # a session takes one side at a time: its first solve, then a reuse through G
+            answers += [lambda: session_solve(s, b).solutions.data] * 2
+        for answer in answers:
+            assert np.max(np.abs(answer() - x)) <= 1e-13 * np.max(np.abs(x))
+        for inverses in (*s.factorization._inverses, f._inverses[1]) if sides == 1 else f._inverses[1:]:
+            assert inverses[0] is None  # G^T, G and U
+
+    @pytest.mark.parametrize("sides", [1, 3])
+    @pytest.mark.parametrize("entry", [1e-310, 1e-310j, 1e-310 + 1e-310j])
+    def test_a_complex_subnormal_diagonal_entry_is_solved_through(self, entry, sides):
+        # LAPACK's complex solve takes the reciprocal of a diagonal entry even
+        # for one side; 1 / 1e-310 overflows.
+        rng = np.random.default_rng(35)
+        n = 100
+        u = np.triu(rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))) * 1e-302
+        np.fill_diagonal(u, 1e-300)
+        u[33], u[:, 33] = 0.0, 0.0
+        u[33, 33] = entry
+        x = rng.standard_normal((n, sides))
+        for t in (u, u.T):
+            got = (back_substitute if t is u else forward_substitute)(DenseMatrix(t), DenseMatrix(t @ x)).data
+            assert np.max(np.abs(got - x)) <= 1e-13 * np.max(np.abs(x))
 
 
 class TestTriangularCheck:
