@@ -136,8 +136,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    result = run_bench(args.n, args.rhs_count, args.seed)
-    print(f"bench n={result.n} rhs={result.rhs_count} seed={result.seed} method={result.method}")
+    result = run_bench(args.n, args.rhs_count)
+    print(f"bench n={result.n} rhs={result.rhs_count} method={result.method}")
     table = [
         ("factor flops", result.factor_flops),
         ("solve flops per rhs", result.reuse_flops_per_rhs),
@@ -202,7 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="compare reuse flops against repeated eliminations")
     bench.add_argument("--n", type=int, default=50)
     bench.add_argument("--rhs-count", type=int, default=10)
-    bench.add_argument("--seed", type=int, default=0)
     bench.set_defaults(func=_cmd_bench)
 
     return parser

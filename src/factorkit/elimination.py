@@ -77,9 +77,10 @@ class EliminationRecord:
     matrix that A's upper triangle mirrors.
     ``transformed_rhs`` holds the right-hand sides after the same row
     operations, when any were supplied. Both are read-only views of the
-    elimination's one working array, not copies. ``pivot_threshold`` is the
-    bound every pivot exceeded in magnitude. ``source`` is the eliminated
-    matrix itself, not a copy.
+    elimination's one working array, not copies, except that complex sides
+    of a real matrix come as a contiguous copy of their (re, im) pairs.
+    ``pivot_threshold`` is the bound every pivot exceeded in magnitude.
+    ``source`` is the eliminated matrix itself, not a copy.
     """
 
     lu: DenseMatrix
@@ -227,7 +228,8 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None, *, symmetric: 
     return EliminationRecord(
         lu=_wrap(lu),
         pivots=tuple(np.diagonal(lu).tolist()),
-        transformed_rhs=_wrap(rhs) if b is not None else None,
+        # A copy for (re, im) pairs: numpy's linalg misreads the view's row stride.
+        transformed_rhs=None if b is None else _wrap(np.ascontiguousarray(rhs) if pairs else rhs),
         flops=elimination_flops(n, rhs.shape[1]),
         source=a,
         pivot_threshold=threshold,

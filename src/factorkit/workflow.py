@@ -25,8 +25,6 @@ import threading
 import warnings
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .elimination import EliminationRecord, _solve_upper, elimination_flops, gauss_eliminate, substitution_flops
 from .errors import NonSquareError, NoSolvesError, ShapeError, ZeroPivotError
 from .factorizations import (
@@ -36,11 +34,10 @@ from .factorizations import (
     SolveReport,
     _packaging_flops,
     from_record,
-    gauss_cholesky,
     require_symmetric,
     solve,
 )
-from .matrices import DEFAULT_SYMMETRY_TOL, DenseMatrix, residual_norm, vector
+from .matrices import DEFAULT_SYMMETRY_TOL, DenseMatrix, residual_norm
 
 __all__ = [
     "BenchResult",
@@ -100,7 +97,6 @@ class CostReport:
 class BenchResult:
     n: int
     rhs_count: int
-    seed: int
     method: str
     factor_flops: int
     reuse_flops_per_rhs: int
@@ -165,9 +161,9 @@ def session_solve(s: SolveSession, b: DenseMatrix) -> SolveReport:
     if f is None:
         # The first system is answered directly from the triangular system
         # U x = b' that the elimination left in the upper triangle of record.lu.
-        x_arr, back_flops = _solve_upper(record.lu.data, record.transformed_rhs.data)
+        x_arr, _ = _solve_upper(record.lu.data, record.transformed_rhs.data)
         solutions = DenseMatrix(x_arr)
-        flops = _packaging_flops(s.method, record.n, record.flops) + back_flops
+        flops = _first_solve_flops(s.method, record.n)
     else:
         report = solve(f, b)
         solutions = report.solutions
@@ -185,15 +181,21 @@ def session_solve(s: SolveSession, b: DenseMatrix) -> SolveReport:
     return SolveReport(solutions=solutions, residuals=(residual,), flops=flops, method=s.method)
 
 
+def _first_solve_flops(method: str, n: int) -> int:
+    # The first solve eliminates with its one side, then substitutes back.
+    return _packaging_flops(method, n, elimination_flops(n, 1)) + substitution_flops(n, 1)
+
+
+def _reuse_flops(method: str, n: int) -> int:
+    # Forward then back substitution; LU's forward factor has a unit diagonal.
+    return substitution_flops(n, 1, unit_diagonal=method == KIND_LU) + substitution_flops(n, 1)
+
+
 def cost_report(s: SolveSession) -> CostReport:
     """First-solve cost versus per-reuse cost for this session, from the closed forms."""
     if s._solved is None:
         raise NoSolvesError()
-    n = s.matrix.rows
-    # The first solve eliminates with its one side, then substitutes back.
-    first = _packaging_flops(s.method, n, elimination_flops(n, 1)) + substitution_flops(n, 1)
-    # Forward then back substitution; LU's forward factor has a unit diagonal.
-    reuse = substitution_flops(n, 1, unit_diagonal=s.method == KIND_LU) + substitution_flops(n, 1)
+    first, reuse = _first_solve_flops(s.method, s.matrix.rows), _reuse_flops(s.method, s.matrix.rows)
     return CostReport(
         first_flops=first,
         reuse_flops_per_rhs=reuse,
@@ -202,36 +204,29 @@ def cost_report(s: SolveSession) -> CostReport:
     )
 
 
-def run_bench(n: int, rhs_count: int, seed: int) -> BenchResult:
-    """Compare factor-once reuse against repeated eliminations on one instance.
+def run_bench(n: int, rhs_count: int) -> BenchResult:
+    """Compare factor-once reuse against repeated eliminations, from the flop ledger.
 
-    The instance is a random symmetric positive definite matrix M^T M + n I;
-    the comparison is flop-ledger based and fully deterministic for a given
-    seed. Each flop count is a closed form of n, so one side solved each way,
-    by the cached factors and by a fresh session's first solve, is scaled by
-    ``rhs_count``.
+    One gauss-cholesky factorization followed by ``rhs_count`` reuses, each
+    two substitutions, against ``rhs_count`` LU first solves, each a fresh
+    elimination with its side riding along. Every count is a closed form of
+    n, so nothing is factored or solved.
     """
     if n < 1:
         raise ValueError("bench needs n >= 1")
     if rhs_count < 1:
         raise ValueError("bench needs at least one right-hand side")
-    rng = np.random.default_rng(seed)
-    m = rng.standard_normal((n, n))
-    a = DenseMatrix(m.T @ m + n * np.eye(n))
-    b = vector(rng.standard_normal(n))
-
-    f = gauss_cholesky(a)
-    reuse_per_rhs = solve(f, b).flops
-    reuse_total = f.provenance.flops + rhs_count * reuse_per_rhs
-    elim_per_rhs = session_solve(open_session(a, KIND_LU), b).flops
+    factor = _packaging_flops(KIND_GAUSS_CHOLESKY, n, elimination_flops(n, 0))
+    reuse_per_rhs = _reuse_flops(KIND_GAUSS_CHOLESKY, n)
+    reuse_total = factor + rhs_count * reuse_per_rhs
+    elim_per_rhs = _first_solve_flops(KIND_LU, n)
     elim_total = rhs_count * elim_per_rhs
 
     return BenchResult(
         n=n,
         rhs_count=rhs_count,
-        seed=seed,
-        method=f.kind,
-        factor_flops=f.provenance.flops,
+        method=KIND_GAUSS_CHOLESKY,
+        factor_flops=factor,
         reuse_flops_per_rhs=reuse_per_rhs,
         reuse_total=reuse_total,
         elimination_flops_per_rhs=elim_per_rhs,

@@ -556,13 +556,19 @@ class TestCheck:
 
 class TestBench:
     def test_bench_table_and_determinism(self, capsys):
-        first = run(capsys, "bench", "--n", 20, "--rhs-count", 4, "--seed", 7)
-        second = run(capsys, "bench", "--n", 20, "--rhs-count", 4, "--seed", 7)
+        first = run(capsys, "bench", "--n", 20, "--rhs-count", 4)
+        second = run(capsys, "bench", "--n", 20, "--rhs-count", 4)
         assert first == second
         code, out, _ = first
         assert code == 0
-        assert out.startswith("bench n=20 rhs=4 seed=7 method=gauss-cholesky")
+        assert out.startswith("bench n=20 rhs=4 method=gauss-cholesky")
         assert "flop ratio" in out
+
+    def test_bench_takes_no_seed(self, capsys):
+        # Every count is a closed form of n: there is no instance to seed.
+        code, out, err = run(capsys, "bench", "--n", 20, "--rhs-count", 4, "--seed", 7)
+        assert (code, out) == (1, "")
+        assert "--seed" in err
 
     def test_bench_bad_size(self, capsys):
         code, _, err = run(capsys, "bench", "--n", 0)
@@ -888,8 +894,8 @@ PINNED_CALLS = [
     ("solve --matrix swap.mat --rhs b2.mat --method auto --digits 2", 2, (
         "method gauss-cholesky\n"
     )),
-    ("bench --n 20 --rhs-count 4 --seed 7", 0, (
-        "bench n=20 rhs=4 seed=7 method=gauss-cholesky\n"
+    ("bench --n 20 --rhs-count 4", 0, (
+        "bench n=20 rhs=4 method=gauss-cholesky\n"
         "factor flops                          5340\n"
         "solve flops per rhs                    800\n"
         "factor+solve total                    8540\n"

@@ -330,6 +330,24 @@ class TestBlockedElimination:
         x = back_substitute(f.u, row_major.transformed_rhs)
         assert np.linalg.norm(a @ x.data - b) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(x.data)
 
+    @pytest.mark.parametrize("n", [NB, NB + 1, 2 * NB + 1, 200])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_complex_sides_of_a_real_matrix_come_out_contiguous(self, n, k):
+        # They ride as (re, im) pairs, whose rows numpy's linalg misreads when
+        # the working array's row stride is not a whole number of complex items.
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n)) + n * np.eye(n)
+        b = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        record = gauss_eliminate(DenseMatrix(a), DenseMatrix(b))
+        rhs = record.transformed_rhs.data
+        assert rhs.flags.c_contiguous and not rhs.flags.writeable
+        x = np.linalg.solve(np.triu(record.lu.data), rhs)
+        assert np.linalg.norm(a @ x - b, np.inf) <= 1e-12 * np.linalg.norm(a, np.inf) * np.linalg.norm(x, np.inf)
+        # The kernel's answers are those it gave off the pairs in the working array.
+        pairs = np.empty((n, n + 2 * k))[:, n:].view(np.complex128)
+        pairs[...] = rhs
+        assert_array_equal(_solve_upper(record.lu.data, rhs)[0], _solve_upper(record.lu.data, pairs)[0])
+
     # 3 * NB + 5: the last panel takes two column pairs and an odd column.
     @pytest.mark.parametrize("n", [2, 3, 5, NB - 1, NB, NB + 1, 2 * NB + 1, 3 * NB + 5, 200])
     @pytest.mark.parametrize("symmetric", [False, True])

@@ -301,11 +301,14 @@ class TestPivotThresholdLine:
         (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
         lines = block.splitlines()
         shown = [after[2:] for line, after in zip(lines, lines[1:]) if line.startswith("print(")]
-        out = io.StringIO()
+        out, namespace = io.StringIO(), {}
         with contextlib.redirect_stdout(out):
-            exec(block, {})
+            exec(block, namespace)
         assert out.getvalue().splitlines() == shown
         assert len(shown) == 2
+        # The documented ledger and answer, pinned apart from the README's own comments.
+        assert shown[1] == "CostReport(first_flops=72, reuse_flops_per_rhs=32, reuse_count=1, total_flops=104)"
+        assert np.allclose(namespace["x2"].solutions.data.ravel(), [3.75, 1.75, -0.5, 1], rtol=1e-12, atol=0)
 
 
 # GOLD_A's factor file, one entry per line: 1 header, 2 g, 3-6 rows, 7 provenance,
