@@ -20,8 +20,11 @@ Both kinds are immutable once constructed and may serve any number of
 concurrent solves. The first solve of a factorization inverts the
 diagonal blocks of its triangular factors (one set for G, whose transposes
 serve G^T; one each for L and U) and caches them, so every solve
-substitutes block by block. The inverses are derived state: never a
-constructor argument, never carried into factor files, copies or pickles.
+substitutes block by block. It also caches the factors' product, against
+which every solve measures its residuals, so only a factorization's first
+solve pays that O(n^3) product and each later one costs O(n^2). The
+inverses and the product are derived state: never a constructor argument,
+never carried into factor files, copies or pickles.
 """
 
 from __future__ import annotations
@@ -175,14 +178,38 @@ class Factorization:
         back = _block_inverses(self.g.data, False)  # G^T's blocks are G's transposed
         return tuple(v if v is None else v.T for v in back), back
 
-    def __getstate__(self):  # copies and pickles leave the derived inverses behind
-        return {name: value for name, value in self.__dict__.items() if name != "_inverses"}
+    @functools.cached_property
+    def _rebuilt(self) -> DenseMatrix:
+        """The factors' product for ``rebuild``, formed on first use, never saved."""
+        product = _product(self)
+        _require_finite_entries(product)
+        return _wrap(product)
+
+    def __getstate__(self):  # copies and pickles leave the derived inverses and product behind
+        return {name: value for name, value in self.__dict__.items() if name not in ("_inverses", "_rebuilt")}
 
     def rebuild(self) -> DenseMatrix:
-        """Multiply the factors back together; G^T G is exactly symmetric."""
-        if self.kind == KIND_LU:
-            return DenseMatrix(self.l.data @ self.u.data)
-        return DenseMatrix(self.g.data.T @ self.g.data)
+        """The factors multiplied back together; G^T G is exactly symmetric.
+
+        The product is formed on a factorization's first call and the same
+        read-only matrix is returned by every later one.
+        """
+        return self._rebuilt
+
+
+def _product(f: Factorization, shift: int = 0) -> np.ndarray:
+    """The factors' product divided by 2**shift, as a fresh array.
+
+    The factors are divided before they are multiplied, U by 2**shift for
+    LU and G by 2**(shift / 2) for gauss-cholesky (so ``shift`` is then
+    even). A division by a power of two is exact wherever the entries stay
+    normal, and a product near the largest double is formed near 1 instead,
+    where it cannot overflow.
+    """
+    if f.kind == KIND_LU:
+        return f.l.data @ (f.u.data / 2.0**shift)
+    g = f.g.data / 2.0 ** (shift // 2)
+    return g.T @ g
 
 
 def _pivot_roots(pivots: tuple) -> np.ndarray:
@@ -276,7 +303,8 @@ def solve(f: Factorization, b: DenseMatrix) -> SolveReport:
     of G is then purely real or purely imaginary, so every imaginary part of
     the answer is exactly 0. Residuals are measured against the
     reconstructed matrix, since a factorization need not hold its source:
-    one read from a factor file carries only its hash.
+    one read from a factor file carries only its hash. The first solve of a
+    factorization forms that matrix in O(n^3); later solves reuse it.
     """
     if b.rows != f.n:
         raise ShapeError(f"right-hand side has {b.rows} rows, factorization is for n = {f.n}")
@@ -307,14 +335,20 @@ def _require_order(f: Factorization, a: DenseMatrix) -> None:
 def verify(f: Factorization, a: DenseMatrix) -> float:
     """Relative Frobenius error of the reconstruction against ``a``.
 
-    Both norms are taken of entries divided by a power of two within a
-    factor 2 of max|A| (an exact division), so they neither overflow nor
-    underflow however large or small A's entries are.
+    A and the reconstruction are divided by one power of two within a
+    factor 4 of max|A|, an even power for gauss-cholesky; the
+    reconstruction is formed from factors divided first (``_product``).
+    Both divisions are exact, so neither the product nor the norms overflow
+    or underflow however large or small A's entries are, the largest double
+    included.
     """
     _require_order(f, a)
-    scale = math.ldexp(1.0, min(math.frexp(a.max_abs())[1], 1023))
-    diff = float(np.linalg.norm(f.rebuild().data / scale - a.data / scale))
-    denom = float(np.linalg.norm(a.data / scale))
+    shift = min(math.frexp(a.max_abs())[1], 1023)
+    if f.kind == KIND_GAUSS_CHOLESKY:
+        shift -= shift & 1
+    scaled = a.data / 2.0**shift
+    diff = float(np.linalg.norm(_product(f, shift) - scaled))
+    denom = float(np.linalg.norm(scaled))
     if denom == 0.0:
         return 0.0 if diff == 0.0 else float("inf")
     return diff / denom

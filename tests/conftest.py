@@ -59,6 +59,10 @@ ZERO_PIVOT_A = [[1e-20, 1], [1, 1]]
 # column 2 to 1 - 1e314 = -inf: every path must fail in column 2.
 OVERFLOW_A = [[1e286, 1e300], [1e300, 1]]
 OVERFLOW_MESSAGE = "non-finite pivot in column 2: the elimination overflowed"
+# Healthy and symmetric, with the largest double on its diagonal: G^T G,
+# formed unscaled, overflows at (2,2), so the reconstruction is measured
+# from scaled factors.
+LARGEST_DOUBLE_A = [[1.7976931348623157e308, 1e308], [1e308, 1.7976931348623157e308]]
 # Healthy and symmetric, but the side's 1 - 1e3 * 1e306 = -inf: the
 # elimination, or the forward substitution, overflows the side, not a pivot.
 SIDE_OVERFLOW_A = [[1e-3, 1], [1, 1]]
@@ -105,6 +109,12 @@ def record_builds(monkeypatch):
         build = getattr(factorkit.factorizations, name)
         monkeypatch.setattr(factorkit.factorizations, name, lambda *a, build=build: builds.append(a) or build(*a))
     return builds
+
+
+@pytest.fixture
+def product_calls(monkeypatch):
+    """Every call of ``factorizations._product``, which forms the factors' product."""
+    return _count_calls(monkeypatch, factorkit.factorizations, "_product")
 
 
 @pytest.fixture

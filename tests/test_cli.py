@@ -30,6 +30,7 @@ from conftest import (
     GOLD_B2,
     INDEFINITE_A,
     INDEFINITE_B,
+    LARGEST_DOUBLE_A,
     LEGACY_GOLD_FACTOR_FILE,
     NEAR_SINGULAR_A,
     OVERFLOW_A,
@@ -499,6 +500,16 @@ class TestFailureTable:
         # 0 only where the product is exact, as LU's is at 1e160
         exact = np.array_equal(load_factorization(fact).rebuild().data, load_matrix(a).data)
         assert error == 0.0 if exact else 0.0 < error <= 1e-14
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_factor_measures_a_matrix_at_the_largest_double(self, capsys, tmp_path, method):
+        a, fact = tmp_path / "a.mat", tmp_path / "a.fact"
+        save_matrix(a, DenseMatrix(LARGEST_DOUBLE_A))
+        code, out, err = run(capsys, "factor", "--input", a, "--method", method, "--output", fact)
+        assert (code, err) == (0, "")
+        (line,) = [line for line in out.splitlines() if line.startswith("reconstruction-error ")]
+        assert float(line.split()[1]) <= 1e-14
+        assert fact.exists()
 
     @pytest.mark.parametrize("method", METHODS)
     def test_session_answers_a_side_then_fails_on_an_overflowing_one(self, capsys, tmp_path, method):

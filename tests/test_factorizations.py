@@ -27,6 +27,7 @@ from factorkit import (
     cost_report,
     open_session,
     render_factorization,
+    residual_norm,
     session_solve,
     solve,
     transpose,
@@ -52,6 +53,7 @@ from conftest import (
     GOLD_U,
     GOLD_X1,
     GOLD_X2,
+    LARGEST_DOUBLE_A,
     NEAR_SINGULAR_A,
     SIDE_OVERFLOW_A,
     SIDE_OVERFLOW_B,
@@ -596,12 +598,27 @@ class TestBlockedSolve:
         f = factor()
         size = len(pickle.dumps(f))
         report = solve(f, DenseMatrix(b))
-        assert "_inverses" in vars(f)
+        assert "_inverses" in vars(f) and "_rebuilt" in vars(f)
         assert len(pickle.dumps(f)) == size
         for other in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
-            assert "_inverses" not in vars(other)
+            assert "_inverses" not in vars(other) and "_rebuilt" not in vars(other)
             assert other == f
-            assert solve(other, DenseMatrix(b)).solutions.data.tobytes() == report.solutions.data.tobytes()
+            again = solve(other, DenseMatrix(b))
+            assert again.solutions.data.tobytes() == report.solutions.data.tobytes()
+            assert again.residuals == report.residuals
+
+    @pytest.mark.parametrize("sides", [1, 3])
+    @pytest.mark.parametrize("kind", BLOCKED_KINDS)
+    def test_residuals_are_those_against_a_freshly_formed_product(self, kind, sides):
+        a, b, factor = _blocked_case(kind, NB + 1, sides, seed=11)
+        f = factor()
+        reports = [solve(f, DenseMatrix(b)) for _ in range(3)]
+        assert f.rebuild() is f.rebuild()
+        fresh = DenseMatrix(factorkit.factorizations._product(f))
+        want = np.array([residual_norm(fresh, reports[0].solutions.column(j), DenseMatrix(b).column(j))
+                         for j in range(sides)])
+        for report in reports:
+            assert np.array(report.residuals).tobytes() == want.tobytes()
 
 
 class TestVerifyAndValidation:
@@ -684,10 +701,15 @@ class TestRebuild:
         error = verify(f, a)
         assert error == 0.0 if np.array_equal(f.rebuild().data, a.data) else 0.0 < error <= 1e-14
 
-    def test_verify_near_the_largest_double(self):
+    @pytest.mark.parametrize("kind", [KIND_LU, KIND_GAUSS_CHOLESKY])
+    @pytest.mark.parametrize("entries", [
+        [[1.7e308, 1e307], [1e307, 1e308]],
+        LARGEST_DOUBLE_A,
+    ])
+    def test_verify_near_the_largest_double(self, entries, kind):
         # max|A| >= 2**1023, whose power of two 2**1024 is not a double
-        a = DenseMatrix([[1.7e308, 1e307], [1e307, 1e308]])
-        assert verify(gauss_cholesky(a), a) <= 1e-14
+        a = DenseMatrix(entries)
+        assert verify(from_record(gauss_eliminate(a), kind), a) <= 1e-14
 
     def test_verify_scales_before_it_subtracts(self):
         # A - (-A) = 2e308 overflows unless each operand is scaled first.

@@ -439,6 +439,18 @@ class TestSessionState:
         assert len(record_builds) == 1
         assert not any(isinstance(v, EliminationRecord) for v in vars(s).values())  # dropped once packaged
 
+    @pytest.mark.parametrize("method", [KIND_LU, KIND_GAUSS_CHOLESKY])
+    def test_product_formed_once_for_all_reuses(self, product_calls, method):
+        rng = np.random.default_rng(9)
+        n, reuses = 80, 10
+        s = open_session(DenseMatrix(random_spd(rng, n)), method)
+        session_solve(s, vector(rng.standard_normal(n)))
+        assert product_calls == []  # the first solve answers off the elimination record
+        for _ in range(reuses):
+            session_solve(s, vector(rng.standard_normal(n)))
+        assert s.reuse_count == reuses
+        assert product_calls == [(s.factorization,)]
+
     def test_cli_hashes_only_to_write_or_check_a_factor_file(self, matrix_hash_calls, capsys, tmp_path):
         a, b, fact = tmp_path / "a.mat", tmp_path / "b.mat", tmp_path / "a.fact"
         save_matrix(a, DenseMatrix(GOLD_A))
@@ -655,15 +667,12 @@ class TestConcurrency:
 
     @pytest.mark.parametrize("kind", [KIND_LU, KIND_GAUSS_CHOLESKY])
     def test_threads_sharing_a_fresh_factorization_get_identical_bytes(self, monkeypatch, kind):
-        # Every thread's first solve finds the block inverses missing; slowed
-        # down, their computation overlaps wherever cached_property takes no lock.
-        inverses = factorkit.factorizations._block_inverses
-
-        def slow_inverses(*args, **kwargs):
-            time.sleep(0.05)
-            return inverses(*args, **kwargs)
-
-        monkeypatch.setattr(factorkit.factorizations, "_block_inverses", slow_inverses)
+        # Every thread's first solve finds the block inverses and the product
+        # missing; slowed down, their computation overlaps wherever
+        # cached_property takes no lock.
+        for name in ("_block_inverses", "_product"):
+            slowed = lambda *args, original=getattr(factorkit.factorizations, name): time.sleep(0.05) or original(*args)
+            monkeypatch.setattr(factorkit.factorizations, name, slowed)
         rng = np.random.default_rng(8)
         n, workers = 150, 8
         a = DenseMatrix(random_spd(rng, n))
@@ -673,10 +682,12 @@ class TestConcurrency:
         answers = [None] * workers
 
         def solve_one(j):
-            answers[j] = solve(f, b).solutions.data.tobytes()
+            report = solve(f, b)
+            answers[j] = report.solutions.data.tobytes(), np.array(report.residuals).tobytes()
 
         assert _run_together(workers, solve_one) == []
-        assert set(answers) == {solve(factor(), b).solutions.data.tobytes()}
+        report = solve(factor(), b)
+        assert set(answers) == {(report.solutions.data.tobytes(), np.array(report.residuals).tobytes())}
 
 
 class TestCostReport:
