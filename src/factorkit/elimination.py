@@ -134,6 +134,13 @@ def substitution_flops(n: int, sides: int, unit_diagonal: bool = False) -> int:
     return sides * n * (n - 1) if unit_diagonal else sides * n * n
 
 
+# A divisor below the smallest normal double is divided with its dividend,
+# both scaled by 2^64 first. The scaling is exact, and it keeps each quotient's
+# real value: numpy's complex division by such a divisor gives NaN
+# (0 / (1e-310 + 0j) = nan+nanj), and OpenBLAS's reciprocal of it overflows.
+_SMALLEST_NORMAL = 2.0**-1022
+_SUBNORMAL_SCALE = 2.0**64
+
 # Overflow fails as a non-finite pivot or an OverflowError; numpy's warnings would repeat it.
 _overflow_is_checked = np.errstate(over="ignore", invalid="ignore")
 
@@ -194,15 +201,22 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None, *, symmetric: 
             below = work[k1:, :c0] @ work[:c0, c0:c1] if not symmetric and c0 and k1 < n else None
             for col in range(c0, c1):
                 pivot = work[col, col]
-                if not threshold < abs(pivot) < np.inf:
+                size = abs(pivot)
+                if not threshold < size < np.inf:
                     raise ZeroPivotError("column", col + 1, pivot.item(), threshold)
                 m = work[col + 1 :, col]
                 if symmetric:
                     # The theorem: the pivot row is final, and m_il = u_li / u_ll.
-                    np.divide(work[col, col + 1 : n], pivot, out=m)
+                    row = work[col, col + 1 : n]
+                    if size < _SMALLEST_NORMAL:
+                        row, pivot = row * _SUBNORMAL_SCALE, pivot * _SUBNORMAL_SCALE
+                    np.divide(row, pivot, out=m)
                 else:
                     if below is not None:
                         m[k1 - col - 1 :] -= below[:, col - c0]
+                    if size < _SMALLEST_NORMAL:
+                        m *= _SUBNORMAL_SCALE
+                        pivot *= _SUBNORMAL_SCALE
                     m /= pivot
                 if col + 1 < c1:
                     # Row c0 + 1 takes column c0's update, sides included, so its
@@ -252,14 +266,16 @@ _BLOCK_CONDITION_BOUND = 1e3
 def _block_solve(block: np.ndarray, c: np.ndarray, lower: bool, unit_diagonal: bool) -> np.ndarray:
     # LAPACK gets only the block's own triangle, a unit diagonal filled with 1, always
     # upper triangular (a lower one as t[::-1, ::-1] with c[::-1]), so gesv's partial
-    # pivoting finds only zeros below each diagonal entry and exchanges no row. OpenBLAS
-    # multiplies by each diagonal entry's reciprocal, which overflows for a subnormal
-    # entry: such a block and its sides go scaled by 2^64, exactly. A NaN raises LinAlgError.
+    # pivoting finds only zeros below each diagonal entry and exchanges no row. A block
+    # with a subnormal diagonal entry goes scaled with its sides (_SUBNORMAL_SCALE). A
+    # NaN or inf in t or c comes back as a non-finite answer, not as an error: gesv
+    # reports a singular matrix only for an exactly zero diagonal entry, which no caller
+    # passes. Should one come, the handler answers NaN, so the block fails as non-finite.
     t = np.tril(block) if lower else np.triu(block)
     if unit_diagonal:
         np.fill_diagonal(t, 1)
-    elif np.abs(np.diagonal(t)).min() < 2.0**-1022:
-        t, c = t * 2.0**64, c * 2.0**64
+    elif np.abs(np.diagonal(t)).min() < _SMALLEST_NORMAL:
+        t, c = t * _SUBNORMAL_SCALE, c * _SUBNORMAL_SCALE
     order = slice(None, None, -1 if lower else 1)
     try:
         return np.linalg.solve(t[order, order], c[order])[order]

@@ -20,9 +20,10 @@ Both kinds are immutable once constructed and may serve any number of
 concurrent solves. The first solve of a factorization inverts the
 diagonal blocks of its triangular factors (one set for G, whose transposes
 serve G^T; one each for L and U) and caches them, so every solve
-substitutes block by block. It also caches the factors' product, against
-which every solve measures its residuals, so only a factorization's first
-solve pays that O(n^3) product and each later one costs O(n^2). The
+substitutes block by block. ``solve`` also caches the factors' product,
+against which it measures its residuals, so only a factorization's first
+solve pays that O(n^3) product and each later one costs O(n^2); the
+substitution step alone, ``_substitute_factors``, forms none. The
 inverses and the product are derived state: never a constructor argument,
 never carried into factor files, copies or pickles.
 """
@@ -292,19 +293,18 @@ def gauss_cholesky(a: DenseMatrix, symmetry_tol: float = DEFAULT_SYMMETRY_TOL) -
     return gauss_cholesky_from_record(gauss_eliminate(a, symmetric=True), symmetry_tol)
 
 
-def solve(f: Factorization, b: DenseMatrix) -> SolveReport:
+def _substitute_factors(f: Factorization, b: DenseMatrix) -> tuple[DenseMatrix, int]:
     """Solve A x = b through the factors, one forward and one back substitution.
 
-    ``b`` may carry any number of columns; each is solved independently,
-    but its last digits depend on how many there are: one column is
-    substituted as a vector, several as a matrix, whose products round
-    differently (up to about 1e-13 relative at n = 150). A real system's
-    answers are real, also where a negative pivot makes G complex: each row
-    of G is then purely real or purely imaginary, so every imaginary part of
-    the answer is exactly 0. Residuals are measured against the
-    reconstructed matrix, since a factorization need not hold its source:
-    one read from a factor file carries only its hash. The first solve of a
-    factorization forms that matrix in O(n^3); later solves reuse it.
+    Returns (solutions, flops). No product of the factors is formed, so the
+    cost is O(n^2) per column after a factorization's first solve has
+    inverted its diagonal blocks. ``b`` may carry any number of columns;
+    each is solved independently, but its last digits depend on how many
+    there are: one column is substituted as a vector, several as a matrix,
+    whose products round differently (up to about 1e-13 relative at
+    n = 150). A real system's answers are real, also where a negative pivot
+    makes G complex: each row of G is then purely real or purely imaginary,
+    so every imaginary part of the answer is exactly 0.
     """
     if b.rows != f.n:
         raise ShapeError(f"right-hand side has {b.rows} rows, factorization is for n = {f.n}")
@@ -314,17 +314,24 @@ def solve(f: Factorization, b: DenseMatrix) -> SolveReport:
     x, fl_back = _solve_upper(f.u.data if lu else f.g.data, y, inverses=back)
     if x.dtype.kind == "c" and not b.is_complex and not any(isinstance(p, complex) for p in f.provenance.pivots):
         x = x if x.imag.any() else x.real  # real sides and real pivots: a real system
-    solutions = DenseMatrix(x)
+    return DenseMatrix(x), fl_forward + fl_back
+
+
+def solve(f: Factorization, b: DenseMatrix) -> SolveReport:
+    """Solve A x = b through the factors (``_substitute_factors``), with residuals.
+
+    Residuals are measured against the reconstructed matrix, since a
+    factorization need not hold its source: one read from a factor file
+    carries only its hash. The first solve of a factorization forms that
+    matrix in O(n^3); later solves reuse it. A product that overflows, as
+    G^T G of a matrix at the largest double can, raises ``ValueError``.
+    """
+    solutions, flops = _substitute_factors(f, b)
     rebuilt = f.rebuild()
     residuals = tuple(
         residual_norm(rebuilt, solutions.column(j), b.column(j)) for j in range(b.cols)
     )
-    return SolveReport(
-        solutions=solutions,
-        residuals=residuals,
-        flops=fl_forward + fl_back,
-        method=f.kind,
-    )
+    return SolveReport(solutions=solutions, residuals=residuals, flops=flops, method=f.kind)
 
 
 def _require_order(f: Factorization, a: DenseMatrix) -> None:

@@ -18,6 +18,7 @@ from factorkit import (
     load_matrix,
     render_matrix,
     save_matrix,
+    solve,
     vector,
 )
 from factorkit.cli import cli_main
@@ -46,7 +47,7 @@ from conftest import (
     ULP_ABOVE_THRESHOLD_A,
     ZERO_PIVOT_A,
 )
-from oracles import random_spd
+from oracles import eta, random_spd
 
 
 @pytest.fixture
@@ -167,6 +168,17 @@ class TestFactorThenSolve:
         assert code == 0
         assert "3.75 1.75 -0.5 1" in out.splitlines()
         assert "residual" not in out  # needs --matrix
+
+    def test_solve_from_factor_file_forms_no_product(self, capsys, files, product_calls):
+        run(capsys, "factor", "--input", files["a"], "--output", files["fact"])
+        assert len(product_calls) == 1  # verify's, from scaled factors
+        for extra in ([], ["--matrix", files["a"]]):
+            assert run(capsys, "solve", "--factor", files["fact"], "--rhs", files["both"], *extra)[0] == 0
+        assert len(product_calls) == 1
+        f = load_factorization(files["fact"])
+        for b in (GOLD_B1, GOLD_B2):  # the library's solve() measures against the product, formed once
+            solve(f, vector(b))
+        assert product_calls[1:] == [(f,)]
 
     def test_factor_file_with_byte_order_mark_loads(self, capsys, files):
         run(capsys, "factor", "--input", files["a"], "--output", files["fact"])
@@ -503,13 +515,25 @@ class TestFailureTable:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_factor_measures_a_matrix_at_the_largest_double(self, capsys, tmp_path, method):
-        a, fact = tmp_path / "a.mat", tmp_path / "a.fact"
+        a, b, fact = tmp_path / "a.mat", tmp_path / "b.mat", tmp_path / "a.fact"
         save_matrix(a, DenseMatrix(LARGEST_DOUBLE_A))
         code, out, err = run(capsys, "factor", "--input", a, "--method", method, "--output", fact)
         assert (code, err) == (0, "")
         (line,) = [line for line in out.splitlines() if line.startswith("reconstruction-error ")]
         assert float(line.split()[1]) <= 1e-14
         assert fact.exists()
+        # The file then solves: substituting through G needs no G^T G, which
+        # overflows at (2,2). eta is scale-free, so A and b go to it halved 1023 times.
+        scale = 2.0**-1023
+        sides = np.array(LARGEST_DOUBLE_A) @ np.array([[0.5, 1], [0.25, -1]])
+        save_matrix(b, DenseMatrix(sides))
+        for extra in ([], ["--matrix", a]):
+            code, out, err = run(capsys, "solve", "--factor", fact, "--rhs", b, *extra)
+            assert (code, err) == (0, "")
+            lines = out.splitlines()
+            answers = np.array([[float(v) for v in line.split()] for line in lines[1::1 + bool(extra)]]).T
+            assert eta(np.array(LARGEST_DOUBLE_A) * scale, answers, sides * scale) <= 1e-15
+            assert sum(line.startswith("residual ") for line in lines) == (2 if extra else 0)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_session_answers_a_side_then_fails_on_an_overflowing_one(self, capsys, tmp_path, method):

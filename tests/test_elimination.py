@@ -700,6 +700,37 @@ class TestSubstitutionKernel:
             got = (back_substitute if t is u else forward_substitute)(DenseMatrix(t), DenseMatrix(t @ x)).data
             assert np.max(np.abs(got - x)) <= 1e-13 * np.max(np.abs(x))
 
+    @pytest.mark.parametrize("n", [10, 100])
+    @pytest.mark.parametrize("row", ["zero", "subnormal"])
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("method", [KIND_LU, KIND_GAUSS_CHOLESKY])
+    def test_a_subnormal_pivot_divides_its_multipliers(self, method, complex_entries, row, n):
+        # Row and column 5 (index 4) are zero, or subnormal, but for a_55 =
+        # 1e-310: pivot 5 is subnormal and above the threshold n * eps * max|A|.
+        # numpy's complex division by it gives 0 / (1e-310 + 0j) = nan+nanj, so
+        # the multipliers are divided with both operands scaled by 2^64, which
+        # in real arithmetic gives the plain quotients' bits.
+        rng = np.random.default_rng(n)
+        a = (random_symmetric(rng, n, complex_entries=complex_entries) + n * np.eye(n)) * 1e-302
+        a[4], a[:, 4] = 0.0, 0.0
+        if row == "subnormal":
+            a[4] = a[:, 4] = rng.uniform(-1, 1, n) * 1e-310
+        a[4, 4] = 1e-310
+        x = rng.standard_normal((n, 2))
+        b = a @ x
+        symmetric = method == KIND_GAUSS_CHOLESKY
+        record = gauss_eliminate(DenseMatrix(a), symmetric=symmetric)
+        assert record.pivot_threshold < abs(record.pivots[4]) < 2.0**-1022
+        lu = record.lu.data
+        if row == "zero":
+            assert_array_equal(lu[5:, 4], 0)
+        if symmetric and not complex_entries:
+            assert_array_equal(lu[5:, 4], lu[4, 5:] / lu[4, 4])  # the theorem's m_il = u_li / u_ll
+        s = open_session(DenseMatrix(a), method, residual_tol=np.inf)  # the residual is absolute
+        answers = np.hstack([session_solve(s, DenseMatrix(b[:, j : j + 1])).solutions.data for j in range(2)])
+        assert s.reuse_count == 1  # a first solve on the record, then a reuse through the factors
+        assert eta(a, answers, b) <= 1e-14
+
 
 class TestTriangularCheck:
     """A stray entry in the off triangle is found wherever it lies, next to
