@@ -342,7 +342,9 @@ _solve_lower = functools.partial(_substitute_rows, lower=True)
 def _require_triangular(m: DenseMatrix, lower: bool, unit_diagonal: bool = False, name: str = "matrix") -> None:
     if not m.is_square:
         raise NonSquareError(m.rows, m.cols)
-    if (np.triu(m.data, 1) if lower else np.tril(m.data, -1)).any():
+    # Strictly below the diagonal, transposed for strictly above: no copy of either triangle.
+    off = np.tri(m.rows, k=-1, dtype=bool)
+    if np.any(m.data, where=off.T if lower else off):
         side = "lower" if lower else "upper"
         raise ShapeError(f"expected an exactly {side}-triangular {name}")
     if unit_diagonal and not np.all(np.diagonal(m.data) == 1.0):

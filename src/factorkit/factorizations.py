@@ -182,7 +182,7 @@ class Factorization:
     @functools.cached_property
     def _rebuilt(self) -> DenseMatrix:
         """The factors' product for ``rebuild``, formed on first use, never saved."""
-        product = _product(self)
+        product = _product(self)  # an overflow here is reported below as a non-finite entry
         _require_finite_entries(product)
         return _wrap(product)
 
@@ -198,6 +198,7 @@ class Factorization:
         return self._rebuilt
 
 
+@_overflow_is_checked
 def _product(f: Factorization, shift: int = 0) -> np.ndarray:
     """The factors' product divided by 2**shift, as a fresh array.
 
@@ -205,11 +206,13 @@ def _product(f: Factorization, shift: int = 0) -> np.ndarray:
     LU and G by 2**(shift / 2) for gauss-cholesky (so ``shift`` is then
     even). A division by a power of two is exact wherever the entries stay
     normal, and a product near the largest double is formed near 1 instead,
-    where it cannot overflow.
+    where it cannot overflow. The divided factor is the one scratch array;
+    with ``shift`` 0 there is none. A product that overflows anyway comes
+    back with its non-finite entries and no warning, for the caller to check.
     """
     if f.kind == KIND_LU:
-        return f.l.data @ (f.u.data / 2.0**shift)
-    g = f.g.data / 2.0 ** (shift // 2)
+        return f.l.data @ (f.u.data / 2.0**shift if shift else f.u.data)
+    g = f.g.data / 2.0 ** (shift // 2) if shift else f.g.data
     return g.T @ g
 
 
@@ -231,13 +234,15 @@ def _provenance(record: EliminationRecord, kind: str, symmetry_tol: float | None
 def lu_from_record(record: EliminationRecord) -> Factorization:
     """Package an elimination record as A = L U, cut from the packed ``record.lu``.
 
-    L = I + tril(lu, -1), added in place, an addition that turns a -0.0
-    multiplier into +0.0, and U = triu(lu). Each factor is one fresh array,
-    wrapped without a copy; both are finite because ``lu`` is.
+    L = I + tril(lu, -1): tril(lu, -1) plus 0.0 in place, an addition that
+    turns a -0.0 multiplier into +0.0, with its diagonal then set to 1. U =
+    triu(lu). Each factor is one fresh array, wrapped without a copy; both
+    are finite because ``lu`` is.
     """
     lu = record.lu.data
     l = np.tril(lu, -1)
-    l += np.eye(record.n, dtype=lu.dtype)
+    l += 0.0
+    np.fill_diagonal(l, 1)
     return Factorization(KIND_LU, record.n, _provenance(record, KIND_LU), l=_wrap(l), u=_wrap(np.triu(lu)))
 
 
@@ -251,15 +256,18 @@ def gauss_cholesky_from_record(
     principal square root of the pivot u_ii. The caller is responsible for
     having checked symmetry of the source. G = triu(lu) / r[:, None] with r
     the pivots' principal roots, which G's diagonal then holds (the
-    algebraically identical form of u_ii / r_i), one fresh array wrapped
-    without a copy. G is checked, though a record from ``gauss_eliminate``
+    algebraically identical form of u_ii / r_i), one fresh array divided in
+    place and wrapped without a copy; a negative pivot of a real record
+    makes G complex, and triu(lu) is then copied into that field first. G
+    is checked, though a record from ``gauss_eliminate``
     cannot overflow it: g_ij^2 is u_ij * m_ji, a term of pivot j's update
     (row j's own update when i and j = i + 1 are a column pair, the pair's
     rank-2 product when j lies later in i's panel, the panel-start product
     otherwise), and an overflow there fails as a non-finite pivot.
     """
     roots = _pivot_roots(record.pivots)
-    g = np.triu(record.lu.data) / roots[:, None]
+    g = np.triu(record.lu.data).astype(roots.dtype, copy=False)
+    g /= roots[:, None]
     np.fill_diagonal(g, roots)
     _require_finite_entries(g)
     provenance = _provenance(record, KIND_GAUSS_CHOLESKY, symmetry_tol)
@@ -347,14 +355,18 @@ def verify(f: Factorization, a: DenseMatrix) -> float:
     reconstruction is formed from factors divided first (``_product``).
     Both divisions are exact, so neither the product nor the norms overflow
     or underflow however large or small A's entries are, the largest double
-    included.
+    included. The scaled A is subtracted from the product in place, so at
+    most two arrays the size of A are alive at once.
     """
     _require_order(f, a)
     shift = min(math.frexp(a.max_abs())[1], 1023)
     if f.kind == KIND_GAUSS_CHOLESKY:
         shift -= shift & 1
+    product = _product(f, shift)
     scaled = a.data / 2.0**shift
-    diff = float(np.linalg.norm(_product(f, shift) - scaled))
+    product = product.astype(np.result_type(product, scaled), copy=False)  # real factors, complex A
+    product -= scaled
+    diff = float(np.linalg.norm(product))
     denom = float(np.linalg.norm(scaled))
     if denom == 0.0:
         return 0.0 if diff == 0.0 else float("inf")

@@ -61,7 +61,7 @@ import numpy as np
 
 from .errors import FactorMismatchError, ParseError
 from .factorizations import FACTOR_NAMES, Factorization, Provenance
-from .matrices import HASH_SCHEME, DenseMatrix, matrix_hash
+from .matrices import HASH_SCHEME, DenseMatrix, _wrap, matrix_hash
 
 __all__ = [
     "load_factorization",
@@ -167,8 +167,13 @@ def _complex_row(raw: str) -> list[complex]:
 
 
 def _read_rows(cur: _Lines, rows: int, cols: int, field: str, what: str) -> np.ndarray:
-    """The next ``rows`` content lines as an array; each line that misses the fast path is re-read token by token."""
-    collected = []
+    """The next ``rows`` content lines as a fresh array; each line that misses the fast path is re-read token by token.
+
+    Each row's Python numbers go into the array as soon as they are read.
+    Every entry is finite: a row is kept only when its sum is finite or
+    each of its tokens was parsed as finite.
+    """
+    body = np.empty((rows, cols), dtype=np.complex128 if field == "complex" else np.float64)
     fast, parse = (_complex_row, _parse_complex) if field == "complex" else (_real_row, _parse_real)
     for r in range(rows):
         item = cur.next_content()
@@ -185,9 +190,8 @@ def _read_rows(cur: _Lines, rows: int, cols: int, field: str, what: str) -> np.n
             if len(toks) != cols:
                 raise ParseError(line, f"{cols} entries, found {len(toks)}", toks[0][1])
             row = [parse(tok, line, col) for tok, col in toks]
-        collected.append(row)
-    dtype = np.complex128 if field == "complex" else np.float64
-    return np.array(collected, dtype=dtype)
+        body[r] = row
+    return body
 
 
 def parse_matrix(text: str) -> DenseMatrix:
@@ -202,7 +206,7 @@ def parse_matrix(text: str) -> DenseMatrix:
     trailing = cur.next_content()
     if trailing is not None:
         raise ParseError(trailing[0], "end of file after the last data row")
-    return DenseMatrix(body)
+    return _wrap(body)
 
 
 def format_entry(value: float | complex) -> str:
@@ -214,10 +218,10 @@ def format_entry(value: float | complex) -> str:
 
 
 def _render_rows(m: DenseMatrix) -> list[str]:
-    """Each row's entries as ``format_entry`` writes them, from Python scalars."""
+    """Each row's entries as ``format_entry`` writes them, from one row of Python scalars at a time."""
     if m.is_complex:
-        return [" ".join([f"{v.real!r},{v.imag!r}" for v in row]) for row in m.data.tolist()]
-    return [" ".join(map(repr, row)) for row in m.data.tolist()]
+        return [" ".join([f"{v.real!r},{v.imag!r}" for v in row.tolist()]) for row in m.data]
+    return [" ".join(map(repr, row.tolist())) for row in m.data]
 
 
 def render_matrix(m: DenseMatrix) -> str:
@@ -266,7 +270,7 @@ def parse_factorization(text: str) -> Factorization:
     factors = {}
     for name in FACTOR_NAMES[kind]:
         _expect_keyword(cur, name)
-        factors[name] = DenseMatrix(_read_rows(cur, n, n, field, f"factor {name}"))
+        factors[name] = _wrap(_read_rows(cur, n, n, field, f"factor {name}"))
 
     _expect_keyword(cur, "provenance")
 

@@ -37,6 +37,16 @@ DEFAULT_SYMMETRY_TOL = 1e-12
 #: Name of the scheme ``matrix_hash`` uses, recorded in factor files.
 HASH_SCHEME = "bytes"
 
+# Entries per block of rows that max_abs, symmetry_deviation and matrix_hash
+# take at a time: 128 KiB of float64, so none holds an array near A's size.
+_BLOCK_ENTRIES = 1 << 14
+
+
+def _row_blocks(rows: int, cols: int) -> list[slice]:
+    """Consecutive slices of whole rows, about ``_BLOCK_ENTRIES`` entries each."""
+    step = max(1, _BLOCK_ENTRIES // cols)
+    return [slice(i, i + step) for i in range(0, rows, step)]
+
 
 def _coerce_entries(entries) -> np.ndarray:
     arr = np.array(entries, copy=True)
@@ -126,18 +136,40 @@ class DenseMatrix:
         return DenseMatrix(self._data[:, j : j + 1])
 
     def max_abs(self) -> float:
+        """Largest |a_ij|, the value of ``np.max(np.abs(data))``, with no copy of the matrix.
+
+        Real entries give max(max a_ij, -min a_ij), plus 0.0 so that an
+        all-zero matrix gives +0.0, not -0.0; complex ones take |a_ij| a
+        block of rows at a time.
+        """
         if self._max_abs is None:
-            self._max_abs = float(np.max(np.abs(self._data)))
+            a = self._data
+            if self.is_complex:
+                largest = max(np.abs(a[rows]).max() for rows in _row_blocks(*a.shape))
+            else:
+                largest = max(a.max(), -a.min()) + 0.0
+            self._max_abs = float(largest)
         return self._max_abs
 
     def symmetry_deviation(self) -> tuple[float, tuple[int, int]]:
-        """Largest |a_ij - a_ji| and its 1-based location."""
+        """Largest |a_ij - a_ji| and its 1-based location, the first in row-major order.
+
+        |A - A^T| is taken a block of rows at a time, never whole, and only
+        from the diagonal rightwards: |a_ij - a_ji| recurs at (j, i), and in
+        row-major order the first of the two lies on or above the diagonal.
+        """
         if not self.is_square:
             raise NonSquareError(self.rows, self.cols)
         if self._symmetry is None:
-            diff = np.abs(self._data - self._data.T)
-            i, j = np.unravel_index(np.argmax(diff), diff.shape)
-            self._symmetry = float(diff[i, j]), (int(i) + 1, int(j) + 1)
+            a = self._data
+            largest, at = -1.0, (0, 0)
+            for rows in _row_blocks(*a.shape):
+                k = rows.start  # the block is rows k.. and columns k..
+                diff = np.abs(a[rows, k:] - a.T[rows, k:])
+                i, j = np.unravel_index(np.argmax(diff), diff.shape)
+                if diff[i, j] > largest:  # strictly: an earlier block keeps a tie
+                    largest, at = diff[i, j], (k + i, k + j)
+            self._symmetry = float(largest), (int(at[0]) + 1, int(at[1]) + 1)
         return self._symmetry
 
     def is_symmetric(self, tol: float = DEFAULT_SYMMETRY_TOL) -> bool:
@@ -238,7 +270,10 @@ def matrix_hash(m: DenseMatrix) -> str:
     if m._hash is None:
         h = hashlib.blake2b(f"matrix {m.rows} {m.cols} {m.field}\n".encode("ascii"), digest_size=8)
         # Row-major whatever the memory layout: a transposed source stays
-        # F-ordered after construction, so its raw buffer is column-major.
-        h.update(np.ascontiguousarray(m.data, dtype=m.data.dtype.newbyteorder("<")))
+        # F-ordered after construction, so its raw buffer is column-major and
+        # is copied row-major a block of rows at a time.
+        little = m.data.dtype.newbyteorder("<")
+        for rows in _row_blocks(*m.shape):
+            h.update(np.ascontiguousarray(m.data[rows], dtype=little))
         m._hash = h.hexdigest()
     return m._hash

@@ -734,15 +734,17 @@ class TestSubstitutionKernel:
 
 class TestTriangularCheck:
     """A stray entry in the off triangle is found wherever it lies, next to
-    the diagonal or far from it, in either memory layout."""
+    the diagonal, far from it or in one of its three corners, in either
+    memory layout and either field."""
 
-    EDGES = (0, 1, 63, 64, 65, 130)
+    EDGES = (0, 1, 63, 64, 65, 129, 130)
 
+    @pytest.mark.parametrize("stray_value", [1e-300, 1e-300j, -5e-324])
     @pytest.mark.parametrize("fortran", [False, True])
     @pytest.mark.parametrize("lower", [False, True])
-    def test_finds_any_off_triangle_entry(self, lower, fortran):
+    def test_finds_any_off_triangle_entry(self, lower, fortran, stray_value):
         n = 131
-        full = np.random.default_rng(6).uniform(1, 2, (n, n))
+        full = np.random.default_rng(6).uniform(1, 2, (n, n)).astype(type(stray_value))
         t = np.tril(full) if lower else np.triu(full)
         off = np.triu(np.ones((n, n), dtype=bool), 1) if lower else np.tril(np.ones((n, n), dtype=bool), -1)
         t[off] = -0.0  # a signed zero is still zero
@@ -753,7 +755,7 @@ class TestTriangularCheck:
             for j in self.EDGES:
                 if off[i, j]:
                     stray = t.copy()
-                    stray[i, j] = 1e-300
+                    stray[i, j] = stray_value
                     with pytest.raises(ShapeError, match=f"^expected an exactly {side}-triangular matrix$"):
                         _require_triangular(DenseMatrix(layout(stray)), lower)
 

@@ -711,6 +711,11 @@ class TestRebuild:
         a = DenseMatrix(entries)
         assert verify(from_record(gauss_eliminate(a), kind), a) <= 1e-14
 
+    def test_a_product_that_overflows_fails_only_as_a_value_error(self):
+        # G^T G of the largest double overflows: solve's residuals need it.
+        with pytest.raises(ValueError, match=r"^non-finite entry at \(2,2\): inf$"):
+            solve(gauss_cholesky(DenseMatrix(LARGEST_DOUBLE_A)), vector([1, 1]))
+
     def test_verify_scales_before_it_subtracts(self):
         # A - (-A) = 2e308 overflows unless each operand is scaled first.
         a = DenseMatrix([[1e308, 0], [0, 1e308]])
