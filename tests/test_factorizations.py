@@ -711,6 +711,11 @@ class TestRebuild:
         a = DenseMatrix(entries)
         assert verify(from_record(gauss_eliminate(a), kind), a) <= 1e-14
 
+    def test_verify_real_factors_against_a_complex_matrix(self, golden_a):
+        # The product is widened to A's field before A is subtracted from it.
+        f = lu_from_record(gauss_eliminate(golden_a))
+        assert verify(f, DenseMatrix(golden_a.data.astype(complex))) == verify(f, golden_a) == 0.0
+
     def test_a_product_that_overflows_fails_only_as_a_value_error(self):
         # G^T G of the largest double overflows: solve's residuals need it.
         with pytest.raises(ValueError, match=r"^non-finite entry at \(2,2\): inf$"):

@@ -178,7 +178,7 @@ class TestSymmetryDeviation:
         assert a.symmetry_deviation() == (float(diff[i, j]), (int(i) + 1, int(j) + 1))
 
     def test_a_tie_goes_to_the_first_row(self):
-        n = 300  # the deviations lie in rows 61, 101, 151 and 201, past the first block of rows
+        n = 300  # rows 61 and 151 lie in different blocks of rows, neither the first
         arr = np.zeros((n, n))
-        arr[150, 100] = arr[60, 200] = 2.0
+        arr[150, 250] = arr[60, 200] = 2.0
         assert DenseMatrix(arr).symmetry_deviation() == (2.0, (61, 201))
