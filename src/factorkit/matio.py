@@ -86,6 +86,7 @@ class _Lines:
     def __init__(self, text: str):
         lines = text.splitlines()
         self.end_line = max(len(lines), 1)
+        self.chars = len(text)
         self._content = ((i, raw) for i, raw in enumerate(lines, 1) if raw.lstrip()[:1] not in ("", "#"))
 
     def next_content(self) -> tuple[int, str] | None:
@@ -171,9 +172,12 @@ def _read_rows(cur: _Lines, rows: int, cols: int, field: str, what: str) -> np.n
 
     Each row's Python numbers go into the array as soon as they are read.
     Every entry is finite: a row is kept only when its sum is finite or
-    each of its tokens was parsed as finite.
+    each of its tokens was parsed as finite. Each entry takes at least one
+    character, so a claim of more entries than the text has characters
+    gets no array: it cannot be met, and the loop raises its ``ParseError``.
     """
-    body = np.empty((rows, cols), dtype=np.complex128 if field == "complex" else np.float64)
+    fits = rows * cols <= cur.chars
+    body = np.empty((rows, cols), dtype=np.complex128 if field == "complex" else np.float64) if fits else None
     fast, parse = (_complex_row, _parse_complex) if field == "complex" else (_real_row, _parse_real)
     for r in range(rows):
         item = cur.next_content()
@@ -190,7 +194,8 @@ def _read_rows(cur: _Lines, rows: int, cols: int, field: str, what: str) -> np.n
             if len(toks) != cols:
                 raise ParseError(line, f"{cols} entries, found {len(toks)}", toks[0][1])
             row = [parse(tok, line, col) for tok, col in toks]
-        body[r] = row
+        if fits:
+            body[r] = row
     return body
 
 

@@ -37,15 +37,9 @@ DEFAULT_SYMMETRY_TOL = 1e-12
 #: Name of the scheme ``matrix_hash`` uses, recorded in factor files.
 HASH_SCHEME = "bytes"
 
-# Entries per block of rows that max_abs, symmetry_deviation and matrix_hash
-# take at a time: 128 KiB of float64, so none holds an array near A's size.
+# Entries per block of rows that max_abs takes |a_ij| of at a time on
+# complex input: 128 KiB of float64, far below A's size.
 _BLOCK_ENTRIES = 1 << 14
-
-
-def _row_blocks(rows: int, cols: int) -> list[slice]:
-    """Consecutive slices of whole rows, about ``_BLOCK_ENTRIES`` entries each."""
-    step = max(1, _BLOCK_ENTRIES // cols)
-    return [slice(i, i + step) for i in range(0, rows, step)]
 
 
 def _coerce_entries(entries) -> np.ndarray:
@@ -145,7 +139,8 @@ class DenseMatrix:
         if self._max_abs is None:
             a = self._data
             if self.is_complex:
-                largest = max(np.abs(a[rows]).max() for rows in _row_blocks(*a.shape))
+                step = max(1, _BLOCK_ENTRIES // a.shape[1])
+                largest = max(np.abs(a[i : i + step]).max() for i in range(0, a.shape[0], step))
             else:
                 largest = max(a.max(), -a.min()) + 0.0
             self._max_abs = float(largest)
@@ -154,22 +149,15 @@ class DenseMatrix:
     def symmetry_deviation(self) -> tuple[float, tuple[int, int]]:
         """Largest |a_ij - a_ji| and its 1-based location, the first in row-major order.
 
-        |A - A^T| is taken a block of rows at a time, never whole, and only
-        from the diagonal rightwards: |a_ij - a_ji| recurs at (j, i), and in
-        row-major order the first of the two lies on or above the diagonal.
+        A - A^T is the one array it allocates: its moduli are taken in place.
         """
         if not self.is_square:
             raise NonSquareError(self.rows, self.cols)
         if self._symmetry is None:
-            a = self._data
-            largest, at = -1.0, (0, 0)
-            for rows in _row_blocks(*a.shape):
-                k = rows.start  # the block is rows k.. and columns k..
-                diff = np.abs(a[rows, k:] - a.T[rows, k:])
-                i, j = np.unravel_index(np.argmax(diff), diff.shape)
-                if diff[i, j] > largest:  # strictly: an earlier block keeps a tie
-                    largest, at = diff[i, j], (k + i, k + j)
-            self._symmetry = float(largest), (int(at[0]) + 1, int(at[1]) + 1)
+            diff = self._data - self._data.T
+            np.abs(diff, out=diff)  # complex moduli land in the real parts
+            i, j = np.unravel_index(np.argmax(diff), diff.shape)
+            self._symmetry = float(diff[i, j].real), (int(i) + 1, int(j) + 1)
         return self._symmetry
 
     def is_symmetric(self, tol: float = DEFAULT_SYMMETRY_TOL) -> bool:
@@ -270,10 +258,7 @@ def matrix_hash(m: DenseMatrix) -> str:
     if m._hash is None:
         h = hashlib.blake2b(f"matrix {m.rows} {m.cols} {m.field}\n".encode("ascii"), digest_size=8)
         # Row-major whatever the memory layout: a transposed source stays
-        # F-ordered after construction, so its raw buffer is column-major and
-        # is copied row-major a block of rows at a time.
-        little = m.data.dtype.newbyteorder("<")
-        for rows in _row_blocks(*m.shape):
-            h.update(np.ascontiguousarray(m.data[rows], dtype=little))
+        # F-ordered after construction, so its raw buffer is column-major.
+        h.update(np.ascontiguousarray(m.data, dtype=m.data.dtype.newbyteorder("<")))
         m._hash = h.hexdigest()
     return m._hash

@@ -103,9 +103,22 @@ class TestParseMatrix:
         with pytest.raises(ParseError, match="positive integer row count"):
             parse_matrix("matrix " + "1" * 5000 + " 1 real\n1\n")
 
-    def test_huge_claimed_dimensions_fail_fast(self):
-        with pytest.raises(ParseError, match="rows, found"):
-            parse_matrix("matrix 999999999 1 real\n1\n2\n")
+    @pytest.mark.parametrize(
+        "text, fragment",
+        [
+            ("matrix 999999999 1 real\n1\n2\n", "line 3: expected 999999999 data rows, found 2"),
+            ("matrix 999999999 999999999 real\n1\n", "line 2, column 1: expected 999999999 entries, found 1"),
+            ("matrix 1 " + "9" * 40 + " complex\n1,2\n", "entries, found 1"),
+        ],
+    )
+    def test_huge_claimed_dimensions_fail_fast(self, text, fragment):
+        # No array is allocated for a claim the text cannot hold.
+        with pytest.raises(ParseError, match=fragment):
+            parse_matrix(text)
+
+    def test_huge_claimed_order_of_a_factor_file_fails_fast(self):
+        with pytest.raises(ParseError, match="line 3, column 1: expected 999999999 entries, found 1"):
+            parse_factorization("factor lu 999999999 real\nl\n1\n")
 
 
 class TestRoundTrip:
