@@ -32,7 +32,7 @@ __all__ = ["cli_main", "main"]
 def _display_real(x: float, digits: int | None) -> str:
     if digits is not None:
         return f"{x:.{digits}g}"
-    if x == int(x) and abs(x) < 1e16:
+    if x.is_integer() and abs(x) < 1e16:
         return str(int(x))
     return repr(x)
 

@@ -21,10 +21,12 @@ factors never depend on the sides. The panel is then reduced a column pair
 at a time, with the pivot test at every column in order: row c + 1 takes
 column c's update across the full width, so each pivot row is final when
 its pivot is tested, then the panel's other rows take both columns' updates
-as one rank-2 matrix product (in a complex array, the sides take theirs
-apart). The width is even, so only n's own last column can go alone, with
+as one rank-2 matrix product, a lone row's A entry apart from its sides.
+The width is even, so only n's own last column can go alone, with
 no row left below it in its panel. Multipliers stay in place below the
-diagonal, packed as LAPACK's ``getrf`` returns them.
+diagonal, packed as LAPACK's ``getrf`` returns them. Only real sides of a
+real matrix ride; any others take the same row operations afterwards, as a
+forward substitution through the multipliers in the kernel below.
 
 The two paths differ only in where a column's multipliers come from. In
 general the rows below the panel take every earlier column left-looking,
@@ -56,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonSquareError, ShapeError, ZeroPivotError
-from .matrices import EPS, DenseMatrix, _wrap
+from .matrices import EPS, DenseMatrix, _overflow_is_checked, _wrap
 
 __all__ = [
     "EliminationRecord",
@@ -76,9 +78,9 @@ class EliminationRecord:
     elimination takes them from U, m_il = u_li / u_ll, so then L @ U is the
     matrix that A's upper triangle mirrors.
     ``transformed_rhs`` holds the right-hand sides after the same row
-    operations, when any were supplied. Both are read-only views of the
-    elimination's one working array, not copies, except that complex sides
-    of a real matrix come as a contiguous copy of their (re, im) pairs.
+    operations, when any were supplied. Both are read-only and not copies:
+    views of the elimination's one working array, or for sides that did not
+    ride in it, the substitution kernel's own array.
     ``pivot_threshold`` is the bound every pivot exceeded in magnitude.
     ``source`` is the eliminated matrix itself, not a copy.
     """
@@ -141,9 +143,6 @@ def substitution_flops(n: int, sides: int, unit_diagonal: bool = False) -> int:
 _SMALLEST_NORMAL = 2.0**-1022
 _SUBNORMAL_SCALE = 2.0**64
 
-# Overflow fails as a non-finite pivot or an OverflowError; numpy's warnings would repeat it.
-_overflow_is_checked = np.errstate(over="ignore", invalid="ignore")
-
 
 def _require_finite(x: np.ndarray, what: str) -> None:
     if not np.isfinite(x).all():
@@ -159,8 +158,8 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None, *, symmetric: 
     m_il = u_li / u_ll, as the theorem gives, from a pivot row that the
     earlier steps have already made final.
 
-    The sides, of any layout, ride beside A in A's field, complex sides of a
-    real matrix as (re, im) pairs; the factors are the same bits without them.
+    Sides of any layout ride beside A when both are real, else a forward
+    substitution transforms them; the factors are the same bits without them.
 
     Raises ``NonSquareError`` for a non-square matrix, ``ZeroPivotError``
     naming the failing column when a pivot is negligible or not finite, and
@@ -173,19 +172,15 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None, *, symmetric: 
         raise ShapeError(f"right-hand side has {b.rows} rows, matrix has {a.rows}")
 
     n = a.rows
-    # One row-major working array [A | sides]: the matrix products round by
-    # memory layout, and the results must depend on the entries only. A
-    # complex view writes and reads the (re, im) pairs.
-    pairs = b is not None and b.is_complex and not a.is_complex
-    work = np.empty((n, n + (0 if b is None else b.cols * (1 + pairs))), dtype=a.data.dtype)
+    # One row-major working array [A | real sides]: the matrix products round by
+    # memory layout, and the results must depend on the entries only.
+    ride = b is not None and not (a.is_complex or b.is_complex)
+    work = np.empty((n, n + (b.cols if ride else 0)), dtype=a.data.dtype)
     work[:, :n] = a.data
-    lu, rhs = work[:, :n], work[:, n:].view(np.complex128) if pairs else work[:, n:]
-    if b is not None:
+    lu, rhs = work[:, :n], work[:, n:]
+    if ride:
         rhs[...] = b.data
     threshold = _pivot_threshold(n, a.max_abs())
-    # zgemm rounds an entry by its place in the row, so a complex array's
-    # sides take their rank-2 product apart from A's columns.
-    cut = n if work.dtype.kind == "c" else work.shape[1]
 
     for k0 in range(0, n, _PANEL_WIDTH):
         k1 = min(k0 + _PANEL_WIDTH, n)
@@ -224,11 +219,18 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None, *, symmetric: 
                     work[col + 1, col + 1 :] -= m[0] * work[col, col + 1 :]
                     if not symmetric:
                         work[col + 2 :, col + 1] -= m[1:] * work[col, col + 1]
-            # One rank-2 product covers the panel's remaining rows, if any.
+            # One rank-2 product covers the panel's remaining rows, if any; a lone
+            # row's A entry goes apart, so BLAS forms it as the same dot product.
+            cut = n if k1 - c1 == 1 else work.shape[1]
             work[c1:k1, c1:cut] -= work[c1:k1, c0:c1] @ work[c0:c1, c1:cut]
             if cut < work.shape[1]:
                 work[c1:k1, cut:] -= work[c1:k1, c0:c1] @ work[c0:c1, cut:]
 
+    if b is not None and not ride:
+        try:
+            rhs, _ = _substitute_rows(lu, b.data, lower=True, unit_diagonal=True)
+        except OverflowError:
+            raise OverflowError("the elimination of the right-hand side overflowed") from None
     _require_finite(rhs, "the elimination of the right-hand side")
     # The record takes views of the working array: no one else holds it, the
     # sides were checked just above, and every packed entry is finite
@@ -242,8 +244,7 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None, *, symmetric: 
     return EliminationRecord(
         lu=_wrap(lu),
         pivots=tuple(np.diagonal(lu).tolist()),
-        # A copy for (re, im) pairs: numpy's linalg misreads the view's row stride.
-        transformed_rhs=None if b is None else _wrap(np.ascontiguousarray(rhs) if pairs else rhs),
+        transformed_rhs=None if b is None else _wrap(rhs),
         flops=elimination_flops(n, rhs.shape[1]),
         source=a,
         pivot_threshold=threshold,

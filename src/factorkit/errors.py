@@ -9,6 +9,8 @@ built by ``__str__``, so pickling and ``copy.copy`` rebuild it as it was.
 
 from __future__ import annotations
 
+import math
+
 __all__ = [
     "FactorMismatchError",
     "NonSquareError",
@@ -68,7 +70,7 @@ class ZeroPivotError(ArithmeticError):
         super().__init__(axis, index, value, threshold)
 
     def __str__(self) -> str:
-        pivot = abs(self.value)
+        pivot = math.hypot(self.value.real, self.value.imag)  # inf where abs() of a complex raises
         if not pivot < float("inf"):  # also NaN
             return f"non-finite pivot in {self.axis} {self.index}: the elimination overflowed"
         return f"zero pivot in {self.axis} {self.index}: |pivot| = {pivot:.6e} <= threshold {self.threshold:.6e}"

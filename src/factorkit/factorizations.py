@@ -37,12 +37,13 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .elimination import EliminationRecord, _pivot_threshold, _require_triangular, gauss_eliminate, scaling_flops
-from .elimination import _block_inverses, _overflow_is_checked, _solve_lower, _solve_upper
+from .elimination import _block_inverses, _solve_lower, _solve_upper
 from .errors import NotSymmetricError, ShapeError
 from .matrices import (
     DEFAULT_SYMMETRY_TOL,
     HASH_SCHEME,
     DenseMatrix,
+    _overflow_is_checked,
     _require_finite_entries,
     _wrap,
     matrix_hash,

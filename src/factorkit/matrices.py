@@ -41,6 +41,10 @@ HASH_SCHEME = "bytes"
 # complex input: 128 KiB of float64, far below A's size.
 _BLOCK_ENTRIES = 1 << 14
 
+# Overflow is reported where it lands: as a non-finite pivot, an OverflowError
+# or an infinite symmetry deviation. numpy's warnings would repeat it.
+_overflow_is_checked = np.errstate(over="ignore", invalid="ignore")
+
 
 def _coerce_entries(entries) -> np.ndarray:
     arr = np.array(entries, copy=True)
@@ -146,6 +150,7 @@ class DenseMatrix:
             self._max_abs = float(largest)
         return self._max_abs
 
+    @_overflow_is_checked
     def symmetry_deviation(self) -> tuple[float, tuple[int, int]]:
         """Largest |a_ij - a_ji| and its 1-based location, the first in row-major order.
 

@@ -67,6 +67,9 @@ LARGEST_DOUBLE_A = [[1.7976931348623157e308, 1e308], [1e308, 1.7976931348623157e
 # elimination, or the forward substitution, overflows the side, not a pivot.
 SIDE_OVERFLOW_A = [[1e-3, 1], [1, 1]]
 SIDE_OVERFLOW_B = [1e306, 1]
+# Its complex twin, whose sides do not ride in the working array: the side's
+# 1 - 1e3j * 1e306 overflows to 1 - inf j in the forward substitution instead.
+COMPLEX_SIDE_OVERFLOW_A = [[1e-3, 1j], [1j, 1]]
 SIDE_OVERFLOW_MESSAGE = "the elimination of the right-hand side overflowed"
 FORWARD_OVERFLOW_MESSAGE = "the forward substitution overflowed"
 # Healthy and symmetric, and the side eliminates to itself, but the back

@@ -25,6 +25,7 @@ from factorkit.cli import cli_main
 
 from conftest import (
     BACK_OVERFLOW_MESSAGE,
+    COMPLEX_SIDE_OVERFLOW_A,
     FORWARD_OVERFLOW_MESSAGE,
     GOLD_A,
     GOLD_B1,
@@ -454,6 +455,10 @@ FAULTS = {
         "check": (0, None), "factor": (0, None),
         "solve-factor": (2, FORWARD_OVERFLOW_MESSAGE), "session": (2, SIDE_OVERFLOW_MESSAGE),
     }),
+    "overflowing-complex-side": (COMPLEX_SIDE_OVERFLOW_A, SIDE_OVERFLOW_B, {
+        "check": (0, None), "factor": (0, None),
+        "solve-factor": (2, FORWARD_OVERFLOW_MESSAGE), "session": (2, SIDE_OVERFLOW_MESSAGE),
+    }),
     "overflowing-substitution": (SUBSTITUTION_OVERFLOW_A, SUBSTITUTION_OVERFLOW_B, {
         "check": (0, None), "factor": (0, None),
         "solve-factor": (2, BACK_OVERFLOW_MESSAGE), "session": (2, BACK_OVERFLOW_MESSAGE),
@@ -544,6 +549,18 @@ class TestFailureTable:
         assert (code, err) == (2, f"error: {FORWARD_OVERFLOW_MESSAGE}\n")
         assert out.splitlines() == ["method lu" if method == "lu" else "method gauss-cholesky", "0 1", "residual 0"]
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_session_of_a_complex_matrix_fails_on_an_overflowing_first_side(self, capsys, tmp_path, method):
+        # The first side is the one the elimination transforms, here by a
+        # forward substitution; the side after it is never reached.
+        a, b = tmp_path / "a.mat", tmp_path / "b.mat"
+        save_matrix(a, DenseMatrix(COMPLEX_SIDE_OVERFLOW_A))
+        save_matrix(b, DenseMatrix(np.array([SIDE_OVERFLOW_B, [1, 1]], dtype=float).T))
+        code, out, err = run(capsys, "solve", "--matrix", a, "--rhs", b, "--method", method)
+        assert (code, out, err) == (
+            2, "method lu\n" if method == "lu" else "method gauss-cholesky\n", f"error: {SIDE_OVERFLOW_MESSAGE}\n"
+        )
+
 
 class TestCheck:
     def test_healthy_symmetric_matrix(self, capsys, files):
@@ -571,6 +588,33 @@ class TestCheck:
         assert run(capsys, "check", "--input", bom) == run(capsys, "check", "--input", files["a"])
         assert run(capsys, "check", "--input", bom)[0] == 0
 
+
+    @pytest.mark.parametrize(
+        "text, symmetry, verdict",
+        [
+            # A pivot whose parts are finite and whose modulus is not.
+            (
+                "matrix 2 2 complex\n1.7976931348623157e308,1.7976931348623157e308 1,0\n1,0 1,0\n",
+                "symmetric true (max deviation 0 at (1,1))",
+                "non-finite pivot in column 1: the elimination overflowed",
+            ),
+            # a_12 - a_21 overflows.
+            (
+                "matrix 2 2 real\n1 1.7976931348623157e308\n-1.7976931348623157e308 1\n",
+                "symmetric false (max deviation inf at (1,2))",
+                "zero pivot in column 1: |pivot| = 1.000000e+00 <= threshold 7.983361e+292",
+            ),
+        ],
+        ids=["complex-pivot", "symmetry-deviation"],
+    )
+    def test_overflowing_moduli_are_reported(self, capsys, tmp_path, text, symmetry, verdict):
+        path = tmp_path / "a.mat"
+        path.write_text(text)
+        code, out, err = run(capsys, "check", "--input", path)
+        assert (code, err) == (2, "")
+        assert out.splitlines() == [
+            "rows 2", "cols 2", "square true", symmetry, f"elimination fails in column 1: {verdict}"
+        ]
 
     @pytest.mark.parametrize("method", ["gauss-cholesky", "auto", "lu"])
     def test_symmetric_input_is_eliminated_in_one_triangle(self, capsys, tmp_path, method):

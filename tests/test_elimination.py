@@ -34,6 +34,7 @@ from factorkit.matrices import EPS
 
 from conftest import (
     BACK_OVERFLOW_MESSAGE,
+    COMPLEX_SIDE_OVERFLOW_A,
     FORWARD_OVERFLOW_MESSAGE,
     GOLD_BPRIME,
     GOLD_GT,
@@ -137,12 +138,22 @@ class TestGaussEliminate:
         assert str(exc.value) == f"non-finite pivot in column {column}: the elimination overflowed"
 
     @pytest.mark.filterwarnings("error")
-    def test_overflowing_side_raises_overflow_error(self):
-        a = DenseMatrix(SIDE_OVERFLOW_A)
+    @pytest.mark.parametrize(
+        "a, b, pivots",
+        [
+            (SIDE_OVERFLOW_A, SIDE_OVERFLOW_B, (1e-3, -999.0)),
+            # Sides that do not ride in the working array, and overflow as if they did.
+            (COMPLEX_SIDE_OVERFLOW_A, SIDE_OVERFLOW_B, (1e-3, 1001.0)),
+            (SIDE_OVERFLOW_A, 1j * np.array(SIDE_OVERFLOW_B), (1e-3, -999.0)),
+        ],
+        ids=["real", "complex-a", "complex-b"],
+    )
+    def test_overflowing_side_raises_overflow_error(self, a, b, pivots):
+        a = DenseMatrix(a)
         with pytest.raises(OverflowError, match=f"^{SIDE_OVERFLOW_MESSAGE}$"):
-            gauss_eliminate(a, vector(SIDE_OVERFLOW_B))
+            gauss_eliminate(a, vector(b))
         # The fault is the side's: the matrix alone eliminates.
-        assert gauss_eliminate(a).pivots == (1e-3, -999.0)
+        assert gauss_eliminate(a).pivots == pivots
 
     def test_near_zero_pivot_is_scaled_against_matrix(self):
         # |pivot| = 1 exceeds n*eps*1e16 is false -> must raise
@@ -312,8 +323,8 @@ class TestBlockedElimination:
     @pytest.mark.parametrize("n", [NB + 1, 40, 200])
     @pytest.mark.parametrize("complex_a", [False, True])
     def test_sides_of_the_other_field_in_any_layout(self, n, complex_a):
-        # Complex sides of a real matrix ride as (re, im) pairs of real
-        # columns; real sides of a complex matrix are promoted.
+        # Neither rides in the working array: the forward substitution
+        # transforms them, and its answers are complex either way.
         rng = np.random.default_rng(n)
         a = _dominant(rng, n, complex_entries=complex_a)
         b = rng.standard_normal((n, 3))
@@ -333,8 +344,9 @@ class TestBlockedElimination:
     @pytest.mark.parametrize("n", [NB, NB + 1, 2 * NB + 1, 200])
     @pytest.mark.parametrize("k", [1, 3])
     def test_complex_sides_of_a_real_matrix_come_out_contiguous(self, n, k):
-        # They ride as (re, im) pairs, whose rows numpy's linalg misreads when
-        # the working array's row stride is not a whole number of complex items.
+        # They come as the substitution kernel's own array: numpy's linalg
+        # misreads rows whose stride is not a whole number of complex items,
+        # as a view of (re, im) pairs in a real array would have.
         rng = np.random.default_rng(n)
         a = rng.standard_normal((n, n)) + n * np.eye(n)
         b = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
@@ -354,15 +366,22 @@ class TestBlockedElimination:
     @pytest.mark.parametrize("fields", ["real", "complex", "real-a-complex-b", "complex-a-real-b"])
     def test_factors_do_not_depend_on_the_sides(self, n, symmetric, fields):
         rng = np.random.default_rng(n)
-        a = DenseMatrix(_dominant(rng, n, complex_entries=fields.startswith("complex")))
-        alone = gauss_eliminate(a, symmetric=symmetric)
-        for k in (1, 3, 8):  # 8, the side count of perfbench's cli-files
-            b = rng.standard_normal((n, k))
-            if fields in ("complex", "real-a-complex-b"):
-                b = b + 1j * rng.standard_normal((n, k))
-            record = gauss_eliminate(a, DenseMatrix(b), symmetric=symmetric)
-            assert record.lu.data.tobytes() == alone.lu.data.tobytes()
-            assert record.pivots == alone.pivots
+        matrices = [_dominant(rng, n, complex_entries=fields.startswith("complex"))]
+        if n == 3 and fields == "real":
+            # Pinned: a panel of odd width leaves one row for its last rank-2
+            # product, whose A entry alone BLAS forms as a dot product; with
+            # three or more sides in the same product, these last pivots moved.
+            m = np.random.default_rng(30 if symmetric else 3).standard_normal((3, 3))
+            matrices.append(m + m.T + 6 * np.eye(3) if symmetric else m + np.sqrt(3) * np.eye(3))
+        for a in map(DenseMatrix, matrices):
+            alone = gauss_eliminate(a, symmetric=symmetric)
+            for k in (1, 3, 8):  # 8, the side count of perfbench's cli-files
+                b = rng.standard_normal((n, k))
+                if fields in ("complex", "real-a-complex-b"):
+                    b = b + 1j * rng.standard_normal((n, k))
+                record = gauss_eliminate(a, DenseMatrix(b), symmetric=symmetric)
+                assert record.lu.data.tobytes() == alone.lu.data.tobytes()
+                assert record.pivots == alone.pivots
 
     @pytest.mark.parametrize("complex_entries", [False, True])
     def test_dtypes_kept_and_pivots_are_python_scalars(self, complex_entries):

@@ -48,6 +48,10 @@ MESSAGES = [
         ZeroPivotError("column", 3, complex(float("inf"), 1.0), 1e-16),
         "non-finite pivot in column 3: the elimination overflowed",
     ),
+    (  # finite parts whose modulus overflows, which abs() refuses
+        ZeroPivotError("column", 1, complex(1.7976931348623157e308, 1.7976931348623157e308), 1e-16),
+        "non-finite pivot in column 1: the elimination overflowed",
+    ),
 ]
 IDS = [f"{type(e).__name__}-{i}" for i, (e, _) in enumerate(MESSAGES)]
 

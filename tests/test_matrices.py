@@ -126,6 +126,12 @@ class TestSymmetry:
         with pytest.raises(ShapeError):
             DenseMatrix([[1, 2, 3], [4, 5, 6]]).is_symmetric()
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_deviation_is_infinite_without_warning(self):
+        m = DenseMatrix([[1.0, 1.7976931348623157e308], [-1.7976931348623157e308, 1.0]])
+        assert not m.is_symmetric()
+        assert m.symmetry_deviation() == (np.inf, (1, 2))
+
     def test_exact_symmetry_needs_no_deviation_scan(self, symmetry_scans):
         m = DenseMatrix([[1.0, -0.0, 2j], [0.0, 3.0, 4.0], [2j, 4.0, 5.0]])
         assert m.is_symmetric(tol=0.0)
