@@ -108,7 +108,7 @@ _PANEL_WIDTH = 16
 def _pivot_threshold(n: int, max_abs: float) -> float:
     # Scaled absolute test: an exact-zero comparison is useless in floating
     # point, so a pivot is "zero" when it is negligible against the largest
-    # source entry.
+    # source entry, whose modulus max_abs saturates at the largest double.
     return n * EPS * max_abs
 
 
@@ -199,20 +199,18 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None, *, symmetric: 
                 size = abs(pivot)
                 if not threshold < size < np.inf:
                     raise ZeroPivotError("column", col + 1, pivot.item(), threshold)
+                # The multipliers divide the theorem's final pivot row
+                # (m_il = u_li / u_ll) or LU's updated column by the pivot.
                 m = work[col + 1 :, col]
                 if symmetric:
-                    # The theorem: the pivot row is final, and m_il = u_li / u_ll.
-                    row = work[col, col + 1 : n]
-                    if size < _SMALLEST_NORMAL:
-                        row, pivot = row * _SUBNORMAL_SCALE, pivot * _SUBNORMAL_SCALE
-                    np.divide(row, pivot, out=m)
+                    dividend = work[col, col + 1 : n]
                 else:
                     if below is not None:
                         m[k1 - col - 1 :] -= below[:, col - c0]
-                    if size < _SMALLEST_NORMAL:
-                        m *= _SUBNORMAL_SCALE
-                        pivot *= _SUBNORMAL_SCALE
-                    m /= pivot
+                    dividend = m
+                if size < _SMALLEST_NORMAL:
+                    dividend, pivot = dividend * _SUBNORMAL_SCALE, pivot * _SUBNORMAL_SCALE
+                np.divide(dividend, pivot, m)
                 if col + 1 < c1:
                     # Row c0 + 1 takes column c0's update, sides included, so its
                     # pivot row is final; LU's column c0 + 1 takes c0's term.
@@ -325,7 +323,7 @@ def _substitute_rows(
     for k0 in range(0, n, nb) if lower else range((n - 1) // nb * nb, -1, -nb):
         k1 = min(k0 + nb, n)
         lo, hi = (0, k0) if lower else (k1, n)  # the rows of x already solved
-        # Fresh even with no rows solved: numpy's linalg misreads strides that are not whole items.
+        # One expression for every block: with no rows solved yet the product is empty.
         r = c[k0:k1] - t[k0:k1, lo:hi] @ x[lo:hi]
         inv = inverses[k0 // nb] if inverses else None
         x[k0:k1] = _block_solve(t[k0:k1, k0:k1], r, lower, unit_diagonal) if inv is None else inv @ r

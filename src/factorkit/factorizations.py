@@ -157,20 +157,20 @@ class Factorization:
         # The solves divide by the last factor's diagonal: u_ii, the pivots, or
         # g_ii, their roots. A recorded threshold judges the pivots themselves,
         # which the diagonal must then match exactly; without one the factor
-        # meets the rule it was saved under, n * eps * max|factor|.
+        # meets the rule it was saved under, n * eps * max|factor|. Either way a
+        # modulus must be finite: LAPACK's reciprocal of a larger one underflows.
         name = names[-1]
         divisor = getattr(self, name)
         diagonal = np.diagonal(divisor.data)
-        threshold = self.provenance.pivot_threshold
-        if threshold is None:
-            ok = np.min(np.abs(diagonal)) > _pivot_threshold(self.n, divisor.max_abs())
-        else:
-            pivots = self.provenance.pivots
-            ok = min(map(abs, pivots)) > threshold
-            if ok and not np.array_equal(diagonal, pivots if name == "u" else _pivot_roots(pivots)):
-                raise ValueError(f"factor {name} has a diagonal that is not the recorded pivots' own")
-        if not ok:
+        pivots, recorded = self.provenance.pivots, self.provenance.pivot_threshold is not None
+        moduli = np.abs(np.array(pivots) if recorded else diagonal)
+        threshold = self.provenance.pivot_threshold if recorded else _pivot_threshold(self.n, divisor.max_abs())
+        if not np.isfinite(moduli).all():
+            raise ValueError(f"factor {name} has a diagonal entry whose modulus overflows")
+        if not moduli.min() > threshold:
             raise ValueError(f"factor {name} has a negligible diagonal entry")
+        if recorded and not np.array_equal(diagonal, pivots if name == "u" else _pivot_roots(pivots)):
+            raise ValueError(f"factor {name} has a diagonal that is not the recorded pivots' own")
 
     @functools.cached_property
     def _inverses(self) -> tuple:

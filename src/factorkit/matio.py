@@ -46,7 +46,8 @@ is reported at its keyword's column, a missing one at the file's last line.
 checks the recorded pivots against it and requires the divisors (u_ii, or
 g_ii, the pivots' principal roots) to be exactly those pivots' own. Files
 written before it was recorded have their diagonal checked against
-n * eps * max|factor| as then.
+n * eps * max|factor| as then. Either way a divisor whose modulus overflows
+is rejected.
 """
 
 from __future__ import annotations

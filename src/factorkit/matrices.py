@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 EPS = float(np.finfo(np.float64).eps)
+_LARGEST_DOUBLE = float(np.finfo(np.float64).max)
 
 # Relative symmetry tolerance: max|a_ij - a_ji| <= tol * max|a_ij|.
 DEFAULT_SYMMETRY_TOL = 1e-12
@@ -37,8 +38,8 @@ DEFAULT_SYMMETRY_TOL = 1e-12
 #: Name of the scheme ``matrix_hash`` uses, recorded in factor files.
 HASH_SCHEME = "bytes"
 
-# Entries per block of rows that max_abs takes |a_ij| of at a time on
-# complex input: 128 KiB of float64, far below A's size.
+# Entries per block of rows that max_abs takes |a_ij| of at a time, real or
+# complex: 128 KiB of float64, far below A's size.
 _BLOCK_ENTRIES = 1 << 14
 
 # Overflow is reported where it lands: as a non-finite pivot, an OverflowError
@@ -134,20 +135,18 @@ class DenseMatrix:
         return DenseMatrix(self._data[:, j : j + 1])
 
     def max_abs(self) -> float:
-        """Largest |a_ij|, the value of ``np.max(np.abs(data))``, with no copy of the matrix.
+        """Largest |a_ij|, saturated at the largest double, with no copy of the matrix.
 
-        Real entries give max(max a_ij, -min a_ij), plus 0.0 so that an
-        all-zero matrix gives +0.0, not -0.0; complex ones take |a_ij| a
-        block of rows at a time.
+        |a_ij| is taken a block of rows at a time. The value is that of
+        ``np.max(np.abs(data))``, +0.0 for an all-zero matrix, except that a
+        complex modulus beyond the largest double gives the largest double,
+        so every rule scaled by max|a_ij| is finite for a finite matrix.
         """
         if self._max_abs is None:
             a = self._data
-            if self.is_complex:
-                step = max(1, _BLOCK_ENTRIES // a.shape[1])
-                largest = max(np.abs(a[i : i + step]).max() for i in range(0, a.shape[0], step))
-            else:
-                largest = max(a.max(), -a.min()) + 0.0
-            self._max_abs = float(largest)
+            step = max(1, _BLOCK_ENTRIES // a.shape[1])
+            largest = max(np.abs(a[i : i + step]).max() for i in range(0, a.shape[0], step))
+            self._max_abs = min(float(largest), _LARGEST_DOUBLE)
         return self._max_abs
 
     @_overflow_is_checked

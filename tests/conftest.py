@@ -63,6 +63,26 @@ OVERFLOW_MESSAGE = "non-finite pivot in column 2: the elimination overflowed"
 # formed unscaled, overflows at (2,2), so the reconstruction is measured
 # from scaled factors.
 LARGEST_DOUBLE_A = [[1.7976931348623157e308, 1e308], [1e308, 1.7976931348623157e308]]
+# Finite, with a_12 = 1.5e308 + 1.5e308j, whose modulus exceeds the largest
+# double: max|a_ij| saturates there, so every rule it scales is finite. Not
+# symmetric (a_12 - a_21 overflows), and its pivot 1 is negligible.
+MODULUS_OVERFLOW_A = [[1, 1.5e308 + 1.5e308j], [1e-308, 1]]
+# A 1 x 1 LU factor file, without a pivot threshold, whose finite divisor
+# u_11 = 1.5e308 + 1.5e308j has a modulus beyond the largest double: LAPACK's
+# reciprocal of it underflows, so loading must reject it.
+OVERFLOWING_DIVISOR_FACTOR_FILE = """factor lu 1 complex
+l
+1.0,0.0
+u
+1.5e308,1.5e308
+provenance
+matrix-hash f71ba4739610b7ac bytes
+pivots 1.5e308,1.5e308
+flops 0
+symmetry-tol none
+"""
+OVERFLOWING_DIVISOR_THRESHOLD = "pivot-threshold 3.1401849173675503e-16\n"
+OVERFLOWING_DIVISOR_MESSAGE = "factor u has a diagonal entry whose modulus overflows"
 # Healthy and symmetric, but the side's 1 - 1e3 * 1e306 = -inf: the
 # elimination, or the forward substitution, overflows the side, not a pivot.
 SIDE_OVERFLOW_A = [[1e-3, 1], [1, 1]]

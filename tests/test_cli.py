@@ -37,6 +37,9 @@ from conftest import (
     NEAR_SINGULAR_A,
     OVERFLOW_A,
     OVERFLOW_MESSAGE,
+    OVERFLOWING_DIVISOR_FACTOR_FILE,
+    OVERFLOWING_DIVISOR_MESSAGE,
+    OVERFLOWING_DIVISOR_THRESHOLD,
     SIDE_OVERFLOW_A,
     SIDE_OVERFLOW_B,
     SIDE_OVERFLOW_MESSAGE,
@@ -162,6 +165,15 @@ class TestFactorThenSolve:
             "error: line 1: expected a consistent factorization "
             f"(factor {name} has a diagonal that is not the recorded pivots' own)\n"
         )
+
+    @pytest.mark.parametrize("threshold", ["", OVERFLOWING_DIVISOR_THRESHOLD], ids=["unrecorded", "recorded"])
+    def test_divisor_whose_modulus_overflows_is_a_parse_error(self, capsys, tmp_path, threshold):
+        fact, rhs = tmp_path / "a.fact", tmp_path / "b.mat"
+        fact.write_text(OVERFLOWING_DIVISOR_FACTOR_FILE + threshold)
+        rhs.write_text("matrix 1 1 complex\n1,0\n")
+        code, out, err = run(capsys, "solve", "--factor", fact, "--rhs", rhs)
+        assert (code, out) == (1, "")
+        assert err == f"error: line 1: expected a consistent factorization ({OVERFLOWING_DIVISOR_MESSAGE})\n"
 
     def test_solve_from_factor_file(self, capsys, files):
         run(capsys, "factor", "--input", files["a"], "--output", files["fact"])
@@ -604,8 +616,15 @@ class TestCheck:
                 "symmetric false (max deviation inf at (1,2))",
                 "zero pivot in column 1: |pivot| = 1.000000e+00 <= threshold 7.983361e+292",
             ),
+            # A finite entry whose modulus overflows (MODULUS_OVERFLOW_A): max|a_ij|
+            # saturates at the largest double, so the threshold is finite.
+            (
+                "matrix 2 2 complex\n1,0 1.5e308,1.5e308\n1e-308,0 1,0\n",
+                "symmetric false (max deviation inf at (1,2))",
+                "zero pivot in column 1: |pivot| = 1.000000e+00 <= threshold 7.983361e+292",
+            ),
         ],
-        ids=["complex-pivot", "symmetry-deviation"],
+        ids=["complex-pivot", "symmetry-deviation", "complex-entry"],
     )
     def test_overflowing_moduli_are_reported(self, capsys, tmp_path, text, symmetry, verdict):
         path = tmp_path / "a.mat"
@@ -615,6 +634,20 @@ class TestCheck:
         assert out.splitlines() == [
             "rows 2", "cols 2", "square true", symmetry, f"elimination fails in column 1: {verdict}"
         ]
+
+    def test_pivots_clear_a_threshold_scaled_by_a_saturated_modulus(self, capsys, tmp_path):
+        # |a_12| exceeds the largest double; the pivots 1e300 clear 2 * eps * DBL_MAX.
+        path, fact = tmp_path / "a.mat", tmp_path / "a.fact"
+        path.write_text("matrix 2 2 complex\n1e300,0 1.5e308,1.5e308\n1e-308,0 1e300,0\n")
+        code, out, err = run(capsys, "check", "--input", path)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "rows 2", "cols 2", "square true", "symmetric false (max deviation inf at (1,2))",
+            "pivots 1e+300,0 1e+300,0",
+        ]
+        code, out, err = run(capsys, "factor", "--input", path, "--method", "lu", "--output", fact)
+        assert (code, err) == (0, "")
+        assert out == f"kind lu\nn 2\npivots 1e+300,0 1e+300,0\nreconstruction-error 0\nwrote {fact}\n"
 
     @pytest.mark.parametrize("method", ["gauss-cholesky", "auto", "lu"])
     def test_symmetric_input_is_eliminated_in_one_triangle(self, capsys, tmp_path, method):

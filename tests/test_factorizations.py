@@ -41,7 +41,7 @@ import factorkit.workflow
 import oracles
 from factorkit.elimination import _SUBSTITUTION_BLOCK as NB
 from factorkit.elimination import EliminationRecord
-from factorkit.factorizations import FACTOR_NAMES, _pivot_roots, from_record
+from factorkit.factorizations import FACTOR_NAMES, _pivot_roots, from_record, require_symmetric
 from factorkit.matrices import EPS
 
 from conftest import (
@@ -54,6 +54,7 @@ from conftest import (
     GOLD_X1,
     GOLD_X2,
     LARGEST_DOUBLE_A,
+    MODULUS_OVERFLOW_A,
     NEAR_SINGULAR_A,
     SIDE_OVERFLOW_A,
     SIDE_OVERFLOW_B,
@@ -364,6 +365,13 @@ class TestGaussCholesky:
             gauss_cholesky(DenseMatrix([[1, 2], [3, 4]]))
         assert exc.value.deviation == 1.0
         assert set(exc.value.at) == {1, 2}
+
+    def test_rejection_bound_is_finite_when_a_modulus_overflows(self):
+        # |a_12 - a_21| overflows, and the bound is tol times the saturated max|a_ij|.
+        with pytest.raises(NotSymmetricError) as exc:
+            require_symmetric(DenseMatrix(MODULUS_OVERFLOW_A))
+        assert exc.value.deviation == np.inf
+        assert exc.value.bound == 1e-12 * np.finfo(np.float64).max
 
     def test_rejection_scans_the_matrix_once(self, symmetry_scans):
         # once for the verdict, not again for the message

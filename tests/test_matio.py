@@ -28,7 +28,14 @@ import factorkit.matio
 from factorkit.factorizations import FACTOR_NAMES
 from factorkit.matio import _render_rows, format_entry, stale_factor_check
 
-from conftest import GOLD_A, LEGACY_GOLD_FACTOR_FILE, NEAR_SINGULAR_A
+from conftest import (
+    GOLD_A,
+    LEGACY_GOLD_FACTOR_FILE,
+    NEAR_SINGULAR_A,
+    OVERFLOWING_DIVISOR_FACTOR_FILE,
+    OVERFLOWING_DIVISOR_MESSAGE,
+    OVERFLOWING_DIVISOR_THRESHOLD,
+)
 from oracles import random_spd, random_symmetric, token_read_rows
 
 
@@ -296,6 +303,12 @@ class TestPivotThresholdLine:
         parse_factorization(text)
         with pytest.raises(ParseError, match="consistent factorization"):
             parse_factorization(re.sub(r"pivot-threshold .*\n", "", text))
+
+    @pytest.mark.parametrize("threshold", ["", OVERFLOWING_DIVISOR_THRESHOLD], ids=["unrecorded", "recorded"])
+    def test_divisor_whose_modulus_overflows_rejected(self, threshold):
+        # Unrecorded, max|U| saturates at the largest double and u_11 clears 1 * eps * max|U|.
+        with pytest.raises(ParseError, match=re.escape(f"({OVERFLOWING_DIVISOR_MESSAGE})")):
+            parse_factorization(OVERFLOWING_DIVISOR_FACTOR_FILE + threshold)
 
     def test_flop_count_beyond_int_digit_limit_is_a_parse_error(self, golden_a):
         text = render_factorization(gauss_cholesky(golden_a)).replace("flops 44", "flops " + "4" * 5000)

@@ -150,6 +150,13 @@ class TestMaxAbs:
         a = DenseMatrix(np.asfortranarray(arr) if fortran else arr)
         assert a.max_abs() == float(np.max(np.abs(arr)))
 
+    @pytest.mark.parametrize("fortran", [False, True])
+    def test_a_modulus_beyond_the_largest_double_gives_the_largest_double(self, fortran):
+        arr = np.array([[1.0, complex(1.5e308, 1.5e308)], [complex(-self.BIG, self.BIG), -1.0]])
+        assert np.isinf(np.abs(arr)).sum() == 2
+        a = DenseMatrix(np.asfortranarray(arr) if fortran else arr)
+        assert a.max_abs() == self.BIG
+
     def test_an_all_negative_zero_matrix_gives_positive_zero(self):
         value = DenseMatrix([[-0.0]]).max_abs()
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
