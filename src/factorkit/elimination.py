@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonSquareError, ShapeError, ZeroPivotError
-from .matrices import EPS, DenseMatrix, _overflow_is_checked, _wrap
+from .matrices import _LARGEST_DOUBLE, EPS, DenseMatrix, _overflow_is_checked, _wrap
 
 __all__ = [
     "EliminationRecord",
@@ -110,6 +110,12 @@ def _pivot_threshold(n: int, max_abs: float) -> float:
     # point, so a pivot is "zero" when it is negligible against the largest
     # source entry, whose modulus max_abs saturates at the largest double.
     return n * EPS * max_abs
+
+
+def _usable_divisor(moduli, threshold: float):
+    # The one rule for a divisor's modulus, elementwise: above the threshold and
+    # finite (LAPACK's reciprocal of a larger one underflows to 0); NaN fails.
+    return (threshold < moduli) & (moduli <= _LARGEST_DOUBLE)
 
 
 def elimination_flops(n: int, sides: int) -> int:
@@ -197,7 +203,7 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None, *, symmetric: 
             for col in range(c0, c1):
                 pivot = work[col, col]
                 size = abs(pivot)
-                if not threshold < size < np.inf:
+                if not _usable_divisor(size, threshold):
                     raise ZeroPivotError("column", col + 1, pivot.item(), threshold)
                 # The multipliers divide the theorem's final pivot row
                 # (m_il = u_li / u_ll) or LU's updated column by the pivot.
@@ -357,7 +363,7 @@ def _substitute(t: DenseMatrix, c: DenseMatrix, lower: bool) -> DenseMatrix:
         raise ShapeError(f"right-hand side has {c.rows} rows, matrix has {t.rows}")
     threshold = _pivot_threshold(t.rows, t.max_abs())
     diag = np.diagonal(t.data)
-    bad = np.flatnonzero(np.abs(diag) <= threshold)
+    bad = np.flatnonzero(~_usable_divisor(np.abs(diag), threshold))
     if bad.size:
         i = int(bad[0])
         raise ZeroPivotError("row", i + 1, diag[i].item(), threshold)

@@ -72,7 +72,8 @@ class ZeroPivotError(ArithmeticError):
     def __str__(self) -> str:
         pivot = math.hypot(self.value.real, self.value.imag)  # inf where abs() of a complex raises
         if not pivot < float("inf"):  # also NaN
-            return f"non-finite pivot in {self.axis} {self.index}: the elimination overflowed"
+            cause = "the elimination overflowed" if self.axis == "column" else "its modulus is not finite"
+            return f"non-finite pivot in {self.axis} {self.index}: {cause}"
         return f"zero pivot in {self.axis} {self.index}: |pivot| = {pivot:.6e} <= threshold {self.threshold:.6e}"
 
     @property

@@ -37,7 +37,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .elimination import EliminationRecord, _pivot_threshold, _require_triangular, gauss_eliminate, scaling_flops
-from .elimination import _block_inverses, _solve_lower, _solve_upper
+from .elimination import _block_inverses, _solve_lower, _solve_upper, _usable_divisor
 from .errors import NotSymmetricError, ShapeError
 from .matrices import (
     DEFAULT_SYMMETRY_TOL,
@@ -162,13 +162,17 @@ class Factorization:
         name = names[-1]
         divisor = getattr(self, name)
         diagonal = np.diagonal(divisor.data)
-        pivots, recorded = self.provenance.pivots, self.provenance.pivot_threshold is not None
-        moduli = np.abs(np.array(pivots) if recorded else diagonal)
-        threshold = self.provenance.pivot_threshold if recorded else _pivot_threshold(self.n, divisor.max_abs())
-        if not np.isfinite(moduli).all():
-            raise ValueError(f"factor {name} has a diagonal entry whose modulus overflows")
-        if not moduli.min() > threshold:
+        pivots = self.provenance.pivots
+        threshold = self.provenance.pivot_threshold
+        recorded = threshold is not None
+        moduli = np.abs(pivots if recorded else diagonal)
+        if not recorded:
+            threshold = _pivot_threshold(self.n, divisor.max_abs())
+        bad = np.flatnonzero(~_usable_divisor(moduli, threshold))
+        if bad.size and moduli[bad[0]] < np.inf:
             raise ValueError(f"factor {name} has a negligible diagonal entry")
+        if bad.size:
+            raise ValueError(f"factor {name} has a diagonal entry whose modulus overflows")
         if recorded and not np.array_equal(diagonal, pivots if name == "u" else _pivot_roots(pivots)):
             raise ValueError(f"factor {name} has a diagonal that is not the recorded pivots' own")
 

@@ -812,6 +812,26 @@ class TestBackSubstitute:
             substitute(DenseMatrix([[1, 0, 0], [0, 1, 0]]), vector([1, 1]))
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "substitute, t, row",
+        [
+            (back_substitute, [[1.5e308 + 1.5e308j]], 1),
+            (back_substitute, [[1e300, 1], [0, 1.5e308 + 1.5e308j]], 2),
+            (forward_substitute, [[1.5e308 + 1.5e308j]], 1),
+            (forward_substitute, [[1e300, 0], [1, 1.5e308 + 1.5e308j]], 2),
+        ],
+    )
+    def test_a_diagonal_entry_whose_modulus_overflows_raises(self, substitute, t, row):
+        # A finite entry whose modulus exceeds the largest double is no divisor:
+        # LAPACK's reciprocal of it underflows, and the answer would read 0. The
+        # threshold n * eps * max|t| is finite, max|t| saturating.
+        with pytest.raises(ZeroPivotError) as exc:
+            substitute(DenseMatrix(t), vector([1] * len(t)))
+        assert (exc.value.axis, exc.value.index) == ("row", row)
+        assert exc.value.threshold == len(t) * np.finfo(float).eps * np.finfo(float).max
+        assert str(exc.value) == f"non-finite pivot in row {row}: its modulus is not finite"
+
+    @pytest.mark.filterwarnings("error")
     def test_overflow_raises_overflow_error(self):
         with pytest.raises(OverflowError, match=f"^{BACK_OVERFLOW_MESSAGE}$"):
             back_substitute(DenseMatrix(SUBSTITUTION_OVERFLOW_A), vector(SUBSTITUTION_OVERFLOW_B))

@@ -52,6 +52,10 @@ MESSAGES = [
         ZeroPivotError("column", 1, complex(1.7976931348623157e308, 1.7976931348623157e308), 1e-16),
         "non-finite pivot in column 1: the elimination overflowed",
     ),
+    (  # a substitution's diagonal entry, where no elimination ran
+        ZeroPivotError("row", 2, complex(1.5e308, 1.5e308), 8e292),
+        "non-finite pivot in row 2: its modulus is not finite",
+    ),
 ]
 IDS = [f"{type(e).__name__}-{i}" for i, (e, _) in enumerate(MESSAGES)]
 
