@@ -268,18 +268,24 @@ _SUBSTITUTION_BLOCK = 64
 _BLOCK_CONDITION_BOUND = 1e3
 
 
+def _triangle(block: np.ndarray, lower: bool, unit_diagonal: bool) -> np.ndarray:
+    # A fresh copy of the block's own triangle, a unit diagonal filled with 1.
+    t = np.tril(block) if lower else np.triu(block)
+    if unit_diagonal:
+        np.fill_diagonal(t, 1)
+    return t
+
+
 def _block_solve(block: np.ndarray, c: np.ndarray, lower: bool, unit_diagonal: bool) -> np.ndarray:
-    # LAPACK gets only the block's own triangle, a unit diagonal filled with 1, always
-    # upper triangular (a lower one as t[::-1, ::-1] with c[::-1]), so gesv's partial
-    # pivoting finds only zeros below each diagonal entry and exchanges no row. A block
+    # LAPACK gets only the block's own triangle (_triangle), always upper triangular (a
+    # lower one as t[::-1, ::-1] with c[::-1]), so gesv's partial pivoting finds
+    # only zeros below each diagonal entry and exchanges no row. A block
     # with a subnormal diagonal entry goes scaled with its sides (_SUBNORMAL_SCALE). A
     # NaN or inf in t or c comes back as a non-finite answer, not as an error: gesv
     # reports a singular matrix only for an exactly zero diagonal entry, which no caller
     # passes. Should one come, the handler answers NaN, so the block fails as non-finite.
-    t = np.tril(block) if lower else np.triu(block)
-    if unit_diagonal:
-        np.fill_diagonal(t, 1)
-    elif np.abs(np.diagonal(t)).min() < _SMALLEST_NORMAL:
+    t = _triangle(block, lower, unit_diagonal)
+    if not unit_diagonal and np.abs(np.diagonal(t)).min() < _SMALLEST_NORMAL:
         t, c = t * _SUBNORMAL_SCALE, c * _SUBNORMAL_SCALE
     order = slice(None, None, -1 if lower else 1)
     try:
@@ -289,22 +295,25 @@ def _block_solve(block: np.ndarray, c: np.ndarray, lower: bool, unit_diagonal: b
 
 
 @_overflow_is_checked
-def _block_inverses(t: np.ndarray, lower: bool) -> tuple:
-    """Inverses of the diagonal blocks of triangle ``t``, for the blocked substitution.
+def _block_inverses(t: np.ndarray, lower: bool, unit_diagonal: bool = False) -> tuple:
+    """Inverses of the diagonal blocks of ``t``'s own triangle, for the blocked substitution.
 
-    Each block is solved against the identity by ``_block_solve``, so the
-    inverse is exactly triangular and nothing is pivoted. A block whose
+    As ``_substitute_rows`` does, it reads only that triangle and never a
+    unit diagonal, so ``t`` may be a packed array holding both of LU's
+    factors. Each block's triangle is solved against the identity by
+    ``_block_solve``, so the inverse is exactly triangular and nothing is
+    pivoted, and the condition norms are that triangle's. A block whose
     inverse is not finite, or whose condition number exceeds the bound in
     either norm, gets ``None`` and is solved by ``_block_solve`` each time.
-    ``t`` must be exactly triangular, any unit diagonal stored, as in a
-    ``Factorization``: the norms are its triangle's. Transposed, they serve ``t.T``.
+    Transposed, the inverses of an upper triangle serve its transpose.
     """
     n, nb = t.shape[0], _SUBSTITUTION_BLOCK
     inverses = []
     for k0 in range(0, n, nb):
-        block = t[k0 : k0 + nb, k0 : k0 + nb]
+        block = _triangle(t[k0 : k0 + nb, k0 : k0 + nb], lower, unit_diagonal)
+        identity = np.eye(block.shape[0], dtype=block.dtype)
         # Contiguous: a lower block's inverse comes back as a reversed view, slower to apply.
-        inv = np.ascontiguousarray(_block_solve(block, np.eye(block.shape[0], dtype=block.dtype), lower, False))
+        inv = np.ascontiguousarray(_block_solve(block, identity, lower, unit_diagonal))
         a, a_inv = np.abs(block), np.abs(inv)
         condition = max(a.sum(0).max() * a_inv.sum(0).max(), a.sum(1).max() * a_inv.sum(1).max())
         inverses.append(inv if np.isfinite(inv).all() and condition <= _BLOCK_CONDITION_BOUND else None)

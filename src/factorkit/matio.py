@@ -245,9 +245,10 @@ def save_matrix(path, m: DenseMatrix) -> None:
 
 def render_factorization(f: Factorization) -> str:
     names = FACTOR_NAMES[f.kind]
-    lines = [f"factor {f.kind} {f.n} {getattr(f, names[0]).field}"]
-    for name in names:
-        lines += [name, *_render_rows(getattr(f, name))]
+    factors = [getattr(f, name) for name in names]  # an LU factorization forms L and U here
+    lines = [f"factor {f.kind} {f.n} {factors[0].field}"]
+    for name, m in zip(names, factors):
+        lines += [name, *_render_rows(m)]
     prov = f.provenance
     lines.append("provenance")
     if prov.hash_scheme == _LEGACY_HASH_SCHEME:
@@ -264,7 +265,12 @@ def render_factorization(f: Factorization) -> str:
 
 
 def parse_factorization(text: str) -> Factorization:
-    """Parse factor-file text back into a ``Factorization``, bit for bit."""
+    """Parse factor-file text back into a ``Factorization`` (``Factorization.from_factors``).
+
+    Entries are read bit for bit. An LU file's L and U are packed into one
+    array, in which a multiplier written -0.0, and any -0.0 outside the
+    factors' triangles, reads back and renders as 0.0, as in every L.
+    """
     cur = _Lines(text)
     line, toks = _expect_keyword(cur, "factor", (4,), "'factor <kind> <n> <field>', got {tokens} tokens")
     kind = toks[1][0]
@@ -313,7 +319,7 @@ def parse_factorization(text: str) -> Factorization:
 
     provenance = Provenance(source_hash, pivots, flops, tol, scheme, threshold)
     try:
-        return Factorization(kind=kind, n=n, provenance=provenance, **factors)
+        return Factorization.from_factors(kind, n, provenance, **factors)
     except ValueError as exc:
         raise ParseError(1, f"a consistent factorization ({exc})") from None
 

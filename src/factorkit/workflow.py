@@ -5,7 +5,8 @@ against it. The first solve performs the elimination with that side riding
 along and answers it straight off the triangular system; the session keeps
 the elimination record. The first reuse, or the first read of
 ``factorization``, packages that record into the cached factorization and
-drops it; every later solve costs only two triangular substitutions.
+drops it (an LU factorization keeps its packed array, G is cut from it);
+every later solve costs only two triangular substitutions.
 The flop ledger separates the one-time cost from the per-reuse cost so the
 economics are checkable without wall-clock noise.
 

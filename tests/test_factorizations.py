@@ -40,8 +40,8 @@ import factorkit.matrices
 import factorkit.workflow
 import oracles
 from factorkit.elimination import _SUBSTITUTION_BLOCK as NB
-from factorkit.elimination import EliminationRecord
-from factorkit.factorizations import FACTOR_NAMES, _pivot_roots, from_record, require_symmetric
+from factorkit.elimination import EliminationRecord, _block_inverses, _substitute_rows
+from factorkit.factorizations import FACTOR_NAMES, _pivot_roots, _substitute_factors, from_record, require_symmetric
 from factorkit.matrices import EPS
 
 from conftest import (
@@ -218,9 +218,9 @@ class TestRecordBuiltFactors:
 
     @staticmethod
     def _eager(f, arrays):
-        """``f`` as the constructor builds it from factors formed up front, validating them."""
+        """``f`` as ``from_factors`` builds it from factors formed up front, validating them."""
         factors = {name: DenseMatrix(arrays[name]) for name in FACTOR_NAMES[f.kind]}
-        return Factorization(f.kind, f.n, f.provenance, **factors)
+        return Factorization.from_factors(f.kind, f.n, f.provenance, **factors)
 
     def test_factors_are_bitwise_those_formed_up_front(self, case):
         package, _, arrays = case
@@ -277,6 +277,8 @@ class TestRecordBuiltFactors:
         assert isinstance(session._solved, EliminationRecord)
 
     def test_packaging_validates_each_factor_once(self, case, monkeypatch):
+        # A record's G is checked as triangular once; LU's packed array has no
+        # triangle to check, while L and U formed up front are checked each.
         package, _, arrays = case
         checks = []
         original = factorkit.factorizations._require_triangular
@@ -284,16 +286,26 @@ class TestRecordBuiltFactors:
             factorkit.factorizations, "_require_triangular", lambda *a, **k: checks.append(a) or original(*a, **k)
         )
         f = package()
-        assert len(checks) == len(FACTOR_NAMES[f.kind])
+        packaged = len(checks)
+        assert packaged == (f.kind == KIND_GAUSS_CHOLESKY)
         solve(f, DenseMatrix(np.ones((f.n, 1))))
-        assert len(checks) == len(FACTOR_NAMES[f.kind])
+        assert len(checks) == packaged
         self._eager(f, arrays)
-        assert len(checks) == 2 * len(FACTOR_NAMES[f.kind])
+        assert len(checks) == packaged + len(FACTOR_NAMES[f.kind])
+
+    def test_lu_packaging_adopts_the_record_array(self, case):
+        package, record, _ = case
+        f = package()
+        if f.kind == KIND_LU:
+            assert f.lu is record.lu
+            assert [v for v in vars(f).values() if isinstance(v, DenseMatrix)] == [record.lu]
 
     def test_replace_validates_what_it_is_given(self, golden_a):
         f = lu_from_record(gauss_eliminate(golden_a))
+        with pytest.raises(ShapeError, match="factor lu must be 4x4, got 4x3"):
+            dataclasses.replace(f, lu=DenseMatrix(np.ones((4, 3))))
         with pytest.raises(ShapeError, match="expected an exactly upper-triangular factor u"):
-            dataclasses.replace(f, u=DenseMatrix(np.ones((4, 4))))
+            Factorization.from_factors(KIND_LU, 4, f.provenance, l=f.l, u=DenseMatrix(np.ones((4, 4))))
         assert dataclasses.replace(f) == f
 
     def test_an_overflowing_g_fails_only_as_a_value_error(self):
@@ -629,6 +641,76 @@ class TestBlockedSolve:
             assert np.array(report.residuals).tobytes() == want.tobytes()
 
 
+class TestPackedLu:
+    """An LU factorization holds the elimination's packed array. Its inverses
+    and answers are bitwise those of L and U formed apart, and its product,
+    formed block by block from the packed triangles, is a dense L @ U's to
+    rounding, at and around the block edges."""
+
+    @pytest.mark.parametrize("ride", [False, True])
+    @pytest.mark.parametrize(
+        "n, ill",
+        [(1, False), (63, False), (64, False), (65, False), (200, False), (600, False), (65, True), (200, True)],
+    )
+    def test_answers_are_bitwise_those_of_l_and_u_formed_apart(self, n, ill, ride):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n)) + n * np.eye(n)
+        if ill:  # the first column's multipliers are about 1e6: L's first block gets no inverse
+            a[0, 0] = 1e-6
+        sides = rng.standard_normal((n, 3))
+        record = gauss_eliminate(DenseMatrix(a), DenseMatrix(sides[:, :1]) if ride else None)
+        assert record.lu.data.strides[0] == (n + ride) * 8  # a side that rode leaves a strided view
+        f = lu_from_record(record)
+        arrays = oracles.packed_factors(record.lu.data, record.pivots)
+        want = _block_inverses(arrays["l"], True), _block_inverses(arrays["u"], False)
+        for got_set, want_set in zip(f._inverses, want):
+            assert [v is None for v in got_set] == [v is None for v in want_set]
+            assert all(v is None or v.tobytes() == w.tobytes() for v, w in zip(got_set, want_set))
+        assert (want[0][0] is None) == ill  # then _block_solve runs on the packed block
+        for c in (sides[:, :1], sides):
+            y, _ = _substitute_rows(arrays["l"], c, lower=True, unit_diagonal=True, inverses=want[0])
+            x, _ = _substitute_rows(arrays["u"], y, lower=False, unit_diagonal=False, inverses=want[1])
+            assert _substitute_factors(f, DenseMatrix(c))[0].data.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 320])
+    def test_product_agrees_with_a_dense_l_times_u(self, n, field):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n)) + n * np.eye(n)
+        if field == "complex":
+            a = a + 1j * rng.standard_normal((n, n))
+        f = lu_from_record(gauss_eliminate(DenseMatrix(a)))
+        l, u = f.l.data, f.u.data
+        bound = n * EPS * np.linalg.norm(np.abs(l) @ np.abs(u), np.inf)
+        assert np.linalg.norm(f.rebuild().data - l @ u, np.inf) <= bound
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-1000, 2.0**1000])
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 320])
+    def test_verify_reads_zero_exactly_when_the_product_is_a(self, n, exact, scale):
+        rng = np.random.default_rng(n)
+        if exact:  # L and U of small integers, the diagonals 1: elimination and product are exact
+            l = np.tril(rng.integers(-1, 2, (n, n)), -1) + np.eye(n)
+            a = l @ (np.triu(rng.integers(-1, 2, (n, n)), 1) + np.eye(n))
+        else:
+            a = rng.standard_normal((n, n)) + n * np.eye(n)
+        a = DenseMatrix(a * scale)
+        f = lu_from_record(gauss_eliminate(a))
+        product_is_a = np.array_equal(f.rebuild().data, a.data)
+        assert product_is_a or not exact
+        error = verify(f, a)
+        assert error == 0.0 if product_is_a else 0.0 < error <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 65, 129])
+    def test_verify_measures_near_the_largest_double_above_one_block(self, n):
+        rng = np.random.default_rng(n)
+        l = np.tril(rng.integers(-1, 2, (n, n)), -1) + np.eye(n)
+        a = l @ (np.triu(rng.integers(-1, 2, (n, n)), 1) + np.eye(n))
+        a = DenseMatrix(a * 2.0 ** (1023 - int(np.log2(np.abs(a).max()))))
+        assert a.max_abs() >= 2.0**1023
+        assert verify(lu_from_record(gauss_eliminate(a)), a) == 0.0
+
+
 class TestVerifyAndValidation:
     def test_verify_golden(self, golden_a):
         assert verify(gauss_cholesky(golden_a), golden_a) <= 1e-14
@@ -651,28 +733,34 @@ class TestVerifyAndValidation:
     def test_construction_rejects_wrong_kind(self, golden_a):
         record = gauss_eliminate(golden_a)
         prov = Provenance(matrix_hash(record.source), record.pivots, record.flops)
-        with pytest.raises(ValueError):
-            Factorization(kind="qr", n=4, provenance=prov, u=lu_from_record(record).u)
+        with pytest.raises(ValueError, match="unknown factorization kind 'qr'"):
+            Factorization(kind="qr", n=4, provenance=prov, lu=record.lu)
+        with pytest.raises(ValueError, match="unknown factorization kind 'qr'"):
+            Factorization.from_factors("qr", 4, prov, u=lu_from_record(record).u)
 
     def test_construction_rejects_missing_factors(self, golden_a):
         record = gauss_eliminate(golden_a)
         prov = Provenance(matrix_hash(record.source), record.pivots, record.flops)
-        with pytest.raises(ValueError):
-            Factorization(kind=KIND_LU, n=4, provenance=prov, u=lu_from_record(record).u)
+        with pytest.raises(ValueError, match="lu factorizations carry exactly l and u"):
+            Factorization.from_factors(KIND_LU, 4, prov, u=lu_from_record(record).u)
+        with pytest.raises(ValueError, match="lu factorizations store exactly lu"):
+            Factorization(kind=KIND_LU, n=4, provenance=prov)
+        with pytest.raises(ValueError, match="gauss-cholesky factorizations store exactly g"):
+            Factorization(kind=KIND_GAUSS_CHOLESKY, n=4, provenance=prov, lu=record.lu)
 
     def test_construction_rejects_non_unit_l(self, golden_a):
         record = gauss_eliminate(golden_a)
         prov = Provenance(matrix_hash(record.source), record.pivots, record.flops)
         with pytest.raises(ValueError, match="unit diagonal"):
-            Factorization(kind=KIND_LU, n=4, provenance=prov, l=DenseMatrix(2 * np.eye(4)), u=lu_from_record(record).u)
+            Factorization.from_factors(KIND_LU, 4, prov, l=DenseMatrix(2 * np.eye(4)), u=lu_from_record(record).u)
 
     def test_construction_rejects_factors_of_mixed_fields(self, golden_a):
         # A factor file has one field for all its factors, so such a pair could not be read back.
         f = lu_from_record(gauss_eliminate(golden_a))
         with pytest.raises(ValueError, match="lu factors must be all real or all complex"):
-            dataclasses.replace(f, u=DenseMatrix(f.u.data.astype(complex)))
+            Factorization.from_factors(KIND_LU, 4, f.provenance, l=f.l, u=DenseMatrix(f.u.data.astype(complex)))
         with pytest.raises(ValueError, match="lu factors must be all real or all complex"):
-            dataclasses.replace(f, l=DenseMatrix(f.l.data.astype(complex)))
+            Factorization.from_factors(KIND_LU, 4, f.provenance, l=DenseMatrix(f.l.data.astype(complex)), u=f.u)
 
     def test_construction_rejects_zero_diagonal_g(self):
         prov = Provenance("0" * 16, (0.0,), 0)
@@ -765,10 +853,10 @@ class TestOnePivotPolicy:
         for threshold, accepted in ((0.0, True), (0.999, True), (1.0, False), (4.0, False)):
             prov = dataclasses.replace(f.provenance, pivot_threshold=threshold)
             if accepted:
-                Factorization(kind=kind, n=4, provenance=prov, **factors)
+                Factorization.from_factors(kind, 4, prov, **factors)
             else:
                 with pytest.raises(ValueError, match="negligible diagonal entry"):
-                    Factorization(kind=kind, n=4, provenance=prov, **factors)
+                    Factorization.from_factors(kind, 4, prov, **factors)
 
     def test_g_is_judged_by_its_squared_diagonal(self):
         # pivots (0.25, 4), G's diagonal (0.5, 2): a threshold of 0.3 lies between
@@ -796,9 +884,9 @@ class TestOnePivotPolicy:
         flipped[3, 3] = -flipped[3, 3]
         factors = {"l": f.l, "u": DenseMatrix(flipped)} if kind == KIND_LU else {"g": DenseMatrix(flipped)}
         with pytest.raises(ValueError, match=f"factor {name} has a diagonal that is not the recorded pivots' own"):
-            Factorization(kind=kind, n=4, provenance=f.provenance, **factors)
+            Factorization.from_factors(kind, 4, f.provenance, **factors)
         unrecorded = dataclasses.replace(f.provenance, pivot_threshold=None)
-        Factorization(kind=kind, n=4, provenance=unrecorded, **factors)  # the factor-scaled rule passes it
+        Factorization.from_factors(kind, 4, unrecorded, **factors)  # the factor-scaled rule passes it
 
     def test_unrecorded_threshold_keeps_the_factor_scaled_rule(self):
         # Without a recorded threshold the rule is n * eps * max|factor|, under
@@ -806,7 +894,12 @@ class TestOnePivotPolicy:
         f = lu_from_record(gauss_eliminate(DenseMatrix(NEAR_SINGULAR_A)))
         prov = dataclasses.replace(f.provenance, pivot_threshold=None)
         with pytest.raises(ValueError, match="factor u has a negligible diagonal entry"):
-            Factorization(kind=KIND_LU, n=2, provenance=prov, l=f.l, u=f.u)
+            Factorization.from_factors(KIND_LU, 2, prov, l=f.l, u=f.u)
+        with pytest.raises(ValueError, match="factor u has a negligible diagonal entry"):
+            dataclasses.replace(f, provenance=prov)
+        # The rule scales by max|U|, 1 here, not by the packed array's multiplier 1e3.
+        unrecorded = Provenance("0" * 16, (1.0, 1e-15), 0)
+        Factorization(KIND_LU, 2, unrecorded, lu=DenseMatrix([[1.0, 0.0], [1e3, 1e-15]]))
         gc = gauss_cholesky(DenseMatrix(NEAR_SINGULAR_A))
         prov = dataclasses.replace(gc.provenance, pivot_threshold=None)
         Factorization(kind=KIND_GAUSS_CHOLESKY, n=2, provenance=prov, g=gc.g)  # max|G| = 1e4: passes

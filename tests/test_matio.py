@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import re
 from pathlib import Path
 
@@ -157,7 +158,48 @@ class TestRoundTrip:
         assert load_matrix(path) == golden_a
 
 
+# The LU factor file of [[-2, 1, 0], [0, 3, 1], [1, 0, 4]], whose record holds
+# the multiplier m_21 = 0 / -2 = -0.0; as every L does, L holds it as 0.0.
+NEGATIVE_ZERO_MULTIPLIER_A = [[-2.0, 1.0, 0.0], [0.0, 3.0, 1.0], [1.0, 0.0, 4.0]]
+NEGATIVE_ZERO_MULTIPLIER_FILE = """\
+factor lu 3 real
+l
+1.0 0.0 0.0
+0.0 1.0 0.0
+-0.5 0.16666666666666666 1.0
+u
+-2.0 1.0 0.0
+0.0 3.0 1.0
+0.0 0.0 3.8333333333333335
+provenance
+matrix-hash ac2142c526445b43 bytes
+pivots -2.0 3.0 3.8333333333333335
+flops 13
+symmetry-tol none
+pivot-threshold 2.6645352591003757e-15
+"""
+
+
 class TestFactorFiles:
+    def test_record_built_lu_file_bytes(self):
+        record = gauss_eliminate(DenseMatrix(NEGATIVE_ZERO_MULTIPLIER_A))
+        assert math.copysign(1.0, record.lu.data[1, 0]) == -1.0
+        text = render_factorization(lu_from_record(record))
+        assert text == NEGATIVE_ZERO_MULTIPLIER_FILE
+        assert render_factorization(parse_factorization(text)) == text
+
+    def test_negative_zeros_in_an_lu_file_read_back_as_the_packed_array_holds_them(self):
+        # Hand-written -0.0s: the multiplier m_21, L's l_12, U's u_21, and U's own u_13.
+        text = NEGATIVE_ZERO_MULTIPLIER_FILE.replace("l\n1.0 0.0 0.0\n0.0 1.0", "l\n1.0 -0.0 0.0\n-0.0 1.0")
+        text = text.replace("u\n-2.0 1.0 0.0\n0.0 3.0", "u\n-2.0 1.0 -0.0\n-0.0 3.0")
+        assert text.count("-0.0") == 4
+        f = parse_factorization(text)
+        # L's multipliers and the zeros outside each triangle read as +0.0, as in
+        # every L and U formed; U's own entries read bit for bit.
+        assert f == parse_factorization(NEGATIVE_ZERO_MULTIPLIER_FILE)
+        assert render_factorization(f) == NEGATIVE_ZERO_MULTIPLIER_FILE.replace("-2.0 1.0 0.0", "-2.0 1.0 -0.0")
+        assert math.copysign(1.0, f.lu.data[0, 2]) == -1.0
+
     def test_gauss_cholesky_round_trip(self, golden_a):
         f = gauss_cholesky(golden_a)
         f2 = parse_factorization(render_factorization(f))

@@ -8,6 +8,11 @@ nonsymmetric matrix may hold one more, A - A^T, and ``verify`` two: the
 product and the scaled A it is compared with. Reading or writing a matrix
 file holds one copy of the text, as lines, and one row of Python numbers at
 a time.
+
+What a step keeps is tracemalloc's allocation after it minus before it. An
+LU factorization keeps the elimination's packed array, not a copy of it, so
+an LU session holds what a gauss-cholesky one does, give or take the
+second set of block inverses.
 """
 
 import gc
@@ -17,7 +22,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from factorkit import DenseMatrix, gauss_eliminate, open_session, verify
+from factorkit import DenseMatrix, gauss_eliminate, lu_from_record, open_session, session_solve, verify
 from factorkit.factorizations import KIND_GAUSS_CHOLESKY, KIND_LU, from_record
 from factorkit.matio import parse_matrix, render_matrix
 
@@ -42,6 +47,23 @@ def scratch(step):
             tracemalloc.stop()
         gc.enable()
     return result, peak - kept
+
+
+def kept(step):
+    """(result, what is allocated after ``step()`` and was not before), in bytes, as tracemalloc sees it."""
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        result = step()
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, after - before
 
 
 def system(field: str, symmetric: bool) -> DenseMatrix:
@@ -103,6 +125,29 @@ class TestScratchPerStep:
         error, used = scratch(lambda: verify(f, a))
         assert error <= 1e-13
         assert in_arrays(used, a) <= 2.25
+
+
+class TestKeptPerStep:
+    def test_lu_from_record_keeps_no_array(self, field):
+        a = system(field, symmetric=False)
+        record = gauss_eliminate(a)
+        f, held = kept(lambda: lu_from_record(record))
+        assert in_arrays(held, a) <= 0.25
+        assert f.lu is record.lu
+
+    def test_an_lu_session_holds_what_a_gauss_cholesky_one_does(self, field):
+        def after_first_reuse(a, method):
+            s = open_session(a, method)
+            b = DenseMatrix(np.ones((N, 1)))
+            session_solve(s, b)
+            session_solve(s, b)
+            return s
+
+        a_lu, a_gc = system(field, symmetric=False), system(field, symmetric=True)
+        _, lu = kept(lambda: after_first_reuse(a_lu, KIND_LU))
+        _, gc_ = kept(lambda: after_first_reuse(a_gc, KIND_GAUSS_CHOLESKY))
+        assert in_arrays(gc_, a_gc) >= 2  # G and its product
+        assert in_arrays(lu, a_lu) <= in_arrays(gc_, a_gc) + 0.25
 
 
 class TestMatrixFiles:
