@@ -75,7 +75,6 @@ KIND_GAUSS_CHOLESKY = "gauss-cholesky"
 # The factors each kind carries, in file order; the last one's diagonal
 # holds the divisors of the solves. LU stores both in one packed array.
 FACTOR_NAMES = {KIND_LU: ("l", "u"), KIND_GAUSS_CHOLESKY: ("g",)}
-_STORED_NAME = {KIND_LU: "lu", KIND_GAUSS_CHOLESKY: "g"}
 
 
 @dataclass(frozen=True)
@@ -152,9 +151,9 @@ class Factorization:
     g: DenseMatrix | None = None
 
     def __post_init__(self):
-        stored = _STORED_NAME.get(self.kind)
-        if stored is None:
+        if self.kind not in FACTOR_NAMES:
             raise ValueError(f"unknown factorization kind {self.kind!r}")
+        stored = "lu" if self.kind == KIND_LU else "g"
         if tuple(name for name in ("lu", "g") if getattr(self, name) is not None) != (stored,):
             raise ValueError(f"{self.kind} factorizations store exactly {stored}")
         m = getattr(self, stored)
