@@ -2,9 +2,10 @@
 
 Exit codes: 0 on success, 1 for usage problems and unreadable or malformed
 input files, 2 for numerical failures (zero pivot, non-symmetric input to a
-symmetric method, a right-hand side that overflows). Results go to stdout,
-diagnostics to stderr; identical inputs give byte-identical output. A finite
-non-negative FACTORKIT_TOL overrides the symmetry and residual tolerances.
+symmetric method, a right-hand side or a product of the factors that
+overflows). Results go to stdout, diagnostics to stderr; identical inputs
+give byte-identical output. A finite non-negative FACTORKIT_TOL overrides
+the symmetry and residual tolerances.
 """
 
 from __future__ import annotations

@@ -21,12 +21,13 @@ factors never depend on the sides. The panel is then reduced a column pair
 at a time, with the pivot test at every column in order: row c + 1 takes
 column c's update across the full width, so each pivot row is final when
 its pivot is tested, then the panel's other rows take both columns' updates
-as one rank-2 matrix product, a lone row's A entry apart from its sides.
-The width is even, so only n's own last column can go alone, with
-no row left below it in its panel. Multipliers stay in place below the
-diagonal, packed as LAPACK's ``getrf`` returns them. Only real sides of a
-real matrix ride; any others take the same row operations afterwards, as a
-forward substitution through the multipliers in the kernel below.
+as one rank-2 matrix product. The width is even, so only the last panel can
+be odd, and its first column goes alone: each such product then covers two
+or more rows or none, never one row, which BLAS forms by another kernel.
+Multipliers stay in place below the diagonal, packed as LAPACK's ``getrf``
+returns them. Only real sides of a real matrix ride; any others take the
+same row operations afterwards, as a forward substitution through the
+multipliers in the kernel below.
 
 The two paths differ only in where a column's multipliers come from. In
 general the rows below the panel take every earlier column left-looking,
@@ -196,10 +197,10 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None, *, symmetric: 
             l = work[k0:k1, :k0]
             work[k0:k1, k0:n] -= l @ work[:k0, k0:n]
             work[k0:k1, n:] -= l @ work[:k0, n:]
-        for c0 in range(k0, k1, 2):
-            c1 = min(c0 + 2, k1)  # this step's columns are c0 .. c1 - 1
+        for c1 in reversed(range(k1, k0, -2)):  # an odd panel's first column goes alone
+            c0 = max(c1 - 2, k0)  # this step's columns are c0 .. c1 - 1
             # LU's rows below the panel take every earlier column now.
-            below = work[k1:, :c0] @ work[:c0, c0:c1] if not symmetric and c0 and k1 < n else None
+            below = work[k1:, :c0] @ work[:c0, c0:c1] if not symmetric and k1 < n else None
             for col in range(c0, c1):
                 pivot = work[col, col]
                 size = abs(pivot)
@@ -223,12 +224,8 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None, *, symmetric: 
                     work[col + 1, col + 1 :] -= m[0] * work[col, col + 1 :]
                     if not symmetric:
                         work[col + 2 :, col + 1] -= m[1:] * work[col, col + 1]
-            # One rank-2 product covers the panel's remaining rows, if any; a lone
-            # row's A entry goes apart, so BLAS forms it as the same dot product.
-            cut = n if k1 - c1 == 1 else work.shape[1]
-            work[c1:k1, c1:cut] -= work[c1:k1, c0:c1] @ work[c0:c1, c1:cut]
-            if cut < work.shape[1]:
-                work[c1:k1, cut:] -= work[c1:k1, c0:c1] @ work[c0:c1, cut:]
+            # One product covers the panel's remaining rows: none, or two or more.
+            work[c1:k1, c1:] -= work[c1:k1, c0:c1] @ work[c0:c1, c1:]
 
     if b is not None and not ride:
         try:
@@ -240,7 +237,7 @@ def gauss_eliminate(a: DenseMatrix, b: DenseMatrix | None = None, *, symmetric: 
     # sides were checked just above, and every packed entry is finite
     # because every pivot was. A strict-upper u_kp and a multiplier m_pk
     # both enter pivot p as m_pk * u_kp: by row p's own update when k and
-    # p = k + 1 are a column pair, by the pair's rank-2 product when p lies
+    # p = k + 1 are a column pair, by the step's trailing product when p lies
     # later in k's panel, otherwise as a term of the pivot's dot product in
     # the panel-start product. In IEEE arithmetic a non-finite factor makes
     # that product, and so any sum holding it, non-finite, even against a

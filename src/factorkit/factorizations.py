@@ -42,14 +42,13 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .elimination import EliminationRecord, _pivot_threshold, _require_triangular, gauss_eliminate, scaling_flops
-from .elimination import _block_inverses, _solve_lower, _solve_upper, _usable_divisor
+from .elimination import _block_inverses, _require_finite, _solve_lower, _solve_upper, _triangle, _usable_divisor
 from .errors import NotSymmetricError, ShapeError
 from .matrices import (
     DEFAULT_SYMMETRY_TOL,
     HASH_SCHEME,
     DenseMatrix,
     _overflow_is_checked,
-    _require_finite_entries,
     _wrap,
     matrix_hash,
     principal_sqrt,
@@ -215,14 +214,13 @@ class Factorization:
     def l(self) -> DenseMatrix | None:
         """L = I + tril(lu, -1), formed afresh on each read; ``None`` for gauss-cholesky.
 
-        tril(lu, -1) plus 0.0 in place, an addition that turns a -0.0
-        multiplier into +0.0, with its diagonal then set to 1.
+        lu's unit-lower triangle plus 0.0 in place, an addition that turns
+        a -0.0 multiplier into +0.0.
         """
         if self.lu is None:
             return None
-        l = np.tril(self.lu.data, -1)
+        l = _triangle(self.lu.data, lower=True, unit_diagonal=True)
         l += 0.0
-        np.fill_diagonal(l, 1)
         return _wrap(l)
 
     @property
@@ -242,8 +240,8 @@ class Factorization:
     @functools.cached_property
     def _rebuilt(self) -> DenseMatrix:
         """The factors' product for ``rebuild``, formed on first use, never saved."""
-        product = _product(self)  # an overflow here is reported below as a non-finite entry
-        _require_finite_entries(product)
+        product = _product(self)
+        _require_finite(product, "the factors' product")
         return _wrap(product)
 
     def __getstate__(self):  # copies and pickles leave the derived inverses and product behind
@@ -306,8 +304,7 @@ def _unit_lower_times_upper(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     starts = range(0, n, nb)
     for i0 in starts:
         i1 = min(i0 + nb, n)
-        l_ii = np.tril(lower[i0:i1, i0:i1], -1)
-        np.fill_diagonal(l_ii, 1)
+        l_ii = _triangle(lower[i0:i1, i0:i1], lower=True, unit_diagonal=True)
         for j0 in starts:
             j1 = min(j0 + nb, n)
             k = min(i0, j0)
@@ -363,15 +360,15 @@ def gauss_cholesky_from_record(
     makes G complex, and triu(lu) is then copied into that field first. G
     is checked, though a record from ``gauss_eliminate``
     cannot overflow it: g_ij^2 is u_ij * m_ji, a term of pivot j's update
-    (row j's own update when i and j = i + 1 are a column pair, the pair's
-    rank-2 product when j lies later in i's panel, the panel-start product
+    (row j's own update when i and j = i + 1 are a column pair, the step's
+    trailing product when j lies later in i's panel, the panel-start product
     otherwise), and an overflow there fails as a non-finite pivot.
     """
     roots = _pivot_roots(record.pivots)
     g = np.triu(record.lu.data).astype(roots.dtype, copy=False)
     g /= roots[:, None]
     np.fill_diagonal(g, roots)
-    _require_finite_entries(g)
+    _require_finite(g, "the factor G")
     provenance = _provenance(record, KIND_GAUSS_CHOLESKY, symmetry_tol)
     return Factorization(KIND_GAUSS_CHOLESKY, record.n, provenance, g=_wrap(g))
 
@@ -436,7 +433,7 @@ def solve(f: Factorization, b: DenseMatrix) -> SolveReport:
     factorization need not hold its source: one read from a factor file
     carries only its hash. The first solve of a factorization forms that
     matrix in O(n^3); later solves reuse it. A product that overflows, as
-    G^T G of a matrix at the largest double can, raises ``ValueError``.
+    G^T G of a matrix at the largest double can, raises ``OverflowError``.
     """
     solutions, flops = _substitute_factors(f, b)
     rebuilt = f.rebuild()

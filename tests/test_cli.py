@@ -552,6 +552,17 @@ class TestFailureTable:
             assert eta(np.array(LARGEST_DOUBLE_A) * scale, answers, sides * scale) <= 1e-15
             assert sum(line.startswith("residual ") for line in lines) == (2 if extra else 0)
 
+    @pytest.mark.parametrize("method", ["gauss-cholesky", "auto"])
+    def test_session_at_the_largest_double_fails_numerically_on_its_first_reuse(self, capsys, tmp_path, method):
+        # The first side is measured against A; a reuse's residual needs G^T G,
+        # which overflows at (2,2), a numerical failure like any other overflow.
+        a, b = tmp_path / "a.mat", tmp_path / "b.mat"
+        save_matrix(a, DenseMatrix(LARGEST_DOUBLE_A))
+        save_matrix(b, DenseMatrix(np.array(LARGEST_DOUBLE_A) @ np.array([[0.5, 1], [0.25, -1]])))
+        code, out, err = run(capsys, "solve", "--matrix", a, "--rhs", b, "--method", method)
+        assert (code, err) == (2, "error: the factors' product overflowed\n")
+        assert out == "method gauss-cholesky\n0.5000000000000001 0.24999999999999997\nresidual 0\n"
+
     @pytest.mark.parametrize("method", METHODS)
     def test_session_answers_a_side_then_fails_on_an_overflowing_one(self, capsys, tmp_path, method):
         a, b = tmp_path / "a.mat", tmp_path / "b.mat"

@@ -360,7 +360,7 @@ class TestBlockedElimination:
         pairs[...] = rhs
         assert_array_equal(_solve_upper(record.lu.data, rhs)[0], _solve_upper(record.lu.data, pairs)[0])
 
-    # 3 * NB + 5: the last panel takes two column pairs and an odd column.
+    # 3 * NB + 5: the last panel takes its odd column, then two column pairs.
     @pytest.mark.parametrize("n", [2, 3, 5, NB - 1, NB, NB + 1, 2 * NB + 1, 3 * NB + 5, 200])
     @pytest.mark.parametrize("symmetric", [False, True])
     @pytest.mark.parametrize("fields", ["real", "complex", "real-a-complex-b", "complex-a-real-b"])
@@ -368,9 +368,9 @@ class TestBlockedElimination:
         rng = np.random.default_rng(n)
         matrices = [_dominant(rng, n, complex_entries=fields.startswith("complex"))]
         if n == 3 and fields == "real":
-            # Pinned: a panel of odd width leaves one row for its last rank-2
-            # product, whose A entry alone BLAS forms as a dot product; with
-            # three or more sides in the same product, these last pivots moved.
+            # Pinned: a panel of odd width takes its lone column first, so no
+            # trailing product covers a single row, which BLAS forms by another
+            # kernel; where one did, these last pivots moved with three sides.
             m = np.random.default_rng(30 if symmetric else 3).standard_normal((3, 3))
             matrices.append(m + m.T + 6 * np.eye(3) if symmetric else m + np.sqrt(3) * np.eye(3))
         for a in map(DenseMatrix, matrices):

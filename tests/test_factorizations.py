@@ -308,7 +308,12 @@ class TestRecordBuiltFactors:
             Factorization.from_factors(KIND_LU, 4, f.provenance, l=f.l, u=DenseMatrix(np.ones((4, 4))))
         assert dataclasses.replace(f) == f
 
-    def test_an_overflowing_g_fails_only_as_a_value_error(self):
+    def test_from_factors_checks_each_lu_factor_shape(self, golden_a):
+        f = lu_from_record(gauss_eliminate(golden_a))
+        with pytest.raises(ShapeError, match=r"^factor l must be 4x4, got 3x3$"):
+            Factorization.from_factors(KIND_LU, 4, f.provenance, l=DenseMatrix(np.eye(3)), u=f.u)
+
+    def test_an_overflowing_g_fails_only_as_an_overflow_error(self):
         # A record gauss_eliminate cannot make: eliminating a symmetric matrix,
         # its update of pivot 2 forms g_12^2 = u_12 * m_21 and would already have
         # failed on a non-finite pivot.
@@ -316,7 +321,7 @@ class TestRecordBuiltFactors:
         record = EliminationRecord(a, (1e-2, 4.0), None, 0, a, 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=r"^non-finite entry at \(1,2\): inf$"):
+            with pytest.raises(OverflowError, match=r"^the factor G overflowed$"):
                 gauss_cholesky_from_record(record).g  # at packaging or at this first read
 
 
@@ -812,10 +817,13 @@ class TestRebuild:
         f = lu_from_record(gauss_eliminate(golden_a))
         assert verify(f, DenseMatrix(golden_a.data.astype(complex))) == verify(f, golden_a) == 0.0
 
-    def test_a_product_that_overflows_fails_only_as_a_value_error(self):
+    def test_a_product_that_overflows_fails_only_as_an_overflow_error(self):
         # G^T G of the largest double overflows: solve's residuals need it.
-        with pytest.raises(ValueError, match=r"^non-finite entry at \(2,2\): inf$"):
-            solve(gauss_cholesky(DenseMatrix(LARGEST_DOUBLE_A)), vector([1, 1]))
+        f = gauss_cholesky(DenseMatrix(LARGEST_DOUBLE_A))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=r"^the factors' product overflowed$"):
+                solve(f, vector([1, 1]))
 
     def test_verify_scales_before_it_subtracts(self):
         # A - (-A) = 2e308 overflows unless each operand is scaled first.
