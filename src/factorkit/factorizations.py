@@ -25,10 +25,12 @@ concurrent solves. The first solve of a factorization inverts the
 diagonal blocks of its triangular factors (one set for G, whose transposes
 serve G^T; one each for L and U, read from the packed array) and caches
 them, so every solve substitutes block by block. ``solve`` also caches the
-factors' product, against which it measures its residuals, so only a
-factorization's first solve pays that O(n^3) product and each later one
-costs O(n^2); the substitution step alone, ``_substitute_factors``, forms
-none. LU's product is formed in place of a copy of U, one row block at a
+factors' product, against which its report measures the residuals when
+they are first read. Only a factorization's first solve pays that O(n^3)
+product; each later one costs two O(n^2) substitutions, plus one O(n^2)
+product per column if its residuals are read, which a session's reuse
+never does. The substitution step alone, ``_substitute_factors``, forms no
+product. LU's product is formed in place of a copy of U, one row block at a
 time, by the elimination module's ``_times_unit_lower``.
 The inverses and the product are derived state: never a constructor
 argument, never carried into factor files, copies or pickles.
@@ -78,6 +80,23 @@ KIND_GAUSS_CHOLESKY = "gauss-cholesky"
 FACTOR_NAMES = {KIND_LU: ("l", "u"), KIND_GAUSS_CHOLESKY: ("g",)}
 
 
+def _first_read(obj, name: str, field: str, pending: str, measure):
+    """``obj.__getattr__(name)`` for a ``field`` whose source waits in ``obj.__dict__[pending]``.
+
+    Called when lookup misses: for ``field``, until a first read has stored
+    ``measure(source)`` and dropped the source, which another thread may
+    finish in between.
+    """
+    d = obj.__dict__
+    source = d.get(pending)
+    if name != field or source is None and name not in d:
+        raise AttributeError(f"{type(obj).__name__!r} object has no attribute {name!r}")
+    if source is not None:
+        d.setdefault(name, measure(source))  # racing first reads store the same value
+        d.pop(pending, None)
+    return d[name]
+
+
 @dataclass(frozen=True)
 class Provenance:
     """Where a factorization came from: source hash, pivot sequence, cost.
@@ -104,17 +123,7 @@ class Provenance:
             self.__dict__["_source"] = self.__dict__.pop("matrix_hash")
 
     def __getattr__(self, name):
-        # Called when lookup misses: for matrix_hash, until a first read has
-        # stored the hash and dropped the matrix, which another thread may
-        # finish in between.
-        d = self.__dict__
-        source = d.get("_source")
-        if name != "matrix_hash" or source is None and name not in d:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        if source is not None:
-            d.setdefault(name, matrix_hash(source))  # racing first reads store the same value
-            d.pop("_source", None)
-        return d[name]
+        return _first_read(self, name, "matrix_hash", "_source", matrix_hash)
 
     def __reduce__(self):  # copies and pickles carry the hash, not the matrix
         return Provenance, astuple(self)
@@ -122,12 +131,30 @@ class Provenance:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Solutions (one column per right-hand side) with quality and cost."""
+    """Solutions (one column per right-hand side) with quality and cost.
+
+    ``residuals`` may be given as a function of no arguments, as ``solve``
+    gives it: the residuals are then measured when first read, and the
+    function dropped. Until then the report holds what the function holds,
+    for ``solve`` its solutions, the sides and the factors' product, which
+    the factorization holds anyway. Equality, ``repr``, copies and pickles
+    go by the residuals' values.
+    """
 
     solutions: DenseMatrix
     residuals: tuple[float, ...]
     flops: int
     method: str
+
+    def __post_init__(self):
+        if callable(self.residuals):  # measured by __getattr__ on first read
+            self.__dict__["_measure"] = self.__dict__.pop("residuals")
+
+    def __getattr__(self, name):
+        return _first_read(self, name, "residuals", "_measure", lambda measure: measure())
+
+    def __reduce__(self):  # copies and pickles carry the residuals, not the product
+        return SolveReport, (self.solutions, self.residuals, self.flops, self.method)
 
 
 @dataclass(frozen=True)
@@ -388,6 +415,13 @@ def _substitute_factors(f: Factorization, b: DenseMatrix) -> tuple[DenseMatrix, 
     return DenseMatrix(x), fl_forward + fl_back
 
 
+def _residuals(rebuilt: DenseMatrix, solutions: DenseMatrix, b: DenseMatrix) -> tuple[float, ...]:
+    """Each column's ``residual_norm`` against the factors' product."""
+    return tuple(
+        residual_norm(rebuilt, solutions.column(j), b.column(j)) for j in range(b.cols)
+    )
+
+
 def solve(f: Factorization, b: DenseMatrix) -> SolveReport:
     """Solve A x = b through the factors (``_substitute_factors``), with residuals.
 
@@ -395,13 +429,13 @@ def solve(f: Factorization, b: DenseMatrix) -> SolveReport:
     factorization need not hold its source: one read from a factor file
     carries only its hash. The first solve of a factorization forms that
     matrix in O(n^3); later solves reuse it. A product that overflows, as
-    G^T G of a matrix at the largest double can, raises ``OverflowError``.
+    G^T G of a matrix at the largest double can, raises ``OverflowError``
+    here. The residuals themselves, an O(n^2) product per column, are
+    measured when the report's ``residuals`` are first read, so a caller
+    that never reads them, as a session's reuse, never pays for them.
     """
     solutions, flops = _substitute_factors(f, b)
-    rebuilt = f.rebuild()
-    residuals = tuple(
-        residual_norm(rebuilt, solutions.column(j), b.column(j)) for j in range(b.cols)
-    )
+    residuals = functools.partial(_residuals, f.rebuild(), solutions, b)
     return SolveReport(solutions=solutions, residuals=residuals, flops=flops, method=f.kind)
 
 

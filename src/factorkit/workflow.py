@@ -6,7 +6,9 @@ along and answers it straight off the triangular system; the session keeps
 the elimination record. The first reuse, or the first read of
 ``factorization``, packages that record into the cached factorization and
 drops it (an LU factorization keeps its packed array, G is cut from it);
-every later solve costs only two triangular substitutions.
+every later solve costs two triangular substitutions and one residual,
+against A: the residuals of the report ``solve`` returns, measured against
+the factors' product only when read, are never read here.
 The flop ledger separates the one-time cost from the per-reuse cost so the
 economics are checkable without wall-clock noise.
 

@@ -5,6 +5,7 @@ the oracles in oracles.py) before being frozen here.
 """
 
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -124,6 +125,27 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def _run_together(workers, target):
+    """Run ``target(j)`` for j < workers on threads released by one barrier; return their errors."""
+    barrier = threading.Barrier(workers)
+    errors = []
+
+    def work(j):
+        try:
+            barrier.wait(timeout=10)
+            target(j)
+        except Exception as exc:  # reported to the test below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(j,)) for j in range(workers)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    return errors
+
+
 @pytest.fixture
 def record_builds(monkeypatch):
     """Every call of ``lu_from_record`` or ``gauss_cholesky_from_record``, which ``from_record`` calls by global name."""
@@ -138,6 +160,12 @@ def record_builds(monkeypatch):
 def product_calls(monkeypatch):
     """Every call of ``factorizations._product``, which forms the factors' product."""
     return _count_calls(monkeypatch, factorkit.factorizations, "_product")
+
+
+@pytest.fixture
+def residual_norm_calls(monkeypatch):
+    """Every call of ``matrices.residual_norm`` made inside the package."""
+    return _count_calls(monkeypatch, factorkit.matrices, "residual_norm")
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+import sys
 import warnings
 
 import numpy as np
@@ -62,6 +63,7 @@ from conftest import (
     SUBSTITUTION_OVERFLOW_B,
     ULP_ABOVE_THRESHOLD_A,
     ZERO_PIVOT_A,
+    _run_together,
 )
 from oracles import (
     classical_upper_cholesky,
@@ -549,6 +551,74 @@ class TestSolve:
                 continue
             assert np.linalg.norm(x_lu - x_gc) <= 1e-9 * np.linalg.norm(x_lu)
 
+
+
+class TestSolveReportResiduals:
+    """A report from ``solve`` measures its residuals when they are first
+    read. Until then it holds the function that measures them, and it is
+    still equal, printed, copied and pickled by the residuals' values."""
+
+    N = 200
+
+    @pytest.fixture(params=[KIND_LU, KIND_GAUSS_CHOLESKY])
+    def unread(self, request):
+        """(a function giving a fresh unread report of one solve, its residuals formed eagerly)."""
+        rng = np.random.default_rng(15)
+        a = DenseMatrix(random_spd(rng, self.N))
+        f = from_record(gauss_eliminate(a), request.param)
+        b = DenseMatrix(rng.standard_normal((self.N, 3)))
+        x = solve(f, b).solutions
+        want = tuple(residual_norm(f.rebuild(), x.column(j), b.column(j)) for j in range(3))
+
+        def fresh():
+            report = solve(f, b)
+            assert "residuals" not in vars(report)
+            return report
+
+        return fresh, want
+
+    def test_copies_replace_equality_and_repr_give_the_floats(self, unread):
+        fresh, want = unread
+        for make in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r)), dataclasses.replace):
+            other = make(fresh())
+            assert vars(other)["residuals"] == want
+            assert not any(callable(v) for v in vars(other).values())
+        assert fresh() == fresh()
+        assert fresh() == dataclasses.replace(fresh(), residuals=want)
+        assert f"residuals={want!r}" in repr(fresh())
+
+    def test_a_pickle_carries_the_floats_not_the_product(self, unread):
+        fresh, want = unread
+        data = pickle.dumps(fresh())
+        assert len(data) < self.N**2 * 8
+        assert pickle.loads(data).residuals == want
+
+    def test_racing_first_reads_get_one_tuple(self, unread):
+        # More threads than cores and a short switch interval, so first reads
+        # interleave with the one that measures and drops the function.
+        fresh, want = unread
+        workers, rounds = 8, 50
+        reports = [fresh() for _ in range(rounds)]
+        seen = [[] for _ in reports]
+
+        def read(j):
+            for k, report in enumerate(reports):
+                seen[k].append(report.residuals)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            errors = _run_together(workers, read)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        for report, values in zip(reports, seen):
+            assert values[0] == want
+            assert len(values) == workers and all(v is vars(report)["residuals"] for v in values)
+            assert not any(callable(v) for v in vars(report).values())
+        # The rarest interleaving, made certain: a lookup that missed before
+        # another thread stored the residuals and dropped the function.
+        assert reports[0].__getattr__("residuals") is vars(reports[0])["residuals"]
 
 class TestBlockedSolve:
     """At every size, solve() substitutes block by block through the cached

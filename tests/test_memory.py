@@ -149,6 +149,24 @@ class TestKeptPerStep:
         assert in_arrays(gc_, a_gc) >= 2  # G and its product
         assert in_arrays(lu, a_lu) <= in_arrays(gc_, a_gc) + 0.25
 
+    def test_reuses_after_the_first_keep_nothing(self, field, kind):
+        # Each reuse's report from solve() holds the product until its
+        # residuals are read; the session never reads them and drops the report.
+        a = system(field, symmetric=kind == KIND_GAUSS_CHOLESKY)
+        rng = np.random.default_rng(31)
+        sides = [DenseMatrix(rng.standard_normal((N, 1))) for _ in range(22)]
+        s = open_session(a, kind)
+        for b in sides[:2]:
+            session_solve(s, b)
+
+        def reuses():
+            return [scratch(lambda: session_solve(s, b))[1] for b in sides[2:]]
+
+        used, held = kept(reuses)
+        assert s.reuse_count == 21
+        assert max(in_arrays(u, a) for u in used) <= 0.25
+        assert held < a.data.nbytes / N  # less than a row of A: not even one report's answer
+
 
 class TestMatrixFiles:
     def test_render_then_parse(self, field):

@@ -1,6 +1,5 @@
 import dataclasses
 import sys
-import threading
 import time
 
 import numpy as np
@@ -41,7 +40,7 @@ import factorkit.workflow
 from factorkit.cli import cli_main
 from factorkit.elimination import _solve_lower, _solve_upper, elimination_flops, scaling_flops, substitution_flops
 from factorkit.factorizations import require_symmetric
-from factorkit.matrices import DEFAULT_SYMMETRY_TOL
+from factorkit.matrices import DEFAULT_SYMMETRY_TOL, residual_norm
 from factorkit.workflow import resolve_method
 
 from conftest import (
@@ -65,6 +64,7 @@ from conftest import (
     SUBSTITUTION_OVERFLOW_B,
     ULP_ABOVE_THRESHOLD_A,
     ZERO_PIVOT_A,
+    _run_together,
 )
 from oracles import packed_factors, random_spd, random_symmetric
 
@@ -451,6 +451,40 @@ class TestSessionState:
         assert s.reuse_count == reuses
         assert product_calls == [(s.factorization,)]
 
+    @pytest.mark.parametrize("method", [KIND_LU, KIND_GAUSS_CHOLESKY])
+    def test_a_reuse_measures_one_residual_against_the_matrix(self, monkeypatch, residual_norm_calls, method):
+        # solve() forms (or reuses) the product, but its report's residuals,
+        # which the session never reads, are never measured.
+        rebuilds = []
+        rebuild = Factorization.rebuild
+        monkeypatch.setattr(Factorization, "rebuild", lambda f: rebuilds.append(f) or rebuild(f))
+        rng = np.random.default_rng(13)
+        n = 80
+        s = open_session(DenseMatrix(random_spd(rng, n)), method)
+        session_solve(s, vector(rng.standard_normal(n)))
+        for reuses in range(1, 6):
+            residual_norm_calls.clear()
+            report = session_solve(s, vector(rng.standard_normal(n)))
+            assert len(residual_norm_calls) == 1 and residual_norm_calls[0][0] is s.matrix
+            assert report.residuals[0] == residual_norm(s.matrix, *residual_norm_calls[0][1:])
+            assert rebuilds == [s.factorization] * reuses
+
+    @pytest.mark.parametrize("sides", [1, 3])
+    @pytest.mark.parametrize("method", [KIND_LU, KIND_GAUSS_CHOLESKY])
+    def test_solve_residuals_read_later_are_the_eager_ones(self, residual_norm_calls, method, sides):
+        rng = np.random.default_rng(14)
+        n = 80
+        a = DenseMatrix(random_spd(rng, n))
+        f = gauss_cholesky(a) if method == KIND_GAUSS_CHOLESKY else lu_from_record(gauss_eliminate(a))
+        b = DenseMatrix(rng.standard_normal((n, sides)))
+        report = solve(f, b)
+        assert residual_norm_calls == []
+        product = f.rebuild()
+        want = [residual_norm(product, report.solutions.column(j), b.column(j)) for j in range(sides)]
+        assert np.array(report.residuals).tobytes() == np.array(want).tobytes()
+        assert len(residual_norm_calls) == sides and all(call[0] is product for call in residual_norm_calls)
+        assert not any(callable(v) for v in vars(report).values())
+
     def test_cli_hashes_only_to_write_or_check_a_factor_file(self, matrix_hash_calls, capsys, tmp_path):
         a, b, fact = tmp_path / "a.mat", tmp_path / "b.mat", tmp_path / "a.fact"
         save_matrix(a, DenseMatrix(GOLD_A))
@@ -483,27 +517,6 @@ class TestSessionState:
         assert cost_report(s) == CostReport(
             first_flops=first, reuse_flops_per_rhs=reuse, reuse_count=k, total_flops=first + k * reuse
         )
-
-
-def _run_together(workers, target):
-    """Run ``target(j)`` for j < workers on threads released by one barrier; return their errors."""
-    barrier = threading.Barrier(workers)
-    errors = []
-
-    def work(j):
-        try:
-            barrier.wait(timeout=10)
-            target(j)
-        except Exception as exc:  # reported to the test below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work, args=(j,)) for j in range(workers)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
-        assert not t.is_alive()
-    return errors
 
 
 class TestConcurrency:
